@@ -8,7 +8,7 @@ leave-one-subject-out.
 """
 
 from .classifiers import KINDS, accuracy, canonical_kind, fit
-from .data import (CSV_HEADER, Dataset, IngestionError, RawTrial, Sample, SplitPlan,
+from .data import (CSV_HEADER, Dataset, IngestionError, RawTrial, SplitPlan,
                    SyntheticSpec, generate_synthetic, ingest, load_csv,
                    load_synthetic_sidecar, loso_splits, normalize, resample_channel,
                    save_csv, save_synthetic, subsample_trials)
@@ -16,10 +16,9 @@ from .experiments import (CurveRow, ExperimentConfig, FoldResult, ReportError,
                           SummaryRow, Table3Row, holdout_split, load_dataset, report,
                           run_datasize, run_loso, run_sweep, run_table3, summarize)
 from .model import (DEFAULT_R_N, VARIANTS, DacaeParams, HyperConfig, LatentCode,
-                    LossParts, adversary_logits, classifier_forward, dacae_loss,
-                    decode, decoder_input, encode, init_params, load_checkpoint,
-                    nuisance_dim, nuisance_logits, one_hot_subjects, save_checkpoint,
-                    split_latent)
+                    LossParts, adversary_logits, dacae_loss, decode, decoder_input,
+                    encode, init_params, load_checkpoint, nuisance_dim, nuisance_logits,
+                    one_hot_subjects, save_checkpoint, split_latent)
 from .nn import (ConfigError, DenseLayer, GradCheckReport, Mlp, MlpGrads, SgdConfig,
                  TrainingDiverged, build_mlp, grad_check, init_dense, job_seed,
                  make_rng, mse_loss, sgd_step, softmax, softmax_cross_entropy)

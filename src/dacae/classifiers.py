@@ -227,102 +227,80 @@ class TreeClassifier(_Fitted):
         return walk(0)
 
 
-class LdaClassifier(_Fitted):
+def _train_lda(z: np.ndarray, y: np.ndarray, ridge: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian LDA: pooled within-class covariance with a small ridge."""
+    classes = np.unique(y)
+    n, d = z.shape
+    means = np.vstack([z[y == c].mean(axis=0) for c in classes])
+    priors = np.array([(y == c).sum() / n for c in classes])
+    scatter = np.zeros((d, d))
+    for c, mu in zip(classes, means):
+        centered = z[y == c] - mu
+        scatter += centered.T @ centered
+    cov = scatter / max(1, n - classes.size)
+    # ridge floor keeps the solve finite even with zero within-class scatter
+    cov = cov + (ridge * np.trace(cov) / d + 1e-12) * np.eye(d)
+    solved = np.linalg.solve(cov, means.T).T
+    intercept = -0.5 * np.sum(solved * means, axis=1) + np.log(priors)
+    return solved, intercept
 
-    kind = "lda"
 
-    def __init__(self, coef: np.ndarray, intercept: np.ndarray, classes: np.ndarray, dim: int):
+def _train_svm(z: np.ndarray, y: np.ndarray, c: float = 1.0, epochs: int = 200,
+               learning_rate: float = 0.5, decay: float = 0.02) -> tuple[np.ndarray, np.ndarray]:
+    """One-vs-rest L2-regularized hinge loss, full-batch subgradient descent."""
+    classes = np.unique(y)
+    n, d = z.shape
+    targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, L)
+    lam = 1.0 / (c * n)
+    w = np.zeros((classes.size, d))
+    b = np.zeros(classes.size)
+    for t in range(epochs):
+        lr = learning_rate / (1.0 + decay * t)
+        margins = (z @ w.T + b) * targets
+        active = (margins < 1.0) * targets
+        w -= lr * (lam * w - active.T @ z / n)
+        b -= lr * (-active.mean(axis=0))
+    return w, b
+
+
+def _train_logreg(z: np.ndarray, y: np.ndarray, l2: float = 1e-4, epochs: int = 500,
+                  learning_rate: float = 1.0,
+                  grad_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial logistic regression, L2 penalty, full-batch gradient descent."""
+    classes, targets = np.unique(y, return_inverse=True)
+    n, d = z.shape
+    w = np.zeros((classes.size, d))
+    b = np.zeros(classes.size)
+    onehot = np.zeros((n, classes.size))
+    onehot[np.arange(n), targets] = 1.0
+    for _ in range(epochs):
+        logits = z @ w.T + b
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = shifted / shifted.sum(axis=1, keepdims=True)
+        err = (probs - onehot) / n
+        gw = err.T @ z + l2 * w
+        gb = err.sum(axis=0)
+        if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < grad_tol:
+            break
+        w -= learning_rate * gw
+        b -= learning_rate * gb
+    return w, b
+
+
+# training procedure of each linear kind; each returns (coef, intercept)
+_LINEAR = {"lda": _train_lda, "svm": _train_svm, "logreg": _train_logreg}
+
+
+class LinearClassifier(_Fitted):
+    """Affine scores z @ coef.T + intercept; kind names the procedure that fit them."""
+
+    def __init__(self, kind: str, coef: np.ndarray, intercept: np.ndarray,
+                 classes: np.ndarray, dim: int):
+        self.kind = kind
         self.coef = coef            # (n_classes, dim)
         self.intercept = intercept  # (n_classes,)
         self.classes = classes
         self.dim = dim
-
-    @classmethod
-    def train(cls, z: np.ndarray, y: np.ndarray, ridge: float = 1e-6) -> "LdaClassifier":
-        classes = np.unique(y)
-        n, d = z.shape
-        means = np.vstack([z[y == c].mean(axis=0) for c in classes])
-        priors = np.array([(y == c).sum() / n for c in classes])
-        scatter = np.zeros((d, d))
-        for c, mu in zip(classes, means):
-            centered = z[y == c] - mu
-            scatter += centered.T @ centered
-        cov = scatter / max(1, n - classes.size)
-        # ridge floor keeps the solve finite even with zero within-class scatter
-        cov = cov + (ridge * np.trace(cov) / d + 1e-12) * np.eye(d)
-        solved = np.linalg.solve(cov, means.T).T
-        intercept = -0.5 * np.sum(solved * means, axis=1) + np.log(priors)
-        return cls(solved, intercept, classes, d)
-
-    def decision_scores(self, z: np.ndarray) -> np.ndarray:
-        return _check_features(z, self.dim) @ self.coef.T + self.intercept
-
-
-class LinearSvmClassifier(_Fitted):
-    """One-vs-rest L2-regularized hinge loss, full-batch subgradient descent."""
-
-    kind = "svm"
-
-    def __init__(self, coef: np.ndarray, intercept: np.ndarray, classes: np.ndarray, dim: int):
-        self.coef = coef
-        self.intercept = intercept
-        self.classes = classes
-        self.dim = dim
-
-    @classmethod
-    def train(cls, z: np.ndarray, y: np.ndarray, c: float = 1.0, epochs: int = 200,
-              learning_rate: float = 0.5, decay: float = 0.02) -> "LinearSvmClassifier":
-        classes = np.unique(y)
-        n, d = z.shape
-        targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, L)
-        lam = 1.0 / (c * n)
-        w = np.zeros((classes.size, d))
-        b = np.zeros(classes.size)
-        for t in range(epochs):
-            lr = learning_rate / (1.0 + decay * t)
-            margins = (z @ w.T + b) * targets
-            active = (margins < 1.0) * targets
-            w -= lr * (lam * w - active.T @ z / n)
-            b -= lr * (-active.mean(axis=0))
-        return cls(w, b, classes, d)
-
-    def decision_scores(self, z: np.ndarray) -> np.ndarray:
-        return _check_features(z, self.dim) @ self.coef.T + self.intercept
-
-
-class LogisticClassifier(_Fitted):
-    """Multinomial logistic regression, L2 penalty, full-batch gradient descent."""
-
-    kind = "logreg"
-
-    def __init__(self, coef: np.ndarray, intercept: np.ndarray, classes: np.ndarray, dim: int):
-        self.coef = coef
-        self.intercept = intercept
-        self.classes = classes
-        self.dim = dim
-
-    @classmethod
-    def train(cls, z: np.ndarray, y: np.ndarray, l2: float = 1e-4, epochs: int = 500,
-              learning_rate: float = 1.0, grad_tol: float = 1e-6) -> "LogisticClassifier":
-        classes, targets = np.unique(y, return_inverse=True)
-        n, d = z.shape
-        w = np.zeros((classes.size, d))
-        b = np.zeros(classes.size)
-        onehot = np.zeros((n, classes.size))
-        onehot[np.arange(n), targets] = 1.0
-        for _ in range(epochs):
-            logits = z @ w.T + b
-            shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-            probs = shifted / shifted.sum(axis=1, keepdims=True)
-            err = (probs - onehot) / n
-            gw = err.T @ z + l2 * w
-            gb = err.sum(axis=0)
-            if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < grad_tol:
-                break
-            w -= learning_rate * gw
-            b -= learning_rate * gb
-        return cls(w, b, classes, d)
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
         return _check_features(z, self.dim) @ self.coef.T + self.intercept
@@ -343,11 +321,7 @@ def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0, **hyper) -> _Fit
         return KnnClassifier(z, y, k=hyper.pop("k", 5))
     if kind == "tree":
         return TreeClassifier.train(z, y, **hyper)
-    if kind == "lda":
-        return LdaClassifier.train(z, y, **hyper)
-    if kind == "svm":
-        return LinearSvmClassifier.train(z, y, **hyper)
-    return LogisticClassifier.train(z, y, **hyper)
+    return LinearClassifier(kind, *_LINEAR[kind](z, y, **hyper), np.unique(y), z.shape[1])
 
 
 def accuracy(fitted: _Fitted, z: np.ndarray, y: np.ndarray) -> float:
@@ -399,5 +373,6 @@ def deserialize(meta: dict, arrays: dict[str, np.ndarray]) -> _Fitted:
         return TreeClassifier(arrays["feature"], arrays["threshold"], arrays["left"],
                               arrays["right"], arrays["counts"], classes, dim,
                               meta["max_depth"], meta["min_leaf"])
-    cls = {"lda": LdaClassifier, "svm": LinearSvmClassifier, "logreg": LogisticClassifier}[kind]
-    return cls(arrays["coef"], arrays["intercept"], classes, dim)
+    if kind in _LINEAR:
+        return LinearClassifier(kind, arrays["coef"], arrays["intercept"], classes, dim)
+    raise ValueError(f"unknown classifier kind {kind!r} in checkpoint")

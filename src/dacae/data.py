@@ -21,22 +21,11 @@ import numpy as np
 from .nn import ConfigError, make_rng
 
 RELAX_LABEL = 0
-LABEL_NAMES = {0: "relax", 1: "physical", 2: "cognitive", 3: "emotional"}
 CSV_HEADER = ["subject", "trial", "label", "t"]
 
 
 class IngestionError(ValueError):
     """Raw recordings that cannot be turned into a dataset."""
-
-
-@dataclass
-class Sample:
-    """One 1 Hz observation: channel vector x, task label y, subject s, trial id."""
-    x: np.ndarray
-    y: int
-    s: int
-    trial: int
-    t: float
 
 
 @dataclass
@@ -81,10 +70,6 @@ class Dataset:
     @property
     def n_channels(self) -> int:
         return self.x.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.x[i], int(self.y[i]), int(self.s[i]),
-                      int(self.trial[i]), float(self.t[i]))
 
     def subset(self, ids: np.ndarray) -> "Dataset":
         ids = np.asarray(ids, dtype=np.intp)
@@ -210,6 +195,14 @@ class SplitPlan:
     test_ids: np.ndarray
 
 
+def _val_trials(trials: np.ndarray, val_fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Seeded validation share of the given trials: round(n * fraction), kept in [1, n - 1]."""
+    perm = rng.permutation(trials.size)
+    n_val = int(math.floor(trials.size * val_fraction + 0.5))
+    n_val = min(max(n_val, 1), trials.size - 1)
+    return trials[perm[:n_val]]
+
+
 def loso_splits(dataset: Dataset, val_fraction: float = 0.1, seed: int = 0) -> list[SplitPlan]:
     """One leave-one-subject-out plan per subject present in the dataset.
 
@@ -225,17 +218,24 @@ def loso_splits(dataset: Dataset, val_fraction: float = 0.1, seed: int = 0) -> l
     plans = []
     for fold, subj in enumerate(subjects):
         test_mask = dataset.s == subj
-        rest_trials = np.unique(dataset.trial[~test_mask])
-        rng = make_rng(seed, 100, fold)
-        perm = rng.permutation(rest_trials.size)
-        n_val = int(math.floor(rest_trials.size * val_fraction + 0.5))
-        n_val = min(max(n_val, 1), rest_trials.size - 1)
-        val_trials = set(rest_trials[perm[:n_val]].tolist())
-        val_mask = np.array([tr in val_trials for tr in dataset.trial]) & ~test_mask
+        val_trials = _val_trials(np.unique(dataset.trial[~test_mask]), val_fraction,
+                                 make_rng(seed, 100, fold))
+        val_mask = np.isin(dataset.trial, val_trials) & ~test_mask
         train_mask = ~test_mask & ~val_mask
         plans.append(SplitPlan(int(subj), np.flatnonzero(train_mask),
                                np.flatnonzero(val_mask), np.flatnonzero(test_mask)))
     return plans
+
+
+def holdout_split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded trial-granularity train/validation split over all subjects."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError(f"validation fraction must be in (0, 1), got {val_fraction}")
+    trials = np.unique(dataset.trial)
+    if trials.size < 2:
+        raise ConfigError("need at least 2 trials to split")
+    val_mask = np.isin(dataset.trial, _val_trials(trials, val_fraction, make_rng(seed, 600)))
+    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
 def subsample_trials(dataset: Dataset, ids: np.ndarray, fraction: float, seed: int) -> np.ndarray:
@@ -253,8 +253,7 @@ def subsample_trials(dataset: Dataset, ids: np.ndarray, fraction: float, seed: i
     trials = np.unique(dataset.trial[ids])
     rng = make_rng(seed, 200)
     n_keep = max(1, int(math.floor(trials.size * fraction + 0.5)))
-    keep = set(trials[rng.permutation(trials.size)[:n_keep]].tolist())
-    out = ids[np.array([tr in keep for tr in dataset.trial[ids]])]
+    out = ids[np.isin(dataset.trial[ids], trials[rng.permutation(trials.size)[:n_keep]])]
     before = {(int(a), int(b)) for a, b in zip(dataset.s[ids], dataset.y[ids])}
     after = {(int(a), int(b)) for a, b in zip(dataset.s[out], dataset.y[out])}
     missing = sorted(before - after)
@@ -332,7 +331,17 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray, np.nda
     return dataset, T, U
 
 
-# -- interchange CSV -----------------------------------------------------------
+# -- CSV files -----------------------------------------------------------------
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write one result table, creating its directory; default dialect (CRLF endings)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 def save_csv(path: str | Path, dataset: Dataset) -> None:
     """Write the interchange CSV: subject,trial,label,t,ch0..chN; LF endings."""
@@ -349,31 +358,46 @@ def save_csv(path: str | Path, dataset: Dataset) -> None:
 
 def load_csv(path: str | Path, n_classes: int | None = None,
              n_subjects: int | None = None) -> Dataset:
-    """Read the interchange CSV back into a dataset."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[: len(CSV_HEADER)] != CSV_HEADER:
-            raise IngestionError(f"bad interchange header in {path}")
-        n_channels = len(header) - len(CSV_HEADER)
-        if n_channels < 1:
-            raise IngestionError(f"no channel columns in {path}")
-        rows = list(reader)
-    n = len(rows)
-    x = np.empty((n, n_channels))
-    y = np.empty(n, dtype=np.intp)
-    s = np.empty(n, dtype=np.intp)
-    trial = np.empty(n, dtype=np.intp)
-    t = np.empty(n)
-    for i, row in enumerate(rows):
-        s[i], trial[i], y[i] = int(row[0]), int(row[1]), int(row[2])
-        t[i] = float(row[3])
-        x[i] = [float(v) for v in row[4: 4 + n_channels]]
+    """Read the interchange CSV back into a dataset.
+
+    Raises IngestionError naming the file (and the line, for a malformed row)
+    when the file is not UTF-8 CSV, a row has the wrong width, a cell does not
+    parse, or the rows do not form a valid dataset.
+    """
+    x, y, s, trial, t = [], [], [], [], []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[: len(CSV_HEADER)] != CSV_HEADER:
+                raise IngestionError(f"bad interchange header in {path}")
+            n_channels = len(header) - len(CSV_HEADER)
+            if n_channels < 1:
+                raise IngestionError(f"no channel columns in {path}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise IngestionError(f"{path}:{reader.line_num}: expected "
+                                         f"{len(header)} columns, got {len(row)}")
+                try:
+                    s.append(int(row[0]))
+                    trial.append(int(row[1]))
+                    y.append(int(row[2]))
+                    t.append(float(row[3]))
+                    x.append([float(v) for v in row[4:]])
+                except ValueError as err:
+                    raise IngestionError(f"{path}:{reader.line_num}: {err}") from err
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise IngestionError(f"{path}: {err}") from err
+    n = len(y)
     if n_classes is None:
-        n_classes = int(y.max()) + 1 if n else 1
+        n_classes = max(y) + 1 if n else 1
     if n_subjects is None:
-        n_subjects = int(s.max()) + 1 if n else 1
-    return Dataset(x, y, s, trial, t, n_classes, n_subjects)
+        n_subjects = max(s) + 1 if n else 1
+    try:
+        return Dataset(np.array(x, dtype=np.float64).reshape(n, n_channels), y, s, trial, t,
+                       n_classes, n_subjects)
+    except (ValueError, OverflowError) as err:
+        raise IngestionError(f"{path}: {err}") from err
 
 
 def save_synthetic(csv_path: str | Path, dataset: Dataset, spec: SyntheticSpec,

@@ -12,16 +12,17 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers
-from .data import (Dataset, SplitPlan, SyntheticSpec, generate_synthetic, load_csv,
-                   loso_splits, normalize, subsample_trials)
+from .data import (Dataset, SplitPlan, SyntheticSpec, generate_synthetic, holdout_split,
+                   load_csv, loso_splits, normalize, subsample_trials, write_csv)
 from .model import VARIANTS, HyperConfig, encode
-from .nn import ConfigError, SgdConfig, TrainingDiverged, job_seed, make_rng
+from .nn import ConfigError, SgdConfig, TrainingDiverged, job_seed
 from .training import (LAMBDA_A_GRID, LAMBDA_N_GRID, SweepResult, TrainLog,
                        fit_feature_extractor, fit_task_classifier, probe_accuracies,
                        two_stage_sweep)
@@ -203,42 +204,49 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
     return results, log
 
 
-def _run_fold_star(payload) -> tuple[list[FoldResult], TrainLog | None]:
-    return _run_fold(*payload)
-
-
 def _execute(dataset: Dataset, jobs: list[_FoldJob],
              n_workers: int) -> list[tuple[list[FoldResult], TrainLog | None]]:
     if n_workers <= 1:
         return [_run_fold(dataset, job) for job in jobs]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_run_fold_star, [(dataset, job) for job in jobs]))
+        return list(pool.map(_run_fold, repeat(dataset), jobs))
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _grid(config: ExperimentConfig, rows, plans: list[SplitPlan],
+          kinds: tuple[str, ...]) -> list[_FoldJob]:
+    """One fold job per (row, plan); a row is (index, subdir, variant, hyper overrides).
+
+    Extractor and classifier seeds derive from the master seed, the row index
+    and the held-out subject, so equal rows get equal seeds in every runner.
+    """
+    jobs = []
+    for index, subdir, variant, overrides in rows:
+        for plan in plans:
+            subj = plan.test_subject
+            jobs.append(_FoldJob(
+                subdir, variant,
+                config.hyper(variant, job_seed(config.seed, index, subj), **overrides),
+                plan, kinds,
+                tuple(job_seed(config.seed, index, subj, ci) for ci in range(len(kinds)))))
+    return jobs
 
 
-def _fold_row(result: FoldResult) -> list:
-    return [getattr(result, name) for name in FOLD_HEADER]
+def _run_jobs(config: ExperimentConfig, dataset: Dataset, jobs: list[_FoldJob],
+              root: Path) -> list[FoldResult]:
+    """Execute the jobs and write their folds.csv files and training logs under root.
 
-
-def _write_tree(root: Path, jobs: list[_FoldJob],
-                outs: list[tuple[list[FoldResult], TrainLog | None]]) -> None:
-    buckets: dict[tuple[str, str], list[list]] = {}
+    Returns every job's results, flattened in job order.
+    """
+    outs = _execute(dataset, jobs, config.jobs)
+    buckets: dict[tuple[str, str], list[tuple]] = {}
     for job, (results, log) in zip(jobs, outs):
         for result in results:
-            buckets.setdefault((job.subdir, result.classifier), []).append(_fold_row(result))
+            buckets.setdefault((job.subdir, result.classifier), []).append(astuple(result))
         if log is not None:
-            log_dir = root / job.subdir
-            log_dir.mkdir(parents=True, exist_ok=True)
-            log.to_csv(log_dir / f"trainlog_fold{job.plan.test_subject}.csv")
+            log.to_csv(root / job.subdir / f"trainlog_fold{job.plan.test_subject}.csv")
     for (subdir, kind), rows in buckets.items():
-        _write_csv(root / subdir / kind / "folds.csv", FOLD_HEADER, rows)
+        write_csv(root / subdir / kind / "folds.csv", FOLD_HEADER, rows)
+    return [r for results, _ in outs for r in results]
 
 
 def summarize(results: list[FoldResult]) -> list[SummaryRow]:
@@ -273,10 +281,6 @@ def summarize(results: list[FoldResult]) -> list[SummaryRow]:
     return rows
 
 
-def _summary_rows(summary: list[SummaryRow]) -> list[list]:
-    return [[getattr(s, name) for name in SUMMARY_HEADER] for s in summary]
-
-
 def failed_count(results: list[FoldResult]) -> int:
     return sum(r.status != "done" for r in results)
 
@@ -291,21 +295,11 @@ def run_loso(config: ExperimentConfig, dataset: Dataset | None = None,
     if dataset is None:
         dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
-    jobs = []
-    for vi, variant in enumerate(config.variants):
-        for plan in plans:
-            subj = plan.test_subject
-            jobs.append(_FoldJob(
-                variant, variant, config.hyper(variant, job_seed(config.seed, vi, subj)),
-                plan, config.classifiers,
-                tuple(job_seed(config.seed, vi, subj, ci)
-                      for ci in range(len(config.classifiers)))))
-    outs = _execute(dataset, jobs, config.jobs)
-    results = [r for fold_results, _ in outs for r in fold_results]
-    summary = summarize(results)
+    rows = [(vi, variant, variant, {}) for vi, variant in enumerate(config.variants)]
     root = Path(config.out) / experiment
-    _write_tree(root, jobs, outs)
-    _write_csv(root / "summary.csv", SUMMARY_HEADER, _summary_rows(summary))
+    results = _run_jobs(config, dataset, _grid(config, rows, plans, config.classifiers), root)
+    summary = summarize(results)
+    write_csv(root / "summary.csv", SUMMARY_HEADER, map(astuple, summary))
     return results, summary
 
 
@@ -336,39 +330,26 @@ def run_table3(config: ExperimentConfig, dataset: Dataset | None = None
     if dataset is None:
         dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
-    jobs = []
-    for ri, (variant, lambda_a, lambda_n) in enumerate(TABLE3_ROWS):
-        subdir = f"row{ri:02d}_{variant}"
-        for plan in plans:
-            subj = plan.test_subject
-            jobs.append(_FoldJob(
-                subdir, variant,
-                config.hyper(variant, job_seed(config.seed, ri, subj),
-                             lambda_a=lambda_a, lambda_n=lambda_n),
-                plan, ("mlp",), (job_seed(config.seed, ri, subj, 0),)))
-    outs = _execute(dataset, jobs, config.jobs)
-    results = [r for fold_results, _ in outs for r in fold_results]
+    rows = [(ri, f"row{ri:02d}_{variant}", variant, {"lambda_a": lambda_a, "lambda_n": lambda_n})
+            for ri, (variant, lambda_a, lambda_n) in enumerate(TABLE3_ROWS)]
+    jobs = _grid(config, rows, plans, ("mlp",))
+    root = Path(config.out) / "table3"
+    results = _run_jobs(config, dataset, jobs, root)
     chance = 1.0 / dataset.n_subjects
-    n_folds = len(plans)
+    n_folds = len(plans)  # one mlp result per fold job
     table = []
     for ri, (variant, lambda_a, lambda_n) in enumerate(TABLE3_ROWS):
-        fold_results = [r for rs, _ in outs[ri * n_folds: (ri + 1) * n_folds] for r in rs]
+        fold_results = results[ri * n_folds: (ri + 1) * n_folds]
         done = [r for r in fold_results if r.status == "done"]
-        n_failed = len(fold_results) - len(done)
         if done:
             task = float(np.mean([r.test_acc for r in done]))
             adv = float(np.mean([r.adversary_acc for r in done]))
             nui = float(np.mean([r.nuisance_acc for r in done]))
-            r_n = done[0].r_n
         else:
             task = adv = nui = float("nan")
-            r_n = jobs[ri * n_folds].hyper.r_n
-        table.append(Table3Row(variant, lambda_a, lambda_n, r_n, task, adv, nui,
-                               chance, len(done), n_failed))
-    root = Path(config.out) / "table3"
-    _write_tree(root, jobs, outs)
-    _write_csv(root / "table3.csv", TABLE3_HEADER,
-               [[getattr(t, name) for name in TABLE3_HEADER] for t in table])
+        table.append(Table3Row(variant, lambda_a, lambda_n, jobs[ri * n_folds].hyper.r_n,
+                               task, adv, nui, chance, len(done), len(fold_results) - len(done)))
+    write_csv(root / "table3.csv", TABLE3_HEADER, map(astuple, table))
     return results, table
 
 
@@ -397,55 +378,28 @@ def run_datasize(config: ExperimentConfig, dataset: Dataset | None = None
     if dataset is None:
         dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
-    all_jobs: list[_FoldJob] = []
-    spans: list[tuple[float, int, int]] = []
+    jobs: list[_FoldJob] = []
     for fi, fraction in enumerate(config.fractions):
-        sub_plans = []
-        for plan in plans:
-            train_ids = subsample_trials(dataset, plan.train_ids, fraction,
-                                         seed=job_seed(config.seed, 7, fi, plan.test_subject))
-            sub_plans.append(SplitPlan(plan.test_subject, train_ids,
-                                       plan.val_ids, plan.test_ids))
-        start = len(all_jobs)
-        for vi, variant in enumerate(config.variants):
-            for plan in sub_plans:
-                subj = plan.test_subject
-                all_jobs.append(_FoldJob(
-                    f"frac{fraction}/{variant}", variant,
-                    config.hyper(variant, job_seed(config.seed, vi, subj)),
-                    plan, config.classifiers,
-                    tuple(job_seed(config.seed, vi, subj, ci)
-                          for ci in range(len(config.classifiers)))))
-        spans.append((fraction, start, len(all_jobs)))
-    outs = _execute(dataset, all_jobs, config.jobs)
+        sub_plans = [SplitPlan(p.test_subject,
+                               subsample_trials(dataset, p.train_ids, fraction,
+                                                seed=job_seed(config.seed, 7, fi, p.test_subject)),
+                               p.val_ids, p.test_ids)
+                     for p in plans]
+        rows = [(vi, f"frac{fraction}/{variant}", variant, {})
+                for vi, variant in enumerate(config.variants)]
+        jobs += _grid(config, rows, sub_plans, config.classifiers)
     root = Path(config.out) / "datasize"
-    _write_tree(root, all_jobs, outs)
+    results = _run_jobs(config, dataset, jobs, root)
+    block = len(results) // len(config.fractions)  # every fraction runs the same grid
     curve: list[CurveRow] = []
     by_fraction: dict[float, list[FoldResult]] = {}
-    for fraction, start, end in spans:
-        results = [r for fold_results, _ in outs[start:end] for r in fold_results]
-        by_fraction[fraction] = results
-        for s in summarize(results):
+    for fi, fraction in enumerate(config.fractions):
+        by_fraction[fraction] = results[fi * block: (fi + 1) * block]
+        for s in summarize(by_fraction[fraction]):
             curve.append(CurveRow(fraction, s.variant, s.classifier, s.mean,
                                   s.folds, s.failed))
-    _write_csv(root / "curve.csv", CURVE_HEADER,
-               [[getattr(c, name) for name in CURVE_HEADER] for c in curve])
+    write_csv(root / "curve.csv", CURVE_HEADER, map(astuple, curve))
     return curve, by_fraction
-
-
-def holdout_split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded trial-granularity train/validation split over all subjects."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError(f"validation fraction must be in (0, 1), got {val_fraction}")
-    trials = np.array([t for t, _, _ in dataset.trial_table()])
-    if trials.size < 2:
-        raise ConfigError("need at least 2 trials to split")
-    rng = make_rng(seed, 600)
-    perm = rng.permutation(trials.size)
-    n_val = min(max(int(np.floor(trials.size * val_fraction + 0.5)), 1), trials.size - 1)
-    val_trials = set(trials[perm[:n_val]].tolist())
-    val_mask = np.array([tr in val_trials for tr in dataset.trial])
-    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
 def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResult:
@@ -459,9 +413,7 @@ def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> Sweep
                              lambda_n_grid=config.sweep_lambda_n,
                              lambda_a_grid=config.sweep_lambda_a,
                              r_n=config.r_n, sgd=config.sgd(config.seed), seed=config.seed)
-    root = Path(config.out) / "sweep"
-    root.mkdir(parents=True, exist_ok=True)
-    result.to_csv(root / "sweep.csv")
+    result.to_csv(Path(config.out) / "sweep" / "sweep.csv")
     return result
 
 
@@ -513,6 +465,6 @@ def report(results_dir: str | Path, out_dir: str | Path | None = None
         matrix.append([kind] + [means.get((v, kind), "") for v in variant_order])
 
     out_root = Path(out_dir) if out_dir is not None else root
-    _write_csv(out_root / "report_summary.csv", SUMMARY_HEADER, _summary_rows(summary))
-    _write_csv(out_root / "report_matrix.csv", matrix[0], matrix[1:])
+    write_csv(out_root / "report_summary.csv", SUMMARY_HEADER, map(astuple, summary))
+    write_csv(out_root / "report_matrix.csv", matrix[0], matrix[1:])
     return summary, matrix

@@ -232,11 +232,6 @@ def dacae_loss(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     return total, LossParts(recon, adv_ce, nui_ce)
 
 
-def classifier_forward(classifier, z: LatentCode) -> np.ndarray:
-    """Logits of a downstream task classifier on the full latent code."""
-    return classifier.decision_scores(np.atleast_2d(z.full))
-
-
 # -- checkpointing ------------------------------------------------------------
 
 _CHECKPOINT_FORMAT = "dacae-checkpoint-v1"

@@ -148,13 +148,6 @@ class Mlp:
         wrt_input = g[0] if self._squeeze else g
         return MlpGrads(w_grads, b_grads, wrt_input)
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
-
     def copy(self) -> "Mlp":
         return Mlp([DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers])
 

@@ -9,14 +9,13 @@ touching head weights.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers
-from .data import Dataset
+from .data import Dataset, write_csv
 from .model import (DacaeParams, HyperConfig, LossParts, adversary_logits, dacae_loss,
                     decoder_input, encode, init_params, nuisance_logits)
 from .nn import ConfigError, SgdConfig, TrainingDiverged, make_rng, mse_loss, \
@@ -97,15 +96,8 @@ class TrainLogRow:
 class TrainLog:
     rows: list[TrainLogRow]
 
-    HEADER = ("epoch", "total_loss", "recon_loss", "adversary_ce", "nuisance_ce",
-              "adversary_acc", "nuisance_acc", "val_task_acc")
-
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.HEADER)
-            for row in self.rows:
-                writer.writerow([getattr(row, f.name) for f in fields(TrainLogRow)])
+        write_csv(path, [f.name for f in fields(TrainLogRow)], map(astuple, self.rows))
 
     def total_losses(self) -> np.ndarray:
         return np.array([r.total_loss for r in self.rows])
@@ -185,17 +177,11 @@ class SweepResult:
     rows: list[SweepRow]
     selected: SweepRow
 
-    HEADER = ("stage", "lambda_a", "lambda_n", "r_n", "val_task_acc",
-              "adversary_acc", "nuisance_acc")
-
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.HEADER)
-            for row in self.rows:
-                writer.writerow([getattr(row, f.name) for f in fields(SweepRow)])
-            writer.writerow(["selected"] +
-                            [getattr(self.selected, f.name) for f in fields(SweepRow)][1:])
+        """One row per training run, then the selected row with stage "selected"."""
+        rows = [astuple(row) for row in self.rows]
+        rows.append(("selected", *astuple(self.selected)[1:]))
+        write_csv(path, [f.name for f in fields(SweepRow)], rows)
 
 
 def _pick(rows: list[SweepRow]) -> SweepRow:

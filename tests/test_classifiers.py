@@ -263,6 +263,8 @@ def test_serialize_roundtrip(kind):
     clf = fit(kind, z, y, seed=3)
     meta, arrays = serialize(clf)
     back = deserialize(meta, {k: v.copy() for k, v in arrays.items()})
+    assert back.kind == clf.kind
+    assert type(back) is type(clf)
     probe = make_rng(7).standard_normal((10, 3))
     assert np.array_equal(clf.decision_scores(probe), back.decision_scores(probe))
 

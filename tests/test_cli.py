@@ -103,6 +103,27 @@ def test_missing_dataset_exit_code(tmp_path):
     assert main(["loso", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,5,0,0.0,abc,2.0", "data.csv:3: could not convert string to float: 'abc'"),
+    ("1,5,0,0.0,nan,2.0", "data.csv: non-finite channel values"),
+    ("1,5,0,0.0,1.0", "data.csv:3: expected 6 columns, got 5"),
+    ("1,0,1,0.0,1.0,2.0", "data.csv: trial id 0 is shared across (subject, label) pairs"),
+    ("-1,5,0,0.0,1.0,2.0", "data.csv: subject id out of range"),
+    ("1,5,0,0.0,\xff,2.0", "data.csv: 'utf-8' codec can't decode byte 0xff"),
+    ("1,5,0,0.0,1" + "0" * 131072 + ",2.0", "data.csv: field larger than field limit"),
+], ids=["unparsable", "non-finite", "short-row", "shared-trial", "negative-subject",
+        "not-utf8", "oversized-field"])
+def test_bad_dataset_csv_exit_code(tmp_path, capsys, row, message):
+    path = tmp_path / "data.csv"
+    path.write_text(f"subject,trial,label,t,ch0,ch1\n0,0,0,0.0,1.0,2.0\n{row}\n",
+                    encoding="latin-1")
+    cfg = write_config(tmp_path, dataset=str(path))
+    assert main(["loso", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and message in err
+    assert "Traceback" not in err
+
+
 def test_report_roundtrip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     main(["loso", "--config", str(cfg)])

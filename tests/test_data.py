@@ -378,6 +378,16 @@ def test_csv_bad_header_raises(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row, width", [("0,0,0,0.0,1.0", 5), ("0,0,0,0.0,1.0,2.0,3.0", 7)],
+                         ids=["short", "long"])
+def test_csv_wrong_row_width_raises(tmp_path, row, width):
+    path = tmp_path / "data.csv"
+    path.write_text(f"subject,trial,label,t,ch0,ch1\n1,1,0,0.0,1.0,2.0\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(IngestionError, match=f"data.csv:3: expected 6 columns, got {width}"):
+        load_csv(path)
+
+
 def test_synthetic_sidecar_roundtrip(tmp_path):
     spec = SyntheticSpec(n_subjects=3, samples_per_cell=2, trials_per_cell=2, seed=10)
     ds, T, U = generate_synthetic(spec)

@@ -14,7 +14,6 @@ from dacae import (
     dacae_loss,
     decode,
     encode,
-    classifier_forward,
     init_params,
     load_checkpoint,
     make_rng,
@@ -229,18 +228,6 @@ def test_variant_loss_matches_plain_autoencoder():
     recon = float(np.mean((x_hat - x) ** 2))
     assert total == pytest.approx(recon, abs=1e-15)
     assert parts.recon == pytest.approx(recon, abs=1e-15)
-
-
-def test_classifier_forward_uses_full_code():
-    config = HyperConfig.for_variant("DA-cAE", latent_dim=6)
-    params = init_params(5, 4, config, seed=13)
-    rng = make_rng(13)
-    z = rng.standard_normal((30, 6))
-    y = rng.integers(0, 3, size=30)
-    clf = classifiers.fit("lda", z, y)
-    code = split_latent(rng.standard_normal((4, 6)), params.d_n)
-    scores = classifier_forward(clf, code)
-    assert np.array_equal(scores, clf.decision_scores(code.full))
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
