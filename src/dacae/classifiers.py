@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import ConfigError, Mlp, SgdConfig, build_mlp, make_rng, sgd_step, softmax_cross_entropy
+from .nn import ConfigError, Mlp, SgdConfig, build_mlp, ce_step, make_rng, minibatches, softmax
+
+_MLP_SGD = SgdConfig(learning_rate=0.05, batch_size=32, epochs=150)
 
 KINDS = ("mlp", "knn", "tree", "lda", "svm", "logreg")
 
@@ -66,22 +68,13 @@ class MlpClassifier(_Fitted):
         self.dim = dim
 
     @classmethod
-    def train(cls, z: np.ndarray, y: np.ndarray, seed: int, hidden: int = 15,
-              learning_rate: float = 0.05, batch_size: int = 32,
-              epochs: int = 150) -> "MlpClassifier":
+    def train(cls, z: np.ndarray, y: np.ndarray, seed: int) -> "MlpClassifier":
         classes, targets = np.unique(y, return_inverse=True)
-        rng = make_rng(seed, 400)
-        net = build_mlp([z.shape[1], hidden, classes.size], rng)
-        cfg = SgdConfig(learning_rate=learning_rate, batch_size=batch_size,
-                        epochs=epochs, seed=seed)
-        n = z.shape[0]
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start: start + batch_size]
-                logits = net.forward(z[idx])
-                _, grad = softmax_cross_entropy(logits, targets[idx])
-                sgd_step(net, net.backward(grad), cfg)
+        rng = make_rng(seed, 400)  # initialises the weights, then shuffles
+        net = build_mlp([z.shape[1], 15, classes.size], rng)
+        for _ in range(_MLP_SGD.epochs):
+            for idx in minibatches(rng, z.shape[0], _MLP_SGD.batch_size):
+                ce_step(net, z[idx], targets[idx], _MLP_SGD)
         return cls(net, classes, z.shape[1])
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
@@ -274,10 +267,7 @@ def _train_logreg(z: np.ndarray, y: np.ndarray, l2: float = 1e-4, epochs: int = 
     onehot = np.zeros((n, classes.size))
     onehot[np.arange(n), targets] = 1.0
     for _ in range(epochs):
-        logits = z @ w.T + b
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = shifted / shifted.sum(axis=1, keepdims=True)
-        err = (probs - onehot) / n
+        err = (softmax(z @ w.T + b) - onehot) / n
         gw = err.T @ z + l2 * w
         gb = err.sum(axis=0)
         if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < grad_tol:

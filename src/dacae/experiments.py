@@ -24,8 +24,7 @@ from .data import (Dataset, SplitPlan, SyntheticSpec, generate_synthetic, holdou
 from .model import VARIANTS, HyperConfig, encode
 from .nn import ConfigError, SgdConfig, TrainingDiverged, job_seed
 from .training import (LAMBDA_A_GRID, LAMBDA_N_GRID, SweepResult, TrainLog,
-                       fit_feature_extractor, fit_task_classifier, probe_accuracies,
-                       two_stage_sweep)
+                       fit_feature_extractor, probe_accuracies, two_stage_sweep)
 
 
 class ReportError(RuntimeError):
@@ -46,6 +45,16 @@ TABLE3_ROWS: tuple[tuple[str, float, float], ...] = (
     ("DA-cAE", 0.2, 0.005),
     ("DA-cAE", 0.5, 0.005),
 )
+
+
+def _from_object(cls, raw, what: str):
+    """Build the dataclass cls from a JSON object, rejecting keys that are not its fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}")
+    return cls(**raw)
 
 
 @dataclass
@@ -73,8 +82,8 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self) -> None:
-        if isinstance(self.synthetic, dict):
-            self.synthetic = SyntheticSpec(**self.synthetic)
+        if not isinstance(self.synthetic, SyntheticSpec):
+            self.synthetic = _from_object(SyntheticSpec, self.synthetic, "synthetic")
         self.variants = tuple(self.variants)
         for v in self.variants:
             if v not in VARIANTS:
@@ -84,6 +93,11 @@ class ExperimentConfig:
         self.fractions = tuple(float(f) for f in self.fractions)
         if not self.fractions or any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ConfigError(f"fractions must be in (0, 1], got {self.fractions}")
+        # each entry names an output directory, so a repeat would merge or overwrite results
+        for name in ("variants", "classifiers", "fractions"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"duplicate {name} in {values}")
         self.sweep_lambda_n = tuple(float(v) for v in self.sweep_lambda_n)
         self.sweep_lambda_a = tuple(float(v) for v in self.sweep_lambda_a)
         if self.jobs < 1:
@@ -94,11 +108,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
-        return cls(**raw)
+        return _from_object(cls, raw, "config")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -109,8 +119,6 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} does not exist") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
         return cls.from_dict(raw)
 
     def sgd(self, seed: int) -> SgdConfig:
@@ -195,10 +203,11 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
                            h.lambda_a, h.lambda_n, h.r_n, str(err))
                 for kind in job.kinds], None
     adv, nui = probe_accuracies(params, val.x, val.s)
+    z_train, z_test = encode(params, train.x).full, encode(params, test.x).full
     results = []
     for kind, clf_seed in zip(job.kinds, job.clf_seeds):
-        clf = fit_task_classifier(params, train, kind, seed=clf_seed)
-        acc = classifiers.accuracy(clf, encode(params, test.x).full, test.y)
+        clf = classifiers.fit(kind, z_train, train.y, seed=clf_seed)
+        acc = classifiers.accuracy(clf, z_test, test.y)
         results.append(FoldResult(subject, job.variant, kind, "done", acc, adv, nui,
                                   h.lambda_a, h.lambda_n, h.r_n))
     return results, log
@@ -412,7 +421,7 @@ def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> Sweep
                              classifier=config.sweep_classifier,
                              lambda_n_grid=config.sweep_lambda_n,
                              lambda_a_grid=config.sweep_lambda_a,
-                             r_n=config.r_n, sgd=config.sgd(config.seed), seed=config.seed)
+                             r_n=config.r_n, sgd=config.sgd(config.seed))
     result.to_csv(Path(config.out) / "sweep" / "sweep.csv")
     return result
 

@@ -9,7 +9,7 @@ the independent oracle for those gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -152,14 +152,13 @@ class Mlp:
         return Mlp([DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers])
 
 
-def build_mlp(dims: Sequence[int], rng: np.random.Generator,
-              hidden_activation: str = "relu") -> Mlp:
+def build_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
     """Mlp with layer sizes dims[0] -> ... -> dims[-1]; ReLU on all but the last layer."""
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
     layers = []
     for i in range(len(dims) - 1):
-        act = hidden_activation if i < len(dims) - 2 else None
+        act = "relu" if i < len(dims) - 2 else None
         layers.append(init_dense(dims[i], dims[i + 1], rng, act))
     return Mlp(layers)
 
@@ -189,9 +188,10 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarra
         raise ValueError("target class out of range")
     n = lg.shape[0]
     shifted = lg - lg.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_norm - shifted[np.arange(n), t]))
-    grad = softmax(lg)
+    e = np.exp(shifted)
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(norm[:, 0]) - shifted[np.arange(n), t]))
+    grad = e / norm
     grad[np.arange(n), t] -= 1.0
     grad /= n
     return loss, (grad[0] if single else grad)
@@ -219,6 +219,20 @@ def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
         layer.weight -= config.learning_rate * dw
         layer.bias -= config.learning_rate * db
     return net
+
+
+def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig) -> float:
+    """One SGD step on the mean softmax cross-entropy of net(x); returns the pre-step loss."""
+    loss, grad = softmax_cross_entropy(net.forward(x), targets)
+    sgd_step(net, net.backward(grad), sgd)
+    return loss
+
+
+def minibatches(rng: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:
+    """One pass over rng.permutation(n) in batches of batch_size; a short batch comes last."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start: start + batch_size]
 
 
 @dataclass

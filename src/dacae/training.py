@@ -9,7 +9,7 @@ touching head weights.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,9 @@ import numpy as np
 from . import classifiers
 from .data import Dataset, write_csv
 from .model import (DacaeParams, HyperConfig, LossParts, adversary_logits, dacae_loss,
-                    decoder_input, encode, init_params, nuisance_logits)
-from .nn import ConfigError, SgdConfig, TrainingDiverged, make_rng, mse_loss, \
-    sgd_step, softmax_cross_entropy
+                    decoder_input, encode, init_params, nuisance_logits, split_latent)
+from .nn import ConfigError, SgdConfig, TrainingDiverged, ce_step, make_rng, minibatches, \
+    mse_loss, sgd_step, softmax_cross_entropy
 
 LOSS_CEILING = 1e6
 
@@ -29,14 +29,6 @@ LAMBDA_A_GRID = (0.0, 0.01, 0.1, 0.2, 0.5)
 # near-ties in sweep selection (within half a point of task accuracy) resolve
 # toward stronger disentanglement: lower adversary, higher nuisance accuracy
 TIE_MARGIN = 0.005
-
-
-def _head_update(params: DacaeParams, head, z_part: np.ndarray, s: np.ndarray,
-                 config: HyperConfig) -> float:
-    logits = head.forward(z_part)
-    ce, grad = softmax_cross_entropy(logits, s)
-    sgd_step(head, head.backward(grad), config.sgd)
-    return ce
 
 
 def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
@@ -54,21 +46,22 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
         raise ValueError("empty batch")
 
     # (1) + (2): heads fit the current code; encoder sees no update here
-    code = encode(params, x)
-    adv_ce = _head_update(params, params.adversary, code.z_a, s, config)
-    nui_ce = _head_update(params, params.nuisance, code.z_n, s, config)
-
-    # (3): encoder-decoder joint step against the freshly updated heads
     z = params.encoder.forward(x)
+    code = split_latent(z, params.d_n)
+    adv_ce = ce_step(params.adversary, code.z_a, s, config.sgd)
+    nui_ce = ce_step(params.nuisance, code.z_n, s, config.sgd)
+
+    # (3): encoder-decoder joint step against the freshly updated heads; the head
+    # updates leave the encoder and its forward cache as (1) left them, so z is reused
     x_hat = params.decoder.forward(decoder_input(z, s, params.n_subjects, config.conditioned))
     recon, recon_grad = mse_loss(x_hat, x)
     dec_grads = params.decoder.backward(recon_grad)
     dz = dec_grads.wrt_input[:, : params.latent_dim].copy()
     if config.lambda_a != 0.0:
-        _, ga = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
+        _, ga = softmax_cross_entropy(params.adversary.forward(code.z_a), s)
         dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga).wrt_input
     if config.lambda_n != 0.0:
-        _, gn = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
+        _, gn = softmax_cross_entropy(params.nuisance.forward(code.z_n), s)
         dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn).wrt_input
     enc_grads = params.encoder.backward(dz)
     sgd_step(params.encoder, enc_grads, config.sgd)
@@ -134,18 +127,13 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
         raise ConfigError("feature extractor needs at least two subjects")
     params = init_params(dataset.x.shape[1], dataset.n_subjects, config, config.sgd.seed)
     shuffle_rng = make_rng(config.sgd.seed, 500)
-    n = dataset.x.shape[0]
-    batch = config.sgd.batch_size
     rows = []
     for epoch in range(config.sgd.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, batch):
-            ids = order[start: start + batch]
+        for batch, ids in enumerate(minibatches(shuffle_rng, len(dataset), config.sgd.batch_size)):
             try:
                 train_step(params, dataset.x[ids], dataset.s[ids], config)
             except TrainingDiverged as err:
-                raise TrainingDiverged(
-                    f"epoch {epoch}, batch {start // batch}: {err}") from err
+                raise TrainingDiverged(f"epoch {epoch}, batch {batch}: {err}") from err
         total, parts = dacae_loss(params, dataset.x, dataset.s, config)
         adv_acc, nui_acc = probe_accuracies(params, dataset.x, dataset.s)
         val_acc = _val_probe_accuracy(params, dataset, val) if val is not None else 0.0
@@ -154,11 +142,10 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
     return params, TrainLog(rows)
 
 
-def fit_task_classifier(params: DacaeParams, dataset: Dataset, kind: str,
-                        seed: int = 0, **hyper):
+def fit_task_classifier(params: DacaeParams, dataset: Dataset, kind: str, seed: int = 0):
     """Train a downstream classifier on (encode(x), y); the extractor is untouched."""
     z = encode(params, dataset.x).full
-    return classifiers.fit(kind, z, dataset.y, seed=seed, **hyper)
+    return classifiers.fit(kind, z, dataset.y, seed=seed)
 
 
 @dataclass
@@ -196,25 +183,24 @@ def _pick(rows: list[SweepRow]) -> SweepRow:
 
 def two_stage_sweep(train: Dataset, val: Dataset, classifier: str = "lda",
                     lambda_n_grid=LAMBDA_N_GRID, lambda_a_grid=LAMBDA_A_GRID,
-                    r_n: float | None = None, sgd=None, seed: int = 0) -> SweepResult:
+                    r_n: float | None = None, sgd: SgdConfig | None = None) -> SweepResult:
     """Stage 1 sweeps lambda_n at lambda_a=0; stage 2 sweeps lambda_a at the winner.
 
     Runs len(grid1) + len(grid2) trainings, never the cross product. Selection
     maximizes validation task accuracy for the given classifier kind; rows
     within TIE_MARGIN of the best resolve toward lower adversary and higher
-    nuisance accuracy.
+    nuisance accuracy. Every run seeds its extractor and classifier with sgd.seed.
     """
     if len(lambda_n_grid) == 0 or len(lambda_a_grid) == 0:
         raise ConfigError("sweep grids must be nonempty")
     if val.x.shape[0] == 0:
         raise ConfigError("sweep needs a nonempty validation set")
-    run_sgd = replace(sgd or SgdConfig(), seed=seed)
 
     def run(stage: int, lambda_a: float, lambda_n: float) -> SweepRow:
         config = HyperConfig.for_variant("DA-cAE", lambda_a=lambda_a, lambda_n=lambda_n,
-                                         r_n=r_n, sgd=run_sgd)
+                                         r_n=r_n, sgd=sgd)
         params, _ = fit_feature_extractor(train, config)
-        clf = fit_task_classifier(params, train, classifier, seed=seed)
+        clf = fit_task_classifier(params, train, classifier, seed=config.sgd.seed)
         val_acc = classifiers.accuracy(clf, encode(params, val.x).full, val.y)
         adv_acc, nui_acc = probe_accuracies(params, val.x, val.s)
         return SweepRow(stage, lambda_a, lambda_n, config.r_n, val_acc, adv_acc, nui_acc)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dacae import KINDS, ConfigError, accuracy, canonical_kind, fit, make_rng
+from dacae import (KINDS, ConfigError, SgdConfig, accuracy, build_mlp, canonical_kind, fit,
+                   make_rng, sgd_step, softmax_cross_entropy)
 from dacae.classifiers import best_split, deserialize, gini_impurity, serialize
 
 
@@ -225,6 +226,28 @@ def test_mlp_deterministic_given_seed():
     b = fit("mlp", z, y, seed=9)
     probe = make_rng(5).standard_normal((10, 3))
     assert np.array_equal(a.decision_scores(probe), b.decision_scores(probe))
+
+
+def test_mlp_matches_reference_sgd_replay():
+    # replay of the MLP's training from nn pieces: 15 hidden ReLU units, learning
+    # rate 0.05, batch 32, 150 epochs; one Philox stream initialises, then shuffles
+    z, y = two_blobs(6, n_per=25)  # 50 rows: a full and a short batch per epoch
+    y = np.where(y == 1, 7, 2)
+    clf = fit("mlp", z, y, seed=3)
+
+    classes, targets = np.unique(y, return_inverse=True)
+    rng = make_rng(3, 400)
+    net = build_mlp([z.shape[1], 15, classes.size], rng)
+    sgd = SgdConfig(learning_rate=0.05)
+    for _ in range(150):
+        order = rng.permutation(z.shape[0])
+        for start in range(0, z.shape[0], 32):
+            idx = order[start: start + 32]
+            _, grad = softmax_cross_entropy(net.forward(z[idx]), targets[idx])
+            sgd_step(net, net.backward(grad), sgd)
+    for got, want in zip(clf.net.layers, net.layers, strict=True):
+        assert np.array_equal(got.weight, want.weight)
+        assert np.array_equal(got.bias, want.bias)
 
 
 # -- shared behavior ------------------------------------------------------------------

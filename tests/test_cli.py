@@ -98,6 +98,25 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, overrides, message", [
+    ("loso", {"variants": ["AE", "AE"]}, "duplicate variants in ('AE', 'AE')"),
+    ("loso", {"classifiers": ["lda", "linear-discriminant"]},
+     "duplicate classifiers in ('lda', 'lda')"),
+    ("datasize", {"fractions": [0.5, 1.0, 0.5]}, "duplicate fractions in (0.5, 1.0, 0.5)"),
+    ("loso", {"synthetic": {"n_subjects": 3, "sampels": 4}},
+     "unknown synthetic keys ['sampels']"),
+    ("loso", {"synthetic": [3]}, "synthetic must be a JSON object"),
+], ids=["repeated-variant", "repeated-classifier-alias", "repeated-fraction",
+        "unknown-synthetic-key", "synthetic-not-object"])
+def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_dataset_exit_code(tmp_path):
     cfg = write_config(tmp_path, dataset=str(tmp_path / "absent.csv"))
     assert main(["loso", "--config", str(cfg)]) == 1

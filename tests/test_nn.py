@@ -15,8 +15,10 @@ from dacae import (
     make_rng,
     mse_loss,
     sgd_step,
+    softmax,
     softmax_cross_entropy,
 )
+from dacae.nn import minibatches
 
 
 def test_make_rng_reproducible():
@@ -193,6 +195,19 @@ def test_softmax_grad_rows_sum_to_zero(seed):
     y = rng.integers(0, 6, size=4)
     _, grad = softmax_cross_entropy(logits, y)
     assert np.all(np.abs(grad.sum(axis=1)) < 1e-12)
+    onehot = np.zeros((4, 6))
+    onehot[np.arange(4), y] = 1.0
+    assert np.array_equal(grad, (softmax(logits) - onehot) / 4)
+
+
+@pytest.mark.parametrize("n, batch_size", [(10, 3), (9, 3), (4, 8), (1, 1)])
+def test_minibatches_cover_each_index_once_per_pass_in_permutation_order(n, batch_size):
+    rng, replay = make_rng(5, 500), make_rng(5, 500)
+    full, short = divmod(n, batch_size)
+    for _ in range(2):
+        batches = list(minibatches(rng, n, batch_size))
+        assert np.array_equal(np.concatenate(batches), replay.permutation(n))
+        assert [b.size for b in batches] == [batch_size] * full + ([short] if short else [])
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -282,7 +282,7 @@ def _sweep_dataset():
 def test_two_stage_sweep_run_count_and_stages():
     train, val = _sweep_dataset()
     sgd = SgdConfig(learning_rate=0.05, batch_size=32, epochs=2, seed=11)
-    result = two_stage_sweep(train, val, classifier="lda", sgd=sgd, seed=11)
+    result = two_stage_sweep(train, val, classifier="lda", sgd=sgd)
     assert len(result.rows) == len(LAMBDA_N_GRID) + len(LAMBDA_A_GRID)
     stage1 = [r for r in result.rows if r.stage == 1]
     stage2 = [r for r in result.rows if r.stage == 2]
@@ -299,7 +299,7 @@ def test_two_stage_sweep_single_point_grids():
     sgd = SgdConfig(learning_rate=0.05, batch_size=32, epochs=2, seed=12)
     result = two_stage_sweep(train, val, classifier="lda",
                              lambda_n_grid=(0.01,), lambda_a_grid=(0.1,),
-                             sgd=sgd, seed=12)
+                             sgd=sgd)
     assert len(result.rows) == 2
     assert result.selected.lambda_a == 0.1 and result.selected.lambda_n == 0.01
 
@@ -317,7 +317,7 @@ def test_sweep_result_csv_trailer(tmp_path):
     sgd = SgdConfig(learning_rate=0.05, batch_size=32, epochs=1, seed=13)
     result = two_stage_sweep(train, val, classifier="lda",
                              lambda_n_grid=(0.0,), lambda_a_grid=(0.0, 0.1),
-                             sgd=sgd, seed=13)
+                             sgd=sgd)
     path = tmp_path / "sweep.csv"
     result.to_csv(path)
     lines = path.read_text().splitlines()
