@@ -99,50 +99,54 @@ class KnnClassifier(_Fitted):
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
         z = _check_features(z, self.dim)
-        d2 = ((z[:, None, :] - self.z[None, :, :]) ** 2).sum(axis=2)
         label_pos = np.searchsorted(self.classes, self.y)
         votes = np.zeros((z.shape[0], self.classes.size))
         for i in range(z.shape[0]):
-            nearest = np.argsort(d2[i], kind="stable")[: self.k]
+            d2 = ((z[i] - self.z) ** 2).sum(axis=1)
+            nearest = np.argsort(d2, kind="stable")[: self.k]
             votes[i] = np.bincount(label_pos[nearest], minlength=self.classes.size)
         return votes
 
 
-def gini_impurity(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p * p))
+def gini_impurity(counts: np.ndarray) -> np.ndarray | float:
+    """Gini impurity 1 - sum(p^2) of class counts along the last axis; 0 where all are 0."""
+    n = counts.sum(axis=-1, keepdims=True)
+    p = counts / np.where(n > 0, n, 1.0)
+    g = np.where(n[..., 0] > 0, 1.0 - np.sum(p * p, axis=-1), 0.0)
+    return float(g) if g.ndim == 0 else g
 
 
 def best_split(z: np.ndarray, label_pos: np.ndarray, n_labels: int,
                min_leaf: int) -> tuple[int, float, float] | None:
     """Lowest weighted-Gini (feature, threshold) split, or None if no split is legal.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    Candidates are scanned in (feature, threshold) order and only strictly
-    better scores replace the incumbent, so ties go to the lowest feature,
-    then the lowest threshold.
+    Thresholds are midpoints between consecutive distinct sorted values. Each
+    feature is scored in one pass: cumulative one-hot label counts over its
+    stably sorted column give the left counts at every cut (the right counts
+    are the total minus them), and cuts between equal values or leaving fewer
+    than min_leaf rows on a side are masked out. Ties go to the lowest
+    feature (only a strictly better score replaces the incumbent), then to
+    the lowest threshold (argmin takes the first minimum).
     """
     n = z.shape[0]
+    onehot = np.eye(n_labels)[label_pos]
+    total = onehot.sum(axis=0)
+    cut = np.arange(1, n)                      # rows left of each cut
+    sized = (cut >= min_leaf) & (n - cut >= min_leaf)
     best: tuple[int, float, float] | None = None
     for f in range(z.shape[1]):
         order = np.argsort(z[:, f], kind="stable")
         vals = z[order, f]
-        labs = label_pos[order]
-        left = np.zeros(n_labels)
-        total = np.bincount(labs, minlength=n_labels).astype(np.float64)
-        for i in range(1, n):
-            left[labs[i - 1]] += 1
-            if vals[i] == vals[i - 1]:
-                continue
-            if i < min_leaf or n - i < min_leaf:
-                continue
-            right = total - left
-            score = (i * gini_impurity(left) + (n - i) * gini_impurity(right)) / n
-            if best is None or score < best[2]:
-                best = (f, (vals[i - 1] + vals[i]) / 2.0, score)
+        legal = sized & (vals[1:] != vals[:-1])
+        if not legal.any():
+            continue
+        left = np.cumsum(onehot[order[:-1]], axis=0)[legal]
+        i = cut[legal]
+        scores = (i * gini_impurity(left) + (n - i) * gini_impurity(total - left)) / n
+        k = int(np.argmin(scores))
+        if best is None or scores[k] < best[2]:
+            j = i[k]
+            best = (f, float((vals[j - 1] + vals[j]) / 2.0), float(scores[k]))
     return best
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,13 +49,31 @@ TABLE3_ROWS: tuple[tuple[str, float, float], ...] = (
 )
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; a nested dataclass checks its own object."""
+    if isinstance(hint, UnionType):
+        return any(_has_type(value, arm) for arm in get_args(hint))
+    if get_origin(hint) is tuple:  # tuple[X, ...] arrives as a JSON array
+        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if is_dataclass(hint):
+        return True
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)  # no field is a bool
+
+
 def _from_object(cls, raw, what: str):
-    """Build the dataclass cls from a JSON object, rejecting keys that are not its fields."""
+    """Build the dataclass cls from a JSON object, rejecting keys that are not its fields
+    and values that do not fit their field types."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {what} keys {unknown}")
+    for name, hint in get_type_hints(cls).items():
+        if name in raw and not _has_type(raw[name], hint):
+            expected = hint.__name__ if type(hint) is type else str(hint)
+            raise ConfigError(f"{what} field {name!r} must be {expected}, got {raw[name]!r}")
     return cls(**raw)
 
 
@@ -93,13 +113,14 @@ class ExperimentConfig:
         self.fractions = tuple(float(f) for f in self.fractions)
         if not self.fractions or any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ConfigError(f"fractions must be in (0, 1], got {self.fractions}")
-        # each entry names an output directory, so a repeat would merge or overwrite results
-        for name in ("variants", "classifiers", "fractions"):
+        self.sweep_lambda_n = tuple(float(v) for v in self.sweep_lambda_n)
+        self.sweep_lambda_a = tuple(float(v) for v in self.sweep_lambda_a)
+        # each entry names an output directory or a sweep point, so a repeat would
+        # merge or overwrite results, or train the same point twice
+        for name in ("variants", "classifiers", "fractions", "sweep_lambda_n", "sweep_lambda_a"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"duplicate {name} in {values}")
-        self.sweep_lambda_n = tuple(float(v) for v in self.sweep_lambda_n)
-        self.sweep_lambda_a = tuple(float(v) for v in self.sweep_lambda_a)
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:

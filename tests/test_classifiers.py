@@ -1,5 +1,7 @@
 """Downstream classifiers: oracle equivalence, benchmarks, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from dacae import (KINDS, ConfigError, SgdConfig, accuracy, build_mlp, canonical_kind, fit,
                    make_rng, sgd_step, softmax_cross_entropy)
+from dacae import classifiers
 from dacae.classifiers import best_split, deserialize, gini_impurity, serialize
 
 
@@ -67,6 +70,20 @@ def test_knn_k_clamped_to_training_size():
     assert clf.k == 2
 
 
+def test_knn_predict_memory_stays_per_query():
+    # one query's distances at a time: an (n_test, n_train, d) temporary would be 25.6 MB
+    rng = make_rng(22, 91)
+    clf = fit("knn", rng.standard_normal((1000, 16)), rng.integers(0, 4, size=1000))
+    queries = rng.standard_normal((200, 16))
+    tracemalloc.start()
+    try:
+        clf.predict(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_knn_matches_brute_force_random_instances():
     for seed in range(30):
         rng = make_rng(seed, 91)
@@ -89,6 +106,15 @@ def test_gini_impurity_values():
     assert gini_impurity(np.array([4.0, 0.0])) == 0.0
     assert gini_impurity(np.array([1.0, 1.0, 2.0])) == pytest.approx(0.625)
     assert gini_impurity(np.array([0.0, 0.0])) == 0.0
+
+
+def test_gini_impurity_along_last_axis():
+    counts = np.array([[[2.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 2.0], [0.0, 3.0, 0.0]]])
+    got = gini_impurity(counts)
+    assert got.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        assert got[idx] == gini_impurity(counts[idx])
+    assert got[0, 1] == 0.0
 
 
 def brute_force_best_split(z, label_pos, n_labels, min_leaf):
@@ -126,6 +152,61 @@ def test_best_split_matches_brute_force():
             assert got is not None, f"seed {seed}"
             assert got[0] == want[0] and got[1] == pytest.approx(want[1]), f"seed {seed}"
             assert got[2] == pytest.approx(want[2]), f"seed {seed}"
+
+
+def reference_best_split(z, label_pos, n_labels, min_leaf):
+    """The per-threshold loop the cumulative-count scan replaced, kept as a bitwise oracle."""
+    n = z.shape[0]
+    best = None
+    for f in range(z.shape[1]):
+        order = np.argsort(z[:, f], kind="stable")
+        vals = z[order, f]
+        labs = label_pos[order]
+        left = np.zeros(n_labels)
+        total = np.bincount(labs, minlength=n_labels).astype(np.float64)
+        for i in range(1, n):
+            left[labs[i - 1]] += 1
+            if vals[i] == vals[i - 1]:
+                continue
+            if i < min_leaf or n - i < min_leaf:
+                continue
+            right = total - left
+            score = (i * gini_impurity(left) + (n - i) * gini_impurity(right)) / n
+            if best is None or score < best[2]:
+                best = (f, (vals[i - 1] + vals[i]) / 2.0, score)
+    return best
+
+
+def test_best_split_matches_reference_loop_bitwise():
+    for seed in range(250):
+        rng = make_rng(seed, 99)
+        n = int(rng.integers(1, 41))
+        dim = int(rng.integers(1, 16))
+        n_labels = int(rng.integers(2, 7))
+        min_leaf = int(rng.integers(1, 8))
+        z = np.round(rng.standard_normal((n, dim)), int(rng.integers(0, 3)))  # value ties
+        label_pos = rng.integers(0, n_labels, size=n)
+        if seed % 2:  # score ties: mirrored labels along increasing columns
+            half = label_pos[: (n + 1) // 2]
+            label_pos = np.concatenate([half, half[: n // 2][::-1]])
+            z = np.sort(z, axis=0)
+        got = best_split(z, label_pos, n_labels, min_leaf)
+        want = reference_best_split(z, label_pos, n_labels, min_leaf)
+        assert got == want, f"seed {seed}: {got} != {want}"
+    constant = np.full((12, 3), 0.5)
+    assert best_split(constant, np.arange(12) % 3, 3, 1) is None
+
+
+def test_tree_fit_matches_reference_loop_bitwise(monkeypatch):
+    rng = make_rng(23, 99)
+    z = rng.standard_normal((720, 15))
+    y = rng.integers(0, 4, size=720)
+    got = fit("tree", z, y)
+    monkeypatch.setattr(classifiers, "best_split", reference_best_split)
+    want = fit("tree", z, y)
+    for name in ("feature", "threshold", "left", "right", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_tree_learns_xor():

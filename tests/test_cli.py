@@ -106,8 +106,16 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     ("loso", {"synthetic": {"n_subjects": 3, "sampels": 4}},
      "unknown synthetic keys ['sampels']"),
     ("loso", {"synthetic": [3]}, "synthetic must be a JSON object"),
+    ("sweep", {"epochs": "2"}, "config field 'epochs' must be int, got '2'"),
+    ("sweep", {"synthetic": {"n_subjects": "3"}},
+     "synthetic field 'n_subjects' must be int, got '3'"),
+    ("loso", {"epochs": True}, "config field 'epochs' must be int, got True"),
+    ("sweep", {"sweep_lambda_n": [0.01, 0.01]}, "duplicate sweep_lambda_n in (0.01, 0.01)"),
+    ("sweep", {"sweep_lambda_a": [0.1, 0.5, 0.1]}, "duplicate sweep_lambda_a in (0.1, 0.5, 0.1)"),
 ], ids=["repeated-variant", "repeated-classifier-alias", "repeated-fraction",
-        "unknown-synthetic-key", "synthetic-not-object"])
+        "unknown-synthetic-key", "synthetic-not-object", "string-epochs",
+        "string-synthetic-int", "bool-epochs", "repeated-sweep-lambda-n",
+        "repeated-sweep-lambda-a"])
 def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 1
