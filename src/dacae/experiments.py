@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from types import UnionType
@@ -105,9 +105,6 @@ class ExperimentConfig:
         if not isinstance(self.synthetic, SyntheticSpec):
             self.synthetic = _from_object(SyntheticSpec, self.synthetic, "synthetic")
         self.variants = tuple(self.variants)
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"unknown variant {v!r}, expected one of {VARIANTS}")
         self.classifiers = tuple(classifiers.canonical_kind(k) for k in self.classifiers)
         self.sweep_classifier = classifiers.canonical_kind(self.sweep_classifier)
         self.fractions = tuple(float(f) for f in self.fractions)
@@ -116,16 +113,20 @@ class ExperimentConfig:
         self.sweep_lambda_n = tuple(float(v) for v in self.sweep_lambda_n)
         self.sweep_lambda_a = tuple(float(v) for v in self.sweep_lambda_a)
         # each entry names an output directory or a sweep point, so a repeat would
-        # merge or overwrite results, or train the same point twice
+        # merge or overwrite results, or train the same point twice, and an empty
+        # list would run nothing
         for name in ("variants", "classifiers", "fractions", "sweep_lambda_n", "sweep_lambda_a"):
             values = getattr(self, name)
+            if not values and name != "fractions":
+                raise ConfigError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"duplicate {name} in {values}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        self.sgd(0)  # validates optimizer fields eagerly
+        for v in self.variants:  # validates every extractor field eagerly
+            self.hyper(v, 0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -142,17 +143,13 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
         return cls.from_dict(raw)
 
-    def sgd(self, seed: int) -> SgdConfig:
-        return SgdConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
-                         epochs=self.epochs, seed=seed)
-
-    def hyper(self, variant: str, seed: int, lambda_a: float | None = None,
-              lambda_n: float | None = None) -> HyperConfig:
+    def hyper(self, variant: str, seed: int) -> HyperConfig:
+        """The one place an experiment becomes an extractor config; runs differ by replace()."""
         return HyperConfig.for_variant(
-            variant,
-            lambda_a=self.lambda_a if lambda_a is None else lambda_a,
-            lambda_n=self.lambda_n if lambda_n is None else lambda_n,
-            r_n=self.r_n, latent_dim=self.latent_dim, sgd=self.sgd(seed))
+            variant, lambda_a=self.lambda_a, lambda_n=self.lambda_n, r_n=self.r_n,
+            latent_dim=self.latent_dim,
+            sgd=SgdConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
+                          epochs=self.epochs, seed=seed))
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
@@ -180,6 +177,7 @@ class FoldResult:
 
 
 FOLD_HEADER = tuple(f.name for f in fields(FoldResult))
+_FOLD_TYPES = get_type_hints(FoldResult)  # every field is int, float or str
 
 
 @dataclass
@@ -255,7 +253,7 @@ def _grid(config: ExperimentConfig, rows, plans: list[SplitPlan],
             subj = plan.test_subject
             jobs.append(_FoldJob(
                 subdir, variant,
-                config.hyper(variant, job_seed(config.seed, index, subj), **overrides),
+                replace(config.hyper(variant, job_seed(config.seed, index, subj)), **overrides),
                 plan, kinds,
                 tuple(job_seed(config.seed, index, subj, ci) for ci in range(len(kinds)))))
     return jobs
@@ -439,10 +437,10 @@ def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> Sweep
     train_ids, val_ids = holdout_split(dataset, config.val_fraction, config.seed)
     normed = normalize(dataset, train_ids)
     result = two_stage_sweep(normed.subset(train_ids), normed.subset(val_ids),
+                             config.hyper("DA-cAE", config.seed),
                              classifier=config.sweep_classifier,
                              lambda_n_grid=config.sweep_lambda_n,
-                             lambda_a_grid=config.sweep_lambda_a,
-                             r_n=config.r_n, sgd=config.sgd(config.seed))
+                             lambda_a_grid=config.sweep_lambda_a)
     result.to_csv(Path(config.out) / "sweep" / "sweep.csv")
     return result
 
@@ -454,15 +452,9 @@ def _parse_folds_csv(path: Path) -> list[FoldResult]:
             missing = set(FOLD_HEADER) - set(reader.fieldnames or [])
             if missing:
                 raise ReportError(f"corrupt results file {path}: missing columns {sorted(missing)}")
-            out = []
-            for row in reader:
-                out.append(FoldResult(
-                    int(row["subject"]), row["variant"], row["classifier"], row["status"],
-                    float(row["test_acc"]), float(row["adversary_acc"]),
-                    float(row["nuisance_acc"]), float(row["lambda_a"]),
-                    float(row["lambda_n"]), float(row["r_n"]), row["error"]))
-            return out
-    except (ValueError, KeyError, OSError) as err:
+            return [FoldResult(**{name: cast(row[name]) for name, cast in _FOLD_TYPES.items()})
+                    for row in reader]
+    except (ValueError, TypeError, KeyError, OSError) as err:
         raise ReportError(f"corrupt results file {path}: {err}") from err
 
 

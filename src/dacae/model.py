@@ -103,39 +103,37 @@ class LatentCode:
 
 
 class DacaeParams:
-    """The four parameter groups: encoder, decoder, adversary head, nuisance head."""
+    """The four parameter groups: encoder, decoder, adversary head, nuisance head.
 
-    def __init__(self, encoder: Mlp, decoder: Mlp, adversary: Mlp, nuisance: Mlp,
-                 n_channels: int, n_subjects: int, latent_dim: int, d_n: int):
-        if encoder.out_dim != latent_dim:
-            raise ValueError("encoder output dim must equal latent_dim")
-        if decoder.in_dim != latent_dim + n_subjects:
-            raise ValueError("decoder input dim must equal latent_dim + n_subjects")
-        if adversary.in_dim != latent_dim - d_n or adversary.out_dim != n_subjects:
-            raise ValueError("adversary head dims inconsistent with latent split")
-        if nuisance.in_dim != d_n or nuisance.out_dim != n_subjects:
-            raise ValueError("nuisance head dims inconsistent with latent split")
+    Every dimension is read off the networks: n_channels and latent_dim from the
+    encoder, d_a and d_n from the head inputs, n_subjects from the head outputs.
+    The heads must split the code exactly, predict one subject count, and the
+    decoder must take the code plus a one-hot subject condition.
+    """
+
+    def __init__(self, encoder: Mlp, decoder: Mlp, adversary: Mlp, nuisance: Mlp):
         self.encoder = encoder
         self.decoder = decoder
         self.adversary = adversary
         self.nuisance = nuisance
-        self.n_channels = n_channels
-        self.n_subjects = n_subjects
-        self.latent_dim = latent_dim
-        self.d_n = d_n
-
-    @property
-    def d_a(self) -> int:
-        return self.latent_dim - self.d_n
+        self.n_channels = encoder.in_dim
+        self.latent_dim = encoder.out_dim
+        self.d_a = adversary.in_dim
+        self.d_n = nuisance.in_dim
+        self.n_subjects = adversary.out_dim
+        if self.d_a + self.d_n != self.latent_dim:
+            raise ValueError("head input dims must split the encoder output dim")
+        if nuisance.out_dim != self.n_subjects:
+            raise ValueError("adversary and nuisance heads must predict the same subjects")
+        if decoder.in_dim != self.latent_dim + self.n_subjects:
+            raise ValueError("decoder input dim must equal latent_dim + n_subjects")
 
     def groups(self) -> dict[str, Mlp]:
         return {"encoder": self.encoder, "decoder": self.decoder,
                 "adversary": self.adversary, "nuisance": self.nuisance}
 
     def copy(self) -> "DacaeParams":
-        return DacaeParams(self.encoder.copy(), self.decoder.copy(), self.adversary.copy(),
-                           self.nuisance.copy(), self.n_channels, self.n_subjects,
-                           self.latent_dim, self.d_n)
+        return DacaeParams(*(net.copy() for net in self.groups().values()))
 
 
 def init_params(n_channels: int, n_subjects: int, config: HyperConfig, seed: int) -> DacaeParams:
@@ -151,8 +149,7 @@ def init_params(n_channels: int, n_subjects: int, config: HyperConfig, seed: int
     decoder = build_mlp([d + n_subjects, 15, n_channels], rng)
     adversary = Mlp([init_dense(d - d_n, n_subjects, rng)])
     nuisance = Mlp([init_dense(d_n, n_subjects, rng)])
-    return DacaeParams(encoder, decoder, adversary, nuisance,
-                       n_channels, n_subjects, d, d_n)
+    return DacaeParams(encoder, decoder, adversary, nuisance)
 
 
 def split_latent(z: np.ndarray, d_n: int) -> LatentCode:
@@ -251,11 +248,7 @@ def save_checkpoint(path: str | Path, params: DacaeParams, config: HyperConfig,
     """
     meta = {
         "format": _CHECKPOINT_FORMAT,
-        "config": {
-            "lambda_a": config.lambda_a, "lambda_n": config.lambda_n, "r_n": config.r_n,
-            "latent_dim": config.latent_dim, "variant": config.variant,
-            "sgd": asdict(config.sgd),
-        },
+        "config": asdict(config),
         "dims": {"n_channels": params.n_channels, "n_subjects": params.n_subjects,
                  "latent_dim": params.latent_dim, "d_n": params.d_n},
         "layers": {name: _mlp_meta(net) for name, net in params.groups().items()},
@@ -287,18 +280,15 @@ def load_checkpoint(path: str | Path):
         if meta.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"not a model checkpoint: {path}")
         cfg = meta["config"]
-        config = HyperConfig(lambda_a=cfg["lambda_a"], lambda_n=cfg["lambda_n"],
-                             r_n=cfg["r_n"], latent_dim=cfg["latent_dim"],
-                             variant=cfg["variant"], sgd=SgdConfig(**cfg["sgd"]))
+        config = HyperConfig(**{**cfg, "sgd": SgdConfig(**cfg["sgd"])})
         nets = {}
         for name, layer_meta in meta["layers"].items():
             layers = [DenseLayer(data[f"{name}_w{k}"], data[f"{name}_b{k}"], m["activation"])
                       for k, m in enumerate(layer_meta)]
             nets[name] = Mlp(layers)
-        dims = meta["dims"]
-        params = DacaeParams(nets["encoder"], nets["decoder"], nets["adversary"],
-                             nets["nuisance"], dims["n_channels"], dims["n_subjects"],
-                             dims["latent_dim"], dims["d_n"])
+        params = DacaeParams(**nets)
+        if any(getattr(params, k) != v for k, v in meta["dims"].items()):
+            raise ValueError(f"checkpoint dims {meta['dims']} do not match its networks")
         normalization = None
         if meta.get("has_normalization"):
             normalization = (data["norm_mean"].copy(), data["norm_std"].copy())

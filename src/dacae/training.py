@@ -9,7 +9,7 @@ touching head weights.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from . import classifiers
 from .data import Dataset, write_csv
 from .model import (DacaeParams, HyperConfig, LossParts, adversary_logits, dacae_loss,
                     decoder_input, encode, init_params, nuisance_logits, split_latent)
-from .nn import ConfigError, SgdConfig, TrainingDiverged, ce_step, make_rng, minibatches, \
+from .nn import ConfigError, TrainingDiverged, ce_step, make_rng, minibatches, \
     mse_loss, sgd_step, softmax_cross_entropy
 
 LOSS_CEILING = 1e6
@@ -181,24 +181,27 @@ def _pick(rows: list[SweepRow]) -> SweepRow:
     return winner
 
 
-def two_stage_sweep(train: Dataset, val: Dataset, classifier: str = "lda",
-                    lambda_n_grid=LAMBDA_N_GRID, lambda_a_grid=LAMBDA_A_GRID,
-                    r_n: float | None = None, sgd: SgdConfig | None = None) -> SweepResult:
+def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier: str = "lda",
+                    lambda_n_grid=LAMBDA_N_GRID, lambda_a_grid=LAMBDA_A_GRID) -> SweepResult:
     """Stage 1 sweeps lambda_n at lambda_a=0; stage 2 sweeps lambda_a at the winner.
 
-    Runs len(grid1) + len(grid2) trainings, never the cross product. Selection
-    maximizes validation task accuracy for the given classifier kind; rows
-    within TIE_MARGIN of the best resolve toward lower adversary and higher
-    nuisance accuracy. Every run seeds its extractor and classifier with sgd.seed.
+    Every run trains replace(base, lambda_a=..., lambda_n=...), so the latent
+    width, nuisance ratio and optimizer settings (including the seed of every
+    run's extractor and classifier) all come from base, which must be the full
+    DA-cAE variant. Runs len(grid1) + len(grid2) trainings, never the cross
+    product. Selection maximizes validation task accuracy for the given
+    classifier kind; rows within TIE_MARGIN of the best resolve toward lower
+    adversary and higher nuisance accuracy.
     """
+    if base.variant != "DA-cAE":
+        raise ConfigError(f"sweep needs a DA-cAE base config, got {base.variant!r}")
     if len(lambda_n_grid) == 0 or len(lambda_a_grid) == 0:
         raise ConfigError("sweep grids must be nonempty")
     if val.x.shape[0] == 0:
         raise ConfigError("sweep needs a nonempty validation set")
 
     def run(stage: int, lambda_a: float, lambda_n: float) -> SweepRow:
-        config = HyperConfig.for_variant("DA-cAE", lambda_a=lambda_a, lambda_n=lambda_n,
-                                         r_n=r_n, sgd=sgd)
+        config = replace(base, lambda_a=lambda_a, lambda_n=lambda_n)
         params, _ = fit_feature_extractor(train, config)
         clf = fit_task_classifier(params, train, classifier, seed=config.sgd.seed)
         val_acc = classifiers.accuracy(clf, encode(params, val.x).full, val.y)

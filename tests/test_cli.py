@@ -112,10 +112,16 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     ("loso", {"epochs": True}, "config field 'epochs' must be int, got True"),
     ("sweep", {"sweep_lambda_n": [0.01, 0.01]}, "duplicate sweep_lambda_n in (0.01, 0.01)"),
     ("sweep", {"sweep_lambda_a": [0.1, 0.5, 0.1]}, "duplicate sweep_lambda_a in (0.1, 0.5, 0.1)"),
+    ("loso", {"variants": []}, "variants must not be empty"),
+    ("loso", {"classifiers": []}, "classifiers must not be empty"),
+    ("sweep", {"sweep_lambda_n": []}, "sweep_lambda_n must not be empty"),
+    ("sweep", {"sweep_lambda_a": []}, "sweep_lambda_a must not be empty"),
+    ("sweep", {"latent_dim": 0}, "latent_dim must be >= 1"),
 ], ids=["repeated-variant", "repeated-classifier-alias", "repeated-fraction",
         "unknown-synthetic-key", "synthetic-not-object", "string-epochs",
         "string-synthetic-int", "bool-epochs", "repeated-sweep-lambda-n",
-        "repeated-sweep-lambda-a"])
+        "repeated-sweep-lambda-a", "empty-variants", "empty-classifiers",
+        "empty-sweep-lambda-n", "empty-sweep-lambda-a", "sweep-zero-latent-dim"])
 def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 1

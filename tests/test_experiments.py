@@ -23,7 +23,7 @@ from dacae import (
     run_table3,
     summarize,
 )
-from dacae.experiments import TABLE3_ROWS
+from dacae.experiments import TABLE3_ROWS, _parse_folds_csv
 
 
 def tiny_config(out, **kw):
@@ -264,6 +264,24 @@ def test_run_sweep_writes_csv(tmp_path):
     assert path.read_text().splitlines()[-1].startswith("selected,")
 
 
+def test_run_sweep_trains_configured_extractor(tmp_path, monkeypatch):
+    import dacae.training as training
+    seen = []
+    real = training.fit_feature_extractor
+
+    def spy(dataset, config, val=None):
+        seen.append(config)
+        return real(dataset, config, val=val)
+
+    monkeypatch.setattr(training, "fit_feature_extractor", spy)
+    cfg = tiny_config(tmp_path / "out", sweep_classifier="lda", latent_dim=4, r_n=0.25,
+                      sweep_lambda_n=(0.0, 0.01), sweep_lambda_a=(0.1,), epochs=1)
+    run_sweep(cfg)
+    assert len(seen) == 3
+    assert all(c.latent_dim == 4 and c.r_n == 0.25 and c.variant == "DA-cAE"
+               and c.sgd == cfg.hyper("DA-cAE", cfg.seed).sgd for c in seen)
+
+
 # -- report -----------------------------------------------------------------------------
 
 def test_report_aggregates_and_matrix(tmp_path):
@@ -298,6 +316,32 @@ def test_report_corrupt_file_named(tmp_path):
     (bad_dir / "folds.csv").write_text("subject,bogus\n1,2\n", encoding="utf-8")
     with pytest.raises(ReportError, match="folds.csv"):
         report(tmp_path / "res")
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    (None, "float\\(\\) argument must be a string or a real number, not 'NoneType'"),
+], ids=["bad-cell", "short-row"])
+def test_report_bad_row_names_file(tmp_path, cell, message):
+    out = tmp_path / "out"
+    run_loso(tiny_config(out, variants=("AE",)))
+    path = out / "loso" / "AE" / "lda" / "folds.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    col = lines[0].split(",").index("test_acc")
+    cells = lines[1].split(",")
+    row = cells[:col] if cell is None else [*cells[:col], cell, *cells[col + 1:]]
+    path.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ReportError, match=r"folds\.csv: " + message):
+        report(out / "loso")
+
+
+def test_report_reads_back_fold_results(tmp_path):
+    out = tmp_path / "out"
+    results, _ = run_loso(tiny_config(out))
+    parsed = [r for path in sorted((out / "loso").rglob("folds.csv"))
+              for r in _parse_folds_csv(path)]
+    assert parsed == results
+    assert all(type(r.subject) is int and type(r.test_acc) is float for r in parsed)
 
 
 def test_report_separate_output_dir(tmp_path):

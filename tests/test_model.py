@@ -1,5 +1,7 @@
 """Autoencoder variants: latent split, joint loss, checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from dacae import (
     ConfigError,
+    DacaeParams,
     HyperConfig,
     SgdConfig,
     VARIANTS,
     adversary_logits,
+    build_mlp,
     dacae_loss,
     decode,
     encode,
@@ -265,6 +269,46 @@ def test_checkpoint_roundtrip_without_extras(tmp_path):
     assert config2.variant == "cAE"
     x = make_rng(1).standard_normal((3, 7))
     assert np.array_equal(params.encoder.forward(x), params2.encoder.forward(x))
+
+
+def test_params_read_dims_off_networks():
+    params = init_params(7, 6, HyperConfig.for_variant("DA-cAE", latent_dim=9), seed=0)
+    dims = (params.n_channels, params.latent_dim, params.d_a, params.d_n, params.n_subjects)
+    assert dims == (7, 9, 6, 3, 6)
+    twin = params.copy()
+    assert (twin.n_channels, twin.latent_dim, twin.d_a, twin.d_n, twin.n_subjects) == dims
+    assert twin.encoder is not params.encoder
+
+
+@pytest.mark.parametrize("group, dims, message", [
+    ("nuisance", [6, 6], "head input dims must split the encoder output dim"),
+    ("adversary", [9, 6], "head input dims must split the encoder output dim"),
+    ("nuisance", [5, 7], "heads must predict the same subjects"),
+    ("decoder", [15, 15, 7], r"decoder input dim must equal latent_dim \+ n_subjects"),
+], ids=["nuisance-too-wide", "adversary-too-narrow", "subject-counts-differ",
+        "decoder-input-without-condition"])
+def test_params_reject_inconsistent_networks(group, dims, message):
+    # DA-cAE defaults: 15-wide code split 10 + 5, 6 subjects, 7 channels
+    nets = init_params(7, 6, HyperConfig.for_variant("DA-cAE"), seed=0).groups()
+    nets[group] = build_mlp(dims, make_rng(0))
+    with pytest.raises(ValueError, match=message):
+        DacaeParams(**nets)
+
+
+@pytest.mark.parametrize("key", ["n_channels", "n_subjects", "latent_dim", "d_n"])
+def test_checkpoint_dims_must_match_networks(tmp_path, key):
+    config = HyperConfig.for_variant("DA-cAE")
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, init_params(7, 6, config, seed=0), config)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["dims"][key] += 1
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match="do not match its networks"):
+        load_checkpoint(path)
 
 
 def test_all_variants_share_parameter_shapes():

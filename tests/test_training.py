@@ -12,6 +12,7 @@ from dacae import (
     TrainLog,
     TrainLogRow,
     TrainingDiverged,
+    VARIANTS,
     decoder_input,
     encode,
     fit_feature_extractor,
@@ -279,10 +280,14 @@ def _sweep_dataset():
     return ds.subset(train_ids), ds.subset(val_ids)
 
 
+def sweep_base(**sgd):
+    return HyperConfig.for_variant("DA-cAE", sgd=SgdConfig(**sgd))
+
+
 def test_two_stage_sweep_run_count_and_stages():
     train, val = _sweep_dataset()
-    sgd = SgdConfig(learning_rate=0.05, batch_size=32, epochs=2, seed=11)
-    result = two_stage_sweep(train, val, classifier="lda", sgd=sgd)
+    base = sweep_base(learning_rate=0.05, batch_size=32, epochs=2, seed=11)
+    result = two_stage_sweep(train, val, base, classifier="lda")
     assert len(result.rows) == len(LAMBDA_N_GRID) + len(LAMBDA_A_GRID)
     stage1 = [r for r in result.rows if r.stage == 1]
     stage2 = [r for r in result.rows if r.stage == 2]
@@ -296,10 +301,9 @@ def test_two_stage_sweep_run_count_and_stages():
 
 def test_two_stage_sweep_single_point_grids():
     train, val = _sweep_dataset()
-    sgd = SgdConfig(learning_rate=0.05, batch_size=32, epochs=2, seed=12)
-    result = two_stage_sweep(train, val, classifier="lda",
-                             lambda_n_grid=(0.01,), lambda_a_grid=(0.1,),
-                             sgd=sgd)
+    base = sweep_base(learning_rate=0.05, batch_size=32, epochs=2, seed=12)
+    result = two_stage_sweep(train, val, base, classifier="lda",
+                             lambda_n_grid=(0.01,), lambda_a_grid=(0.1,))
     assert len(result.rows) == 2
     assert result.selected.lambda_a == 0.1 and result.selected.lambda_n == 0.01
 
@@ -307,17 +311,24 @@ def test_two_stage_sweep_single_point_grids():
 def test_two_stage_sweep_empty_grid_or_val_raises():
     train, val = _sweep_dataset()
     with pytest.raises(ConfigError):
-        two_stage_sweep(train, val, lambda_n_grid=())
+        two_stage_sweep(train, val, sweep_base(), lambda_n_grid=())
     with pytest.raises(ConfigError):
-        two_stage_sweep(train, train.subset(np.array([], dtype=np.intp)))
+        two_stage_sweep(train, train.subset(np.array([], dtype=np.intp)), sweep_base())
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "DA-cAE"])
+def test_two_stage_sweep_rejects_base_without_both_heads(variant):
+    train, val = _sweep_dataset()
+    base = HyperConfig.for_variant(variant, sgd=SgdConfig(epochs=1))
+    with pytest.raises(ConfigError, match=f"DA-cAE base config, got '{variant}'"):
+        two_stage_sweep(train, val, base, lambda_n_grid=(0.0,), lambda_a_grid=(0.0,))
 
 
 def test_sweep_result_csv_trailer(tmp_path):
     train, val = _sweep_dataset()
-    sgd = SgdConfig(learning_rate=0.05, batch_size=32, epochs=1, seed=13)
-    result = two_stage_sweep(train, val, classifier="lda",
-                             lambda_n_grid=(0.0,), lambda_a_grid=(0.0, 0.1),
-                             sgd=sgd)
+    base = sweep_base(learning_rate=0.05, batch_size=32, epochs=1, seed=13)
+    result = two_stage_sweep(train, val, base, classifier="lda",
+                             lambda_n_grid=(0.0,), lambda_a_grid=(0.0, 0.1))
     path = tmp_path / "sweep.csv"
     result.to_csv(path)
     lines = path.read_text().splitlines()
