@@ -24,8 +24,7 @@ train, val = dataset.subset(train_ids), dataset.subset(val_ids)
 sgd = SgdConfig(learning_rate=0.1, batch_size=32, epochs=50, seed=0)
 
 for variant, lambda_a, lambda_n in (("AE", 0.0, 0.0), ("DA-cAE", 0.1, 0.01)):
-    config = HyperConfig.for_variant(variant, lambda_a=lambda_a,
-                                     lambda_n=lambda_n, sgd=sgd)
+    config = HyperConfig(variant=variant, lambda_a=lambda_a, lambda_n=lambda_n, sgd=sgd)
     params, log = fit_feature_extractor(train, config, val=val)
     adv, nui = probe_accuracies(params, val.x, val.s)
     print(f"\n{variant}: lambda_a={lambda_a} lambda_n={lambda_n} "

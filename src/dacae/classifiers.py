@@ -325,48 +325,3 @@ def accuracy(fitted: _Fitted, z: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("empty evaluation set")
     return float(np.mean(fitted.predict(z) == y))
 
-
-# -- checkpoint plumbing --------------------------------------------------------
-
-def serialize(clf: _Fitted) -> tuple[dict, dict[str, np.ndarray]]:
-    meta: dict = {"kind": clf.kind, "dim": clf.dim}
-    arrays: dict[str, np.ndarray] = {"classes": clf.classes}
-    if isinstance(clf, MlpClassifier):
-        meta["activations"] = [l.activation for l in clf.net.layers]
-        for k, layer in enumerate(clf.net.layers):
-            arrays[f"w{k}"] = layer.weight
-            arrays[f"b{k}"] = layer.bias
-    elif isinstance(clf, KnnClassifier):
-        meta["k"] = clf.k
-        arrays["z"] = clf.z
-        arrays["y"] = clf.y
-    elif isinstance(clf, TreeClassifier):
-        meta["max_depth"] = clf.max_depth
-        meta["min_leaf"] = clf.min_leaf
-        arrays.update(feature=clf.feature, threshold=clf.threshold, left=clf.left,
-                      right=clf.right, counts=clf.counts)
-    else:
-        arrays["coef"] = clf.coef
-        arrays["intercept"] = clf.intercept
-    return meta, arrays
-
-
-def deserialize(meta: dict, arrays: dict[str, np.ndarray]) -> _Fitted:
-    kind = meta["kind"]
-    classes = arrays["classes"]
-    dim = meta["dim"]
-    if kind == "mlp":
-        from .nn import DenseLayer
-        layers = [DenseLayer(arrays[f"w{k}"], arrays[f"b{k}"], act)
-                  for k, act in enumerate(meta["activations"])]
-        return MlpClassifier(Mlp(layers), classes, dim)
-    if kind == "knn":
-        clf = KnnClassifier(arrays["z"], arrays["y"], k=meta["k"])
-        return clf
-    if kind == "tree":
-        return TreeClassifier(arrays["feature"], arrays["threshold"], arrays["left"],
-                              arrays["right"], arrays["counts"], classes, dim,
-                              meta["max_depth"], meta["min_leaf"])
-    if kind in _LINEAR:
-        return LinearClassifier(kind, arrays["coef"], arrays["intercept"], classes, dim)
-    raise ValueError(f"unknown classifier kind {kind!r} in checkpoint")

@@ -62,10 +62,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if len(cfg.variants) != 1:
+        raise ConfigError(f"train fits exactly one variant, got {list(cfg.variants)}; "
+                          "pass --variant NAME")
+    (variant,) = cfg.variants
     dataset = load_dataset(cfg)
     train_ids, val_ids = holdout_split(dataset, cfg.val_fraction, cfg.seed)
     normed = normalize(dataset, train_ids)
-    variant = cfg.variants[0]
     hyper = cfg.hyper(variant, cfg.seed)
     params, log = fit_feature_extractor(normed.subset(train_ids), hyper,
                                         val=normed.subset(val_ids))

@@ -58,11 +58,11 @@ class Dataset:
             raise ValueError("task label out of range")
         if n and (self.s.min() < 0 or self.s.max() >= self.n_subjects):
             raise ValueError("subject id out of range")
-        seen: dict[int, tuple[int, int]] = {}
-        for tr, s, y in zip(self.trial, self.s, self.y):
-            key = (int(s), int(y))
-            if seen.setdefault(int(tr), key) != key:
-                raise ValueError(f"trial id {tr} is shared across (subject, label) pairs")
+        _, first, inverse = np.unique(self.trial, return_index=True, return_inverse=True)
+        bad = (self.s != self.s[first][inverse]) | (self.y != self.y[first][inverse])
+        if bad.any():  # name the first row whose (subject, label) differs from its trial's
+            raise ValueError(f"trial id {self.trial[bad.argmax()]} is shared across "
+                             "(subject, label) pairs")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -78,10 +78,8 @@ class Dataset:
 
     def trial_table(self) -> list[tuple[int, int, int]]:
         """Sorted unique (trial, subject, label) triples."""
-        out = {}
-        for tr, s, y in zip(self.trial, self.s, self.y):
-            out[int(tr)] = (int(tr), int(s), int(y))
-        return [out[k] for k in sorted(out)]
+        trials, first = np.unique(self.trial, return_index=True)
+        return list(zip(trials.tolist(), self.s[first].tolist(), self.y[first].tolist()))
 
 
 # -- raw ingestion -------------------------------------------------------------

@@ -145,8 +145,8 @@ class ExperimentConfig:
 
     def hyper(self, variant: str, seed: int) -> HyperConfig:
         """The one place an experiment becomes an extractor config; runs differ by replace()."""
-        return HyperConfig.for_variant(
-            variant, lambda_a=self.lambda_a, lambda_n=self.lambda_n, r_n=self.r_n,
+        return HyperConfig(
+            variant=variant, lambda_a=self.lambda_a, lambda_n=self.lambda_n, r_n=self.r_n,
             latent_dim=self.latent_dim,
             sgd=SgdConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
                           epochs=self.epochs, seed=seed))
@@ -222,7 +222,7 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
                            h.lambda_a, h.lambda_n, h.r_n, str(err))
                 for kind in job.kinds], None
     adv, nui = probe_accuracies(params, val.x, val.s)
-    z_train, z_test = encode(params, train.x).full, encode(params, test.x).full
+    z_train, z_test = encode(params, train.x), encode(params, test.x)
     results = []
     for kind, clf_seed in zip(job.kinds, job.clf_seeds):
         clf = classifiers.fit(kind, z_train, train.y, seed=clf_seed)

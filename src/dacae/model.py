@@ -18,14 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import (ConfigError, DenseLayer, Mlp, MlpGrads, SgdConfig, TrainingDiverged,
-                 build_mlp, init_dense, make_rng, mse_loss, softmax_cross_entropy)
+from .nn import (ConfigError, DenseLayer, Mlp, SgdConfig, TrainingDiverged, build_mlp,
+                 init_dense, make_rng, mse_loss, softmax_cross_entropy)
 
 VARIANTS = ("AE", "cAE", "A-cAE", "D-cAE", "DA-cAE")
-
-# nuisance-ratio defaults per variant, following the split each variant was
-# evaluated with (no split for the unregularized and adversary-only models)
-DEFAULT_R_N = {"AE": 0.0, "cAE": 0.0, "A-cAE": 0.0, "D-cAE": 1.0 / 3.0, "DA-cAE": 1.0 / 3.0}
 
 
 def nuisance_dim(latent_dim: int, r_n: float) -> int:
@@ -39,12 +35,13 @@ class HyperConfig:
 
     Variant semantics are enforced on construction: AE/cAE zero both weights
     (AE additionally drops decoder conditioning), A-cAE zeroes the nuisance
-    weight, D-cAE zeroes the adversary weight.
+    weight, D-cAE zeroes the adversary weight. r_n=None takes the variant's
+    default nuisance ratio: 1/3 for D-cAE and DA-cAE, 0 for the others.
     """
 
     lambda_a: float = 0.0
     lambda_n: float = 0.0
-    r_n: float = 0.0
+    r_n: float | None = None
     latent_dim: int = 15
     variant: str = "DA-cAE"
     sgd: SgdConfig = field(default_factory=SgdConfig)
@@ -52,6 +49,10 @@ class HyperConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.r_n is None:
+            # the split each variant was evaluated with (no split for the
+            # unregularized and adversary-only models)
+            self.r_n = 1.0 / 3.0 if self.variant in ("D-cAE", "DA-cAE") else 0.0
         if self.lambda_a < 0 or self.lambda_n < 0:
             raise ConfigError("lambda_a and lambda_n must be >= 0")
         if not 0.0 <= self.r_n < 1.0:
@@ -77,29 +78,6 @@ class HyperConfig:
     @property
     def d_a(self) -> int:
         return self.latent_dim - self.d_n
-
-    @classmethod
-    def for_variant(cls, variant: str, lambda_a: float = 0.0, lambda_n: float = 0.0,
-                    r_n: float | None = None, latent_dim: int = 15,
-                    sgd: SgdConfig | None = None) -> "HyperConfig":
-        """Config with the per-variant default nuisance ratio when r_n is not given."""
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        if r_n is None:
-            r_n = DEFAULT_R_N[variant]
-        return cls(lambda_a=lambda_a, lambda_n=lambda_n, r_n=r_n,
-                   latent_dim=latent_dim, variant=variant, sgd=sgd or SgdConfig())
-
-
-@dataclass
-class LatentCode:
-    """Encoder output split into the adversary part z_a and nuisance part z_n."""
-    z_a: np.ndarray
-    z_n: np.ndarray
-
-    @property
-    def full(self) -> np.ndarray:
-        return np.concatenate([self.z_a, self.z_n], axis=-1)
 
 
 class DacaeParams:
@@ -152,16 +130,12 @@ def init_params(n_channels: int, n_subjects: int, config: HyperConfig, seed: int
     return DacaeParams(encoder, decoder, adversary, nuisance)
 
 
-def split_latent(z: np.ndarray, d_n: int) -> LatentCode:
-    """Partition an encoder output (or batch) into (z_a, z_n); a pure view by value."""
-    d = z.shape[-1]
-    return LatentCode(z[..., : d - d_n], z[..., d - d_n:])
+def encode(params: DacaeParams, x: np.ndarray) -> np.ndarray:
+    """The code z = [z_a, z_n] of one sample (C,) or a batch (n, C).
 
-
-def encode(params: DacaeParams, x: np.ndarray) -> LatentCode:
-    """Run the encoder and split the code. x is one sample (C,) or a batch (n, C)."""
-    z = params.encoder.forward(x)
-    return split_latent(z, params.d_n)
+    The adversary head reads z[..., :params.d_a] and the nuisance head the rest.
+    """
+    return params.encoder.forward(x)
 
 
 def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
@@ -183,22 +157,6 @@ def decoder_input(z: np.ndarray, s, n_subjects: int, conditioned: bool) -> np.nd
     return np.concatenate([z2, cond], axis=1)
 
 
-def decode(params: DacaeParams, z: LatentCode, s, conditioned: bool = True) -> np.ndarray:
-    """Reconstruct the input from the full code plus the subject condition."""
-    full = z.full
-    single = full.ndim == 1
-    x_hat = params.decoder.forward(decoder_input(full, s, params.n_subjects, conditioned))
-    return x_hat[0] if single else x_hat
-
-
-def adversary_logits(params: DacaeParams, z_a: np.ndarray) -> np.ndarray:
-    return params.adversary.forward(z_a)
-
-
-def nuisance_logits(params: DacaeParams, z_n: np.ndarray) -> np.ndarray:
-    return params.nuisance.forward(z_n)
-
-
 @dataclass
 class LossParts:
     recon: float
@@ -218,11 +176,11 @@ def dacae_loss(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     s = np.atleast_1d(np.asarray(s, dtype=np.intp))
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    code = encode(params, x)
-    x_hat = decode(params, code, s, conditioned=config.conditioned)
+    z = encode(params, x)
+    x_hat = params.decoder.forward(decoder_input(z, s, params.n_subjects, config.conditioned))
     recon, _ = mse_loss(x_hat, x)
-    adv_ce, _ = softmax_cross_entropy(adversary_logits(params, code.z_a), s)
-    nui_ce, _ = softmax_cross_entropy(nuisance_logits(params, code.z_n), s)
+    adv_ce, _ = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
+    nui_ce, _ = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
     total = recon + config.lambda_n * nui_ce - config.lambda_a * adv_ce
     if not np.isfinite(total):
         raise TrainingDiverged(f"non-finite loss: recon={recon} adv={adv_ce} nui={nui_ce}")
@@ -239,12 +197,11 @@ def _mlp_meta(net: Mlp) -> list[dict]:
 
 
 def save_checkpoint(path: str | Path, params: DacaeParams, config: HyperConfig,
-                    normalization: tuple[np.ndarray, np.ndarray] | None = None,
-                    classifier=None) -> None:
-    """Write parameters, config and normalization stats to one .npz container.
+                    normalization: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Write an extractor's parameters, config and normalization stats to one .npz.
 
     Arrays are stored as raw float64, so a load returns bit-identical values.
-    A fitted task classifier may ride along (see classifiers.fit).
+    The config is stored resolved, so its r_n is a number, never None.
     """
     meta = {
         "format": _CHECKPOINT_FORMAT,
@@ -262,19 +219,16 @@ def save_checkpoint(path: str | Path, params: DacaeParams, config: HyperConfig,
         arrays["norm_mean"] = np.asarray(normalization[0], dtype=np.float64)
         arrays["norm_std"] = np.asarray(normalization[1], dtype=np.float64)
         meta["has_normalization"] = True
-    if classifier is not None:
-        from . import classifiers as _classifiers
-        cmeta, carrays = _classifiers.serialize(classifier)
-        meta["classifier"] = cmeta
-        for key, arr in carrays.items():
-            arrays[f"clf_{key}"] = arr
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:  # plain handle: np.savez would append .npz to a str path
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str | Path):
-    """Inverse of save_checkpoint. Returns (params, config, normalization, classifier)."""
+    """Inverse of save_checkpoint. Returns (params, config, normalization).
+
+    normalization is None when the checkpoint was saved without it.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format") != _CHECKPOINT_FORMAT:
@@ -292,9 +246,4 @@ def load_checkpoint(path: str | Path):
         normalization = None
         if meta.get("has_normalization"):
             normalization = (data["norm_mean"].copy(), data["norm_std"].copy())
-        classifier = None
-        if "classifier" in meta:
-            from . import classifiers as _classifiers
-            carrays = {key[4:]: data[key].copy() for key in data.files if key.startswith("clf_")}
-            classifier = _classifiers.deserialize(meta["classifier"], carrays)
-    return params, config, normalization, classifier
+    return params, config, normalization

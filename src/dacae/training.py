@@ -16,8 +16,8 @@ import numpy as np
 
 from . import classifiers
 from .data import Dataset, write_csv
-from .model import (DacaeParams, HyperConfig, LossParts, adversary_logits, dacae_loss,
-                    decoder_input, encode, init_params, nuisance_logits, split_latent)
+from .model import (DacaeParams, HyperConfig, LossParts, dacae_loss, decoder_input, encode,
+                    init_params)
 from .nn import ConfigError, TrainingDiverged, ce_step, make_rng, minibatches, \
     mse_loss, sgd_step, softmax_cross_entropy
 
@@ -47,9 +47,9 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
 
     # (1) + (2): heads fit the current code; encoder sees no update here
     z = params.encoder.forward(x)
-    code = split_latent(z, params.d_n)
-    adv_ce = ce_step(params.adversary, code.z_a, s, config.sgd)
-    nui_ce = ce_step(params.nuisance, code.z_n, s, config.sgd)
+    z_a, z_n = z[:, : params.d_a], z[:, params.d_a:]
+    adv_ce = ce_step(params.adversary, z_a, s, config.sgd)
+    nui_ce = ce_step(params.nuisance, z_n, s, config.sgd)
 
     # (3): encoder-decoder joint step against the freshly updated heads; the head
     # updates leave the encoder and its forward cache as (1) left them, so z is reused
@@ -58,10 +58,10 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     dec_grads = params.decoder.backward(recon_grad)
     dz = dec_grads.wrt_input[:, : params.latent_dim].copy()
     if config.lambda_a != 0.0:
-        _, ga = softmax_cross_entropy(params.adversary.forward(code.z_a), s)
+        _, ga = softmax_cross_entropy(params.adversary.forward(z_a), s)
         dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga).wrt_input
     if config.lambda_n != 0.0:
-        _, gn = softmax_cross_entropy(params.nuisance.forward(code.z_n), s)
+        _, gn = softmax_cross_entropy(params.nuisance.forward(z_n), s)
         dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn).wrt_input
     enc_grads = params.encoder.backward(dz)
     sgd_step(params.encoder, enc_grads, config.sgd)
@@ -101,17 +101,16 @@ def probe_accuracies(params: DacaeParams, x: np.ndarray, s: np.ndarray) -> tuple
     s = np.atleast_1d(np.asarray(s, dtype=np.intp))
     if s.size == 0:
         raise ValueError("empty probe set")
-    code = encode(params, np.atleast_2d(x))
-    adv = float(np.mean(np.argmax(adversary_logits(params, code.z_a), axis=1) == s))
-    nui = float(np.mean(np.argmax(nuisance_logits(params, code.z_n), axis=1) == s))
+    z = encode(params, np.atleast_2d(x))
+    adv = float(np.mean(np.argmax(params.adversary.forward(z[:, : params.d_a]), axis=1) == s))
+    nui = float(np.mean(np.argmax(params.nuisance.forward(z[:, params.d_a:]), axis=1) == s))
     return adv, nui
 
 
 def _val_probe_accuracy(params: DacaeParams, train: Dataset, val: Dataset) -> float:
     """Cheap per-epoch task readout: LDA on the full code."""
-    z_train = encode(params, train.x).full
-    clf = classifiers.fit("lda", z_train, train.y)
-    return classifiers.accuracy(clf, encode(params, val.x).full, val.y)
+    clf = classifiers.fit("lda", encode(params, train.x), train.y)
+    return classifiers.accuracy(clf, encode(params, val.x), val.y)
 
 
 def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
@@ -144,8 +143,7 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
 
 def fit_task_classifier(params: DacaeParams, dataset: Dataset, kind: str, seed: int = 0):
     """Train a downstream classifier on (encode(x), y); the extractor is untouched."""
-    z = encode(params, dataset.x).full
-    return classifiers.fit(kind, z, dataset.y, seed=seed)
+    return classifiers.fit(kind, encode(params, dataset.x), dataset.y, seed=seed)
 
 
 @dataclass
@@ -204,7 +202,7 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
         config = replace(base, lambda_a=lambda_a, lambda_n=lambda_n)
         params, _ = fit_feature_extractor(train, config)
         clf = fit_task_classifier(params, train, classifier, seed=config.sgd.seed)
-        val_acc = classifiers.accuracy(clf, encode(params, val.x).full, val.y)
+        val_acc = classifiers.accuracy(clf, encode(params, val.x), val.y)
         adv_acc, nui_acc = probe_accuracies(params, val.x, val.s)
         return SweepRow(stage, lambda_a, lambda_n, config.r_n, val_acc, adv_acc, nui_acc)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dacae import (KINDS, ConfigError, SgdConfig, accuracy, build_mlp, canonical_kind, fit,
                    make_rng, sgd_step, softmax_cross_entropy)
 from dacae import classifiers
-from dacae.classifiers import best_split, deserialize, gini_impurity, serialize
+from dacae.classifiers import best_split, gini_impurity
 
 
 def two_blobs(seed, n_per=40, gap=6.0, dim=3):
@@ -359,18 +359,6 @@ def test_noncontiguous_labels_preserved(kind):
     clf = fit(kind, z, y, seed=0)
     assert set(clf.predict(z)) <= {2, 9}
     assert np.array_equal(clf.classes, [2, 9])
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_serialize_roundtrip(kind):
-    z, y = two_blobs(7)
-    clf = fit(kind, z, y, seed=3)
-    meta, arrays = serialize(clf)
-    back = deserialize(meta, {k: v.copy() for k, v in arrays.items()})
-    assert back.kind == clf.kind
-    assert type(back) is type(clf)
-    probe = make_rng(7).standard_normal((10, 3))
-    assert np.array_equal(clf.decision_scores(probe), back.decision_scores(probe))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -52,10 +52,10 @@ def test_train_writes_loadable_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path, variants=["DA-cAE"])
     assert main(["train", "--config", str(cfg)]) == 0
     root = tmp_path / "out" / "train"
-    params, hyper, norm, clf = load_checkpoint(root / "model.npz")
+    params, hyper, norm = load_checkpoint(root / "model.npz")
     assert hyper.variant == "DA-cAE"
     assert params.n_channels == 4 and params.n_subjects == 3
-    assert norm is not None and clf is None
+    assert norm is not None
     log_lines = (root / "trainlog.csv").read_text().splitlines()
     assert log_lines[0].startswith("epoch,total_loss,")
     assert len(log_lines) == 3
@@ -117,11 +117,13 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     ("sweep", {"sweep_lambda_n": []}, "sweep_lambda_n must not be empty"),
     ("sweep", {"sweep_lambda_a": []}, "sweep_lambda_a must not be empty"),
     ("sweep", {"latent_dim": 0}, "latent_dim must be >= 1"),
+    ("train", {}, "train fits exactly one variant, got ['AE', 'DA-cAE']; pass --variant NAME"),
 ], ids=["repeated-variant", "repeated-classifier-alias", "repeated-fraction",
         "unknown-synthetic-key", "synthetic-not-object", "string-epochs",
         "string-synthetic-int", "bool-epochs", "repeated-sweep-lambda-n",
         "repeated-sweep-lambda-a", "empty-variants", "empty-classifiers",
-        "empty-sweep-lambda-n", "empty-sweep-lambda-a", "sweep-zero-latent-dim"])
+        "empty-sweep-lambda-n", "empty-sweep-lambda-a", "sweep-zero-latent-dim",
+        "train-two-variants"])
 def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 1

@@ -128,6 +128,11 @@ def test_ingest_channel_order_follows_map():
 def test_dataset_rejects_conflicting_trial_ids():
     with pytest.raises(ValueError, match="trial id"):
         Dataset(np.zeros((2, 1)), [0, 1], [0, 0], [5, 5], [0.0, 0.0], 2, 1)
+    # trials 7 and 3 both conflict; 7's conflicting row comes first, so 7 is named
+    trial = [3, 7, 7, 3, 1]
+    label = [0, 0, 1, 1, 0]
+    with pytest.raises(ValueError, match="^trial id 7 is shared"):
+        Dataset(np.zeros((5, 1)), label, [0] * 5, trial, [0.0] * 5, 2, 1)
 
 
 def test_dataset_rejects_out_of_range_labels():

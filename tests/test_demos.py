@@ -1,4 +1,5 @@
-"""Demo scripts and README examples import only names that the package defines."""
+"""Imports: demo scripts and README examples import only names that the package
+defines, and each package module references every name it imports."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = ROOT / "README.md"
+MODULES = sorted(p for p in (ROOT / "src" / "dacae").glob("*.py") if p.name != "__init__.py")
 
 
 def test_demos_found():
@@ -45,3 +47,17 @@ def test_demo_imports_resolve(source, name):
             for alias in node.names:
                 if alias.name.split(".")[0] == "dacae":
                     importlib.import_module(alias.name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_references_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never referenced: {unused}"

@@ -13,23 +13,20 @@ from dacae import (
     HyperConfig,
     SgdConfig,
     VARIANTS,
-    adversary_logits,
+    ExperimentConfig,
     build_mlp,
     dacae_loss,
-    decode,
+    decoder_input,
     encode,
     init_params,
     load_checkpoint,
     make_rng,
     mse_loss,
     nuisance_dim,
-    nuisance_logits,
     one_hot_subjects,
     save_checkpoint,
     softmax_cross_entropy,
-    split_latent,
 )
-from dacae import classifiers
 
 
 def test_nuisance_dim_rounds_half_up():
@@ -53,13 +50,17 @@ def test_variant_weight_coercion():
     assert da.lambda_a == 0.3 and da.lambda_n == 0.7
 
 
-def test_for_variant_default_ratios():
-    assert HyperConfig.for_variant("AE").r_n == 0.0
-    assert HyperConfig.for_variant("DA-cAE").r_n == pytest.approx(1.0 / 3.0)
-    assert HyperConfig.for_variant("DA-cAE").d_n == 5
-    assert HyperConfig.for_variant("DA-cAE").d_a == 10
+def test_unset_r_n_takes_variant_default():
+    defaults = {"AE": 0.0, "cAE": 0.0, "A-cAE": 0.0, "D-cAE": 1.0 / 3.0, "DA-cAE": 1.0 / 3.0}
+    for variant in VARIANTS:
+        assert HyperConfig(variant=variant).r_n == defaults[variant]
+        assert ExperimentConfig().hyper(variant, 0).r_n == defaults[variant]
+    assert HyperConfig(variant="DA-cAE").d_n == 5
+    assert HyperConfig(variant="DA-cAE").d_a == 10
+    # an explicit zero is kept, so None and 0.0 stay distinct
+    assert HyperConfig(variant="DA-cAE", r_n=0.0).r_n == 0.0
     with pytest.raises(ConfigError):
-        HyperConfig.for_variant("VAE")
+        HyperConfig(variant="VAE")
 
 
 def test_config_validation():
@@ -71,18 +72,8 @@ def test_config_validation():
         HyperConfig(latent_dim=0)
 
 
-def test_split_latent_ten_five():
-    z = np.arange(15.0)
-    code = split_latent(z, 5)
-    assert code.z_a.shape == (10,)
-    assert code.z_n.shape == (5,)
-    assert np.array_equal(code.z_a, np.arange(10.0))
-    assert np.array_equal(code.z_n, np.arange(10.0, 15.0))
-    assert np.array_equal(code.full, z)
-
-
 def test_init_params_shapes():
-    config = HyperConfig.for_variant("DA-cAE", latent_dim=15, r_n=1.0 / 3.0)
+    config = HyperConfig(variant="DA-cAE", latent_dim=15, r_n=1.0 / 3.0)
     params = init_params(7, 20, config, seed=0)
     assert params.encoder.layers[0].weight.shape == (15, 7)
     assert params.encoder.layers[1].weight.shape == (15, 15)
@@ -93,7 +84,7 @@ def test_init_params_shapes():
 
 
 def test_init_params_deterministic():
-    config = HyperConfig.for_variant("DA-cAE")
+    config = HyperConfig(variant="DA-cAE")
     a = init_params(7, 6, config, seed=3)
     b = init_params(7, 6, config, seed=3)
     for g in a.groups():
@@ -109,25 +100,29 @@ def test_one_hot_subjects():
 
 
 def test_encode_splits_batch():
-    config = HyperConfig.for_variant("DA-cAE")
+    config = HyperConfig(variant="DA-cAE")
     params = init_params(7, 6, config, seed=1)
     x = make_rng(1).standard_normal((8, 7))
-    code = encode(params, x)
-    assert code.z_a.shape == (8, 10)
-    assert code.z_n.shape == (8, 5)
-    assert np.array_equal(code.full, params.encoder.forward(x))
+    z = encode(params, x)
+    assert z[:, : params.d_a].shape == (8, 10)
+    assert z[:, params.d_a:].shape == (8, 5)
+    assert np.array_equal(z, params.encoder.forward(x))
 
 
 def test_conditioned_decode_depends_on_subject():
-    config = HyperConfig.for_variant("DA-cAE")
+    config = HyperConfig(variant="DA-cAE")
     params = init_params(7, 6, config, seed=2)
     x = make_rng(2).standard_normal(7)
-    code = encode(params, x)
-    a = decode(params, code, [0], conditioned=True)
-    b = decode(params, code, [3], conditioned=True)
+    z = encode(params, x)
+
+    def decode(s, conditioned):
+        return params.decoder.forward(decoder_input(z, s, params.n_subjects, conditioned))
+
+    a = decode([0], conditioned=True)
+    b = decode([3], conditioned=True)
     assert not np.allclose(a, b)
-    ua = decode(params, code, [0], conditioned=False)
-    ub = decode(params, code, [3], conditioned=False)
+    ua = decode([0], conditioned=False)
+    ub = decode([3], conditioned=False)
     assert np.array_equal(ua, ub)
 
 
@@ -142,10 +137,10 @@ def test_loss_identity(seed):
     x = rng.standard_normal((5, 7))
     s = rng.integers(0, 6, size=5)
     total, parts = dacae_loss(params, x, s, config)
-    code = encode(params, x)
-    recon, _ = mse_loss(decode(params, code, s, conditioned=True), x)
-    adv, _ = softmax_cross_entropy(adversary_logits(params, code.z_a), s)
-    nui, _ = softmax_cross_entropy(nuisance_logits(params, code.z_n), s)
+    z = encode(params, x)
+    recon, _ = mse_loss(params.decoder.forward(decoder_input(z, s, 6, True)), x)
+    adv, _ = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
+    nui, _ = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
     expected = recon + config.lambda_n * nui - config.lambda_a * adv
     assert abs(total - expected) <= 1e-12
     assert parts.recon == recon and parts.adv_ce == adv and parts.nui_ce == nui
@@ -191,17 +186,14 @@ def test_loss_gradient_matches_finite_differences():
         return dacae_loss(params, x, s, config)[0]
 
     # composite-loss encoder gradient, assembled the same way train_step does
-    from dacae.model import decoder_input
-
     z = params.encoder.forward(x)
-    code = split_latent(z, params.d_n)
     x_hat = params.decoder.forward(decoder_input(z, s, 4, True))
     _, gx = mse_loss(x_hat, x)
     dec_grads = params.decoder.backward(gx)
     dz = dec_grads.wrt_input[:, :6].copy()
-    _, ga = softmax_cross_entropy(params.adversary.forward(code.z_a), s)
+    _, ga = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
     dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga).wrt_input
-    _, gn = softmax_cross_entropy(params.nuisance.forward(code.z_n), s)
+    _, gn = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
     dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn).wrt_input
     params.encoder.forward(x)
     enc_grads = params.encoder.backward(dz)
@@ -219,7 +211,7 @@ def test_loss_gradient_matches_finite_differences():
 
 
 def test_variant_loss_matches_plain_autoencoder():
-    config = HyperConfig.for_variant("AE", latent_dim=8)
+    config = HyperConfig(variant="AE", latent_dim=8)
     params = init_params(7, 6, config, seed=11)
     rng = make_rng(11)
     x = rng.standard_normal((9, 7))
@@ -239,14 +231,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
                          variant="DA-cAE", sgd=SgdConfig(learning_rate=0.05, seed=9))
     params = init_params(7, 6, config, seed=9)
     rng = make_rng(9)
-    z = rng.standard_normal((40, 15))
-    y = rng.integers(0, 4, size=40)
-    clf = classifiers.fit("logreg", z, y)
     norm = (rng.standard_normal(7), np.abs(rng.standard_normal(7)) + 0.1)
 
     path = tmp_path / "model.npz"
-    save_checkpoint(path, params, config, normalization=norm, classifier=clf)
-    params2, config2, norm2, clf2 = load_checkpoint(path)
+    save_checkpoint(path, params, config, normalization=norm)
+    params2, config2, norm2 = load_checkpoint(path)
 
     assert config2 == config
     for g in params.groups():
@@ -255,24 +244,24 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
             assert np.array_equal(la.bias, lb.bias)
             assert la.activation == lb.activation
     assert np.array_equal(norm[0], norm2[0]) and np.array_equal(norm[1], norm2[1])
-    probe = rng.standard_normal((6, 15))
-    assert np.array_equal(clf.decision_scores(probe), clf2.decision_scores(probe))
 
 
 def test_checkpoint_roundtrip_without_extras(tmp_path):
-    config = HyperConfig.for_variant("cAE")
+    config = HyperConfig(variant="cAE")
     params = init_params(7, 6, config, seed=1)
     path = tmp_path / "bare.npz"
     save_checkpoint(path, params, config)
-    params2, config2, norm2, clf2 = load_checkpoint(path)
-    assert norm2 is None and clf2 is None
+    params2, config2, norm2 = load_checkpoint(path)
+    assert norm2 is None
     assert config2.variant == "cAE"
+    # the variant default was resolved before saving, so a number comes back
+    assert isinstance(config2.r_n, float) and config2.r_n == 0.0
     x = make_rng(1).standard_normal((3, 7))
     assert np.array_equal(params.encoder.forward(x), params2.encoder.forward(x))
 
 
 def test_params_read_dims_off_networks():
-    params = init_params(7, 6, HyperConfig.for_variant("DA-cAE", latent_dim=9), seed=0)
+    params = init_params(7, 6, HyperConfig(variant="DA-cAE", latent_dim=9), seed=0)
     dims = (params.n_channels, params.latent_dim, params.d_a, params.d_n, params.n_subjects)
     assert dims == (7, 9, 6, 3, 6)
     twin = params.copy()
@@ -289,7 +278,7 @@ def test_params_read_dims_off_networks():
         "decoder-input-without-condition"])
 def test_params_reject_inconsistent_networks(group, dims, message):
     # DA-cAE defaults: 15-wide code split 10 + 5, 6 subjects, 7 channels
-    nets = init_params(7, 6, HyperConfig.for_variant("DA-cAE"), seed=0).groups()
+    nets = init_params(7, 6, HyperConfig(variant="DA-cAE"), seed=0).groups()
     nets[group] = build_mlp(dims, make_rng(0))
     with pytest.raises(ValueError, match=message):
         DacaeParams(**nets)
@@ -297,7 +286,7 @@ def test_params_reject_inconsistent_networks(group, dims, message):
 
 @pytest.mark.parametrize("key", ["n_channels", "n_subjects", "latent_dim", "d_n"])
 def test_checkpoint_dims_must_match_networks(tmp_path, key):
-    config = HyperConfig.for_variant("DA-cAE")
+    config = HyperConfig(variant="DA-cAE")
     path = tmp_path / "model.npz"
     save_checkpoint(path, init_params(7, 6, config, seed=0), config)
     with np.load(path) as data:
@@ -314,7 +303,7 @@ def test_checkpoint_dims_must_match_networks(tmp_path, key):
 def test_all_variants_share_parameter_shapes():
     shapes = set()
     for variant in VARIANTS:
-        config = HyperConfig.for_variant(variant, r_n=1.0 / 3.0)
+        config = HyperConfig(variant=variant, r_n=1.0 / 3.0)
         params = init_params(7, 6, config, seed=0)
         shapes.add(tuple(l.weight.shape for net in params.groups().values()
                          for l in net.layers))

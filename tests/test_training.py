@@ -47,10 +47,10 @@ def small_config(**kw):
 
 def reference_step(params, x, s, config):
     """Manual replay of the three sub-updates, built only from model pieces."""
-    code = encode(params, x)
-    _, ga = softmax_cross_entropy(params.adversary.forward(code.z_a), s)
+    z = encode(params, x)
+    _, ga = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
     sgd_step(params.adversary, params.adversary.backward(ga), config.sgd)
-    _, gn = softmax_cross_entropy(params.nuisance.forward(code.z_n), s)
+    _, gn = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
     sgd_step(params.nuisance, params.nuisance.backward(gn), config.sgd)
 
     z = params.encoder.forward(x)
@@ -97,10 +97,10 @@ def test_train_step_heads_untouched_by_joint_update():
     x, s = _batch(2)
     train_step(params, x, s, config)
 
-    code = encode(ref, x)
-    _, ga = softmax_cross_entropy(ref.adversary.forward(code.z_a), s)
+    z = encode(ref, x)
+    _, ga = softmax_cross_entropy(ref.adversary.forward(z[:, : ref.d_a]), s)
     sgd_step(ref.adversary, ref.adversary.backward(ga), config.sgd)
-    _, gn = softmax_cross_entropy(ref.nuisance.forward(code.z_n), s)
+    _, gn = softmax_cross_entropy(ref.nuisance.forward(z[:, ref.d_a:]), s)
     sgd_step(ref.nuisance, ref.nuisance.backward(gn), config.sgd)
     for name in ("adversary", "nuisance"):
         for la, lb in zip(params.groups()[name].layers, ref.groups()[name].layers):
@@ -133,7 +133,7 @@ def test_train_step_adversary_ce_descends_on_its_batch():
     params = init_params(4, 3, config, seed=5)
     x, s = _batch(4, n=32)
     before, _ = softmax_cross_entropy(
-        params.adversary.forward(encode(params, x).z_a), s)
+        params.adversary.forward(encode(params, x)[:, : params.d_a]), s)
     _, parts = train_step(params, x, s, config)
     assert parts.adv_ce == pytest.approx(before)
     after, _ = softmax_cross_entropy(
@@ -147,9 +147,9 @@ def test_train_step_returns_prestep_loss_identity():
     params = init_params(4, 3, config, seed=6)
     x, s = _batch(5)
     probe = params.copy()
-    code = encode(probe, x)
-    adv0, _ = softmax_cross_entropy(probe.adversary.forward(code.z_a), s)
-    nui0, _ = softmax_cross_entropy(probe.nuisance.forward(code.z_n), s)
+    z = encode(probe, x)
+    adv0, _ = softmax_cross_entropy(probe.adversary.forward(z[:, : probe.d_a]), s)
+    nui0, _ = softmax_cross_entropy(probe.nuisance.forward(z[:, probe.d_a:]), s)
     total, parts = train_step(params, x, s, config)
     assert parts.adv_ce == pytest.approx(adv0, abs=1e-12)
     assert parts.nui_ce == pytest.approx(nui0, abs=1e-12)
@@ -231,7 +231,7 @@ def test_fit_task_classifier_leaves_encoder_frozen():
     clf = fit_task_classifier(params, ds, "mlp", seed=4)
     for before, layer in zip(snapshot, params.encoder.layers):
         assert np.array_equal(before, layer.weight)
-    z = encode(params, ds.x).full
+    z = encode(params, ds.x)
     assert clf.decision_scores(z).shape == (len(ds), 2)
 
 
@@ -241,7 +241,7 @@ def test_fit_task_classifier_separable_latents():
                                         epochs=30, seed=5))
     params, _ = fit_feature_extractor(ds, config)
     clf = fit_task_classifier(params, ds, "lda", seed=5)
-    z = encode(params, ds.x).full
+    z = encode(params, ds.x)
     assert np.mean(clf.predict(z) == ds.y) >= 0.99
 
 
@@ -281,7 +281,7 @@ def _sweep_dataset():
 
 
 def sweep_base(**sgd):
-    return HyperConfig.for_variant("DA-cAE", sgd=SgdConfig(**sgd))
+    return HyperConfig(variant="DA-cAE", sgd=SgdConfig(**sgd))
 
 
 def test_two_stage_sweep_run_count_and_stages():
@@ -319,7 +319,7 @@ def test_two_stage_sweep_empty_grid_or_val_raises():
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "DA-cAE"])
 def test_two_stage_sweep_rejects_base_without_both_heads(variant):
     train, val = _sweep_dataset()
-    base = HyperConfig.for_variant(variant, sgd=SgdConfig(epochs=1))
+    base = HyperConfig(variant=variant, sgd=SgdConfig(epochs=1))
     with pytest.raises(ConfigError, match=f"DA-cAE base config, got '{variant}'"):
         two_stage_sweep(train, val, base, lambda_n_grid=(0.0,), lambda_a_grid=(0.0,))
 
