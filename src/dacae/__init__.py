@@ -17,9 +17,9 @@ from .experiments import (CurveRow, ExperimentConfig, FoldResult, ReportError,
 from .model import (VARIANTS, DacaeParams, HyperConfig, LossParts, dacae_loss,
                     decoder_input, encode, init_params, load_checkpoint, nuisance_dim,
                     one_hot_subjects, save_checkpoint)
-from .nn import (ConfigError, DenseLayer, Mlp, MlpGrads, SgdConfig, TrainingDiverged,
-                 build_mlp, grad_check, init_dense, job_seed, make_rng, mse_loss, sgd_step,
-                 softmax, softmax_cross_entropy)
+from .nn import (ConfigError, Mlp, MlpGrads, SgdConfig, TrainingDiverged, build_mlp,
+                 grad_check, job_seed, make_rng, mse_loss, sgd_step, softmax,
+                 softmax_cross_entropy)
 from .training import (LAMBDA_A_GRID, LAMBDA_N_GRID, SweepResult, SweepRow, TrainLog,
                        TrainLogRow, fit_feature_extractor, fit_task_classifier,
                        probe_accuracies, train_step, two_stage_sweep)

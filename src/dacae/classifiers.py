@@ -90,7 +90,7 @@ class KnnClassifier(_Fitted):
 
     kind = "knn"
 
-    def __init__(self, z: np.ndarray, y: np.ndarray, k: int):
+    def __init__(self, z: np.ndarray, y: np.ndarray, k: int = 5):
         self.z = np.asarray(z, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.intp)
         self.k = min(k, self.z.shape[0])
@@ -156,8 +156,7 @@ class TreeClassifier(_Fitted):
     kind = "tree"
 
     def __init__(self, feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
-                 right: np.ndarray, counts: np.ndarray, classes: np.ndarray, dim: int,
-                 max_depth: int, min_leaf: int):
+                 right: np.ndarray, counts: np.ndarray, classes: np.ndarray, dim: int):
         self.feature = feature      # -1 marks a leaf
         self.threshold = threshold
         self.left = left
@@ -165,8 +164,6 @@ class TreeClassifier(_Fitted):
         self.counts = counts        # (nodes, n_classes) training label counts
         self.classes = classes
         self.dim = dim
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
 
     @classmethod
     def train(cls, z: np.ndarray, y: np.ndarray, max_depth: int = 10,
@@ -203,7 +200,7 @@ class TreeClassifier(_Fitted):
         grow(np.arange(z.shape[0]), 0)
         return cls(np.asarray(feature, dtype=np.intp), np.asarray(threshold),
                    np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp),
-                   np.vstack(counts), classes, z.shape[1], max_depth, min_leaf)
+                   np.vstack(counts), classes, z.shape[1])
 
     def _leaf(self, row: np.ndarray) -> int:
         node = 0
@@ -300,7 +297,7 @@ class LinearClassifier(_Fitted):
         return _check_features(z, self.dim) @ self.coef.T + self.intercept
 
 
-def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0, **hyper) -> _Fitted:
+def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
     """Train one classifier kind on features z (n, d) and integer labels y (n,)."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
@@ -310,12 +307,12 @@ def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0, **hyper) -> _Fit
         raise ValueError("labels must be one per feature row")
     kind = canonical_kind(kind)
     if kind == "mlp":
-        return MlpClassifier.train(z, y, seed=seed, **hyper)
+        return MlpClassifier.train(z, y, seed=seed)
     if kind == "knn":
-        return KnnClassifier(z, y, k=hyper.pop("k", 5))
+        return KnnClassifier(z, y)
     if kind == "tree":
-        return TreeClassifier.train(z, y, **hyper)
-    return LinearClassifier(kind, *_LINEAR[kind](z, y, **hyper), np.unique(y), z.shape[1])
+        return TreeClassifier.train(z, y)
+    return LinearClassifier(kind, *_LINEAR[kind](z, y), np.unique(y), z.shape[1])
 
 
 def accuracy(fitted: _Fitted, z: np.ndarray, y: np.ndarray) -> float:

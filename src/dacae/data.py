@@ -354,10 +354,10 @@ def save_csv(path: str | Path, dataset: Dataset) -> None:
             writer.writerow(row)
 
 
-def load_csv(path: str | Path, n_classes: int | None = None,
-             n_subjects: int | None = None) -> Dataset:
+def load_csv(path: str | Path) -> Dataset:
     """Read the interchange CSV back into a dataset.
 
+    The class and subject counts are one past the largest label and subject id.
     Raises IngestionError naming the file (and the line, for a malformed row)
     when the file is not UTF-8 CSV, a row has the wrong width, a cell does not
     parse, or the rows do not form a valid dataset.
@@ -387,13 +387,9 @@ def load_csv(path: str | Path, n_classes: int | None = None,
     except (UnicodeDecodeError, csv.Error) as err:
         raise IngestionError(f"{path}: {err}") from err
     n = len(y)
-    if n_classes is None:
-        n_classes = max(y) + 1 if n else 1
-    if n_subjects is None:
-        n_subjects = max(s) + 1 if n else 1
     try:
         return Dataset(np.array(x, dtype=np.float64).reshape(n, n_channels), y, s, trial, t,
-                       n_classes, n_subjects)
+                       max(y) + 1 if n else 1, max(s) + 1 if n else 1)
     except (ValueError, OverflowError) as err:
         raise IngestionError(f"{path}: {err}") from err
 

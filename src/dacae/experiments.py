@@ -3,14 +3,16 @@
 Every run is a list of independent fold jobs executed inline or in a process
 pool; job seeds derive from the master seed and the job's grid position, and
 outputs are written in fixed job order, so the emitted tree is byte-identical
-for any worker count. A diverged fold is recorded as failed and the run
-continues; the caller decides the exit status from the failure count.
+for any worker count. A fold whose extractor or classifier fails is recorded
+as failed and the run continues; the caller decides the exit status from the
+failure count.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
@@ -57,8 +59,9 @@ def _has_type(value, hint) -> bool:
         return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
     if is_dataclass(hint):
         return True
-    if hint is float:
-        hint = (int, float)
+    if hint is float:  # finite only: JSON's NaN and Infinity literals and 1e999 parse too
+        return isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max
     return isinstance(value, hint) and not isinstance(value, bool)  # no field is a bool
 
 
@@ -72,7 +75,8 @@ def _from_object(cls, raw, what: str):
         raise ConfigError(f"unknown {what} keys {unknown}")
     for name, hint in get_type_hints(cls).items():
         if name in raw and not _has_type(raw[name], hint):
-            expected = hint.__name__ if type(hint) is type else str(hint)
+            expected = (hint.__name__ if type(hint) is type else str(hint)).replace(
+                "float", "finite float")
             raise ConfigError(f"{what} field {name!r} must be {expected}, got {raw[name]!r}")
     return cls(**raw)
 
@@ -207,28 +211,40 @@ class _FoldJob:
     clf_seeds: tuple[int, ...]
 
 
+# what a fold records as failed and survives; a ConfigError (a ValueError) still ends the run
+_FOLD_ERRORS = (TrainingDiverged, ValueError, ArithmeticError)
+
+
 def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainLog | None]:
-    normed = normalize(dataset, job.plan.train_ids)
-    train = normed.subset(job.plan.train_ids)
-    val = normed.subset(job.plan.val_ids)
-    test = normed.subset(job.plan.test_ids)
-    subject = job.plan.test_subject
-    h = job.hyper
+    """A failed extractor stage fails every row of the fold, a failed classifier its own row."""
+    h, nan = job.hyper, float("nan")
+
+    def row(kind: str, acc: float, adv: float, nui: float, err: Exception | None = None):
+        return FoldResult(job.plan.test_subject, job.variant, kind, "failed" if err else "done",
+                          acc, adv, nui, h.lambda_a, h.lambda_n, h.r_n,
+                          f"{type(err).__name__}: {err}" if err else "")
+
     try:
+        normed = normalize(dataset, job.plan.train_ids)
+        train = normed.subset(job.plan.train_ids)
+        val = normed.subset(job.plan.val_ids)
+        test = normed.subset(job.plan.test_ids)
         params, log = fit_feature_extractor(train, h, val=val)
-    except TrainingDiverged as err:
-        nan = float("nan")
-        return [FoldResult(subject, job.variant, kind, "failed", nan, nan, nan,
-                           h.lambda_a, h.lambda_n, h.r_n, str(err))
-                for kind in job.kinds], None
-    adv, nui = probe_accuracies(params, val.x, val.s)
-    z_train, z_test = encode(params, train.x), encode(params, test.x)
+        adv, nui = probe_accuracies(params, val.x, val.s)
+        z_train, z_test = encode(params, train.x), encode(params, test.x)
+    except ConfigError:
+        raise
+    except _FOLD_ERRORS as err:
+        return [row(kind, nan, nan, nan, err) for kind in job.kinds], None
     results = []
     for kind, clf_seed in zip(job.kinds, job.clf_seeds):
-        clf = classifiers.fit(kind, z_train, train.y, seed=clf_seed)
-        acc = classifiers.accuracy(clf, z_test, test.y)
-        results.append(FoldResult(subject, job.variant, kind, "done", acc, adv, nui,
-                                  h.lambda_a, h.lambda_n, h.r_n))
+        try:
+            clf = classifiers.fit(kind, z_train, train.y, seed=clf_seed)
+            results.append(row(kind, classifiers.accuracy(clf, z_test, test.y), adv, nui))
+        except ConfigError:
+            raise
+        except _FOLD_ERRORS as err:
+            results.append(row(kind, nan, adv, nui, err))
     return results, log
 
 
@@ -313,18 +329,18 @@ def failed_count(results: list[FoldResult]) -> int:
     return sum(r.status != "done" for r in results)
 
 
-def run_loso(config: ExperimentConfig, dataset: Dataset | None = None,
-             experiment: str = "loso") -> tuple[list[FoldResult], list[SummaryRow]]:
+def run_loso(config: ExperimentConfig, dataset: Dataset | None = None
+             ) -> tuple[list[FoldResult], list[SummaryRow]]:
     """Leave-one-subject-out evaluation of every (variant, classifier) pair.
 
-    Writes <out>/<experiment>/<variant>/<classifier>/folds.csv, per-fold
+    Writes <out>/loso/<variant>/<classifier>/folds.csv, per-fold
     training logs beside the classifier directories, and a summary.csv.
     """
     if dataset is None:
         dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
     rows = [(vi, variant, variant, {}) for vi, variant in enumerate(config.variants)]
-    root = Path(config.out) / experiment
+    root = Path(config.out) / "loso"
     results = _run_jobs(config, dataset, _grid(config, rows, plans, config.classifiers), root)
     summary = summarize(results)
     write_csv(root / "summary.csv", SUMMARY_HEADER, map(astuple, summary))

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import (ConfigError, DenseLayer, Mlp, SgdConfig, TrainingDiverged, build_mlp,
-                 init_dense, make_rng, mse_loss, softmax_cross_entropy)
+from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, build_mlp, make_rng,
+                 mse_loss, softmax_cross_entropy)
 
 VARIANTS = ("AE", "cAE", "A-cAE", "D-cAE", "DA-cAE")
 
@@ -53,8 +53,8 @@ class HyperConfig:
             # the split each variant was evaluated with (no split for the
             # unregularized and adversary-only models)
             self.r_n = 1.0 / 3.0 if self.variant in ("D-cAE", "DA-cAE") else 0.0
-        if self.lambda_a < 0 or self.lambda_n < 0:
-            raise ConfigError("lambda_a and lambda_n must be >= 0")
+        if not (0 <= self.lambda_a < math.inf and 0 <= self.lambda_n < math.inf):
+            raise ConfigError("lambda_a and lambda_n must be finite and >= 0")
         if not 0.0 <= self.r_n < 1.0:
             raise ConfigError(f"r_n must be in [0, 1), got {self.r_n}")
         if self.latent_dim < 1:
@@ -125,15 +125,15 @@ def init_params(n_channels: int, n_subjects: int, config: HyperConfig, seed: int
     rng = make_rng(seed, 0)
     encoder = build_mlp([n_channels, 15, d], rng)
     decoder = build_mlp([d + n_subjects, 15, n_channels], rng)
-    adversary = Mlp([init_dense(d - d_n, n_subjects, rng)])
-    nuisance = Mlp([init_dense(d_n, n_subjects, rng)])
+    adversary = build_mlp([d - d_n, n_subjects], rng)
+    nuisance = build_mlp([d_n, n_subjects], rng)
     return DacaeParams(encoder, decoder, adversary, nuisance)
 
 
 def encode(params: DacaeParams, x: np.ndarray) -> np.ndarray:
-    """The code z = [z_a, z_n] of one sample (C,) or a batch (n, C).
+    """The code z = [z_a, z_n] of a batch x (n, C).
 
-    The adversary head reads z[..., :params.d_a] and the nuisance head the rest.
+    The adversary head reads z[:, :params.d_a] and the nuisance head the rest.
     """
     return params.encoder.forward(x)
 
@@ -149,12 +149,8 @@ def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
 
 def decoder_input(z: np.ndarray, s, n_subjects: int, conditioned: bool) -> np.ndarray:
     """Concatenate the code with a one-hot condition (zeros when unconditioned)."""
-    z2 = np.atleast_2d(z)
-    if conditioned:
-        cond = one_hot_subjects(s, n_subjects)
-    else:
-        cond = np.zeros((z2.shape[0], n_subjects))
-    return np.concatenate([z2, cond], axis=1)
+    cond = one_hot_subjects(s, n_subjects) if conditioned else np.zeros((len(z), n_subjects))
+    return np.concatenate([z, cond], axis=1)
 
 
 @dataclass
@@ -192,8 +188,8 @@ def dacae_loss(params: DacaeParams, x: np.ndarray, s: np.ndarray,
 _CHECKPOINT_FORMAT = "dacae-checkpoint-v1"
 
 
-def _mlp_meta(net: Mlp) -> list[dict]:
-    return [{"activation": layer.activation} for layer in net.layers]
+def _layer_meta(n_layers: int) -> list[dict]:
+    return [{"activation": "relu"}] * (n_layers - 1) + [{"activation": None}]
 
 
 def save_checkpoint(path: str | Path, params: DacaeParams, config: HyperConfig,
@@ -208,13 +204,14 @@ def save_checkpoint(path: str | Path, params: DacaeParams, config: HyperConfig,
         "config": asdict(config),
         "dims": {"n_channels": params.n_channels, "n_subjects": params.n_subjects,
                  "latent_dim": params.latent_dim, "d_n": params.d_n},
-        "layers": {name: _mlp_meta(net) for name, net in params.groups().items()},
+        "layers": {name: _layer_meta(len(net.weights))
+                   for name, net in params.groups().items()},
     }
     arrays: dict[str, np.ndarray] = {}
     for name, net in params.groups().items():
-        for k, layer in enumerate(net.layers):
-            arrays[f"{name}_w{k}"] = layer.weight
-            arrays[f"{name}_b{k}"] = layer.bias
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            arrays[f"{name}_w{k}"] = w
+            arrays[f"{name}_b{k}"] = b
     if normalization is not None:
         arrays["norm_mean"] = np.asarray(normalization[0], dtype=np.float64)
         arrays["norm_std"] = np.asarray(normalization[1], dtype=np.float64)
@@ -237,9 +234,11 @@ def load_checkpoint(path: str | Path):
         config = HyperConfig(**{**cfg, "sgd": SgdConfig(**cfg["sgd"])})
         nets = {}
         for name, layer_meta in meta["layers"].items():
-            layers = [DenseLayer(data[f"{name}_w{k}"], data[f"{name}_b{k}"], m["activation"])
-                      for k, m in enumerate(layer_meta)]
-            nets[name] = Mlp(layers)
+            n = len(layer_meta)
+            if layer_meta != _layer_meta(n):
+                raise ValueError(f"checkpoint group {name!r}: not ReLU on all but the last layer")
+            nets[name] = Mlp([data[f"{name}_w{k}"] for k in range(n)],
+                             [data[f"{name}_b{k}"] for k in range(n)])
         params = DacaeParams(**nets)
         if any(getattr(params, k) != v for k, v in meta["dims"].items()):
             raise ValueError(f"checkpoint dims {meta['dims']} do not match its networks")

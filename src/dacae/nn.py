@@ -1,9 +1,9 @@
-"""Minimal dense-network engine: linear layers, ReLU, losses, SGD, grad checking.
+"""Minimal dense-network engine: ReLU networks, losses, SGD, grad checking.
 
-Everything is float64 numpy. Networks are plain stacks of fully connected
-layers; the forward pass caches activations so the matching backward pass can
-return exact analytic gradients. A central finite-difference checker serves as
-the independent oracle for those gradients.
+Everything is float64 numpy on (n, features) batches. A network is its weight and
+bias arrays, with ReLU after every layer but the last; the forward pass caches
+activations so the matching backward pass can return exact analytic gradients.
+A central finite-difference checker is the independent oracle for those gradients.
 """
 
 from __future__ import annotations
@@ -50,39 +50,6 @@ class SgdConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
-class DenseLayer:
-    """Fully connected layer y = act(W x + b) with weight (out, in) and bias (out,)."""
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str | None = None):
-        weight = np.asarray(weight, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if weight.ndim != 2:
-            raise ValueError(f"weight must be 2-D, got shape {weight.shape}")
-        if bias.shape != (weight.shape[0],):
-            raise ValueError(f"bias shape {bias.shape} incompatible with weight {weight.shape}")
-        if activation not in (None, "relu"):
-            raise ValueError(f"unknown activation {activation!r}")
-        self.weight = weight
-        self.bias = bias
-        self.activation = activation
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-
-def init_dense(in_dim: int, out_dim: int, rng: np.random.Generator,
-               activation: str | None = None) -> DenseLayer:
-    """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero bias."""
-    limit = np.sqrt(6.0 / max(1, in_dim + out_dim))
-    weight = rng.uniform(-limit, limit, size=(out_dim, in_dim))
-    return DenseLayer(weight, np.zeros(out_dim), activation)
-
-
 @dataclass
 class MlpGrads:
     """Per-layer parameter gradients plus the gradient w.r.t. the network input."""
@@ -92,75 +59,77 @@ class MlpGrads:
 
 
 class Mlp:
-    """Stack of DenseLayers. forward() caches what backward() needs."""
+    """Dense layers a @ weights[k].T + biases[k], with ReLU after every layer but the last."""
 
-    def __init__(self, layers: Sequence[DenseLayer]):
-        layers = list(layers)
-        if not layers:
-            raise ValueError("Mlp needs at least one layer")
-        for a, b in zip(layers, layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ValueError(f"layer dims mismatch: {a.out_dim} -> {b.in_dim}")
-        self.layers = layers
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if not weights or len(biases) != len(weights):
+            raise ValueError(f"{len(weights)} weights and {len(biases)} biases, not one per layer")
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or b.shape != (w.shape[0],):
+                raise ValueError(f"layer {k}: weight shape {w.shape} and bias shape {b.shape}")
+            if k and weights[k - 1].shape[0] != w.shape[1]:
+                raise ValueError(f"layer dims mismatch: {weights[k - 1].shape[0]} -> {w.shape[1]}")
+        self.weights = weights
+        self.biases = biases
         self._cache: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._squeeze = False
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.weights[0].shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.weights[-1].shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network on x of shape (in,) or (n, in); caches for backward."""
-        x = np.asarray(x, dtype=np.float64)
-        self._squeeze = x.ndim == 1
-        a = np.atleast_2d(x)
-        if a.shape[1] != self.in_dim:
-            raise ValueError(f"input dim {a.shape[1]} != expected {self.in_dim}")
+        """Run the network on a batch x of shape (n, in); caches for backward."""
+        a = np.asarray(x, dtype=np.float64)
+        if a.ndim != 2 or a.shape[1] != self.in_dim:
+            raise ValueError(f"input shape {a.shape} is not (n, {self.in_dim})")
+        last = len(self.weights) - 1
         cache = []
-        for layer in self.layers:
-            z = a @ layer.weight.T + layer.bias
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w.T + b
             cache.append((a, z))
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            a = np.maximum(z, 0.0) if k < last else z
         self._cache = cache
-        return a[0] if self._squeeze else a
+        return a
 
     def backward(self, upstream_grad: np.ndarray) -> MlpGrads:
-        """Gradients of the cached forward pass; upstream_grad is dLoss/dOutput."""
+        """Gradients of the cached forward pass; upstream_grad is dLoss/dOutput, (n, out)."""
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
-        g = np.atleast_2d(np.asarray(upstream_grad, dtype=np.float64))
-        if g.shape[1] != self.out_dim:
-            raise ValueError(f"upstream grad dim {g.shape[1]} != output dim {self.out_dim}")
-        w_grads: list[np.ndarray] = [None] * len(self.layers)  # type: ignore[list-item]
-        b_grads: list[np.ndarray] = [None] * len(self.layers)  # type: ignore[list-item]
-        for k in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[k]
+        g = np.asarray(upstream_grad, dtype=np.float64)
+        if g.ndim != 2 or g.shape[1] != self.out_dim:
+            raise ValueError(f"upstream grad shape {g.shape} is not (n, {self.out_dim})")
+        last = len(self.weights) - 1
+        w_grads, b_grads = [], []  # last layer first
+        for k in range(last, -1, -1):
             a_prev, z = self._cache[k]
-            if layer.activation == "relu":
+            if k < last:
                 g = g * (z > 0)
-            w_grads[k] = g.T @ a_prev
-            b_grads[k] = g.sum(axis=0)
-            g = g @ layer.weight
-        wrt_input = g[0] if self._squeeze else g
-        return MlpGrads(w_grads, b_grads, wrt_input)
+            w_grads.append(g.T @ a_prev)
+            b_grads.append(g.sum(axis=0))
+            g = g @ self.weights[k]
+        return MlpGrads(w_grads[::-1], b_grads[::-1], g)
 
     def copy(self) -> "Mlp":
-        return Mlp([DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers])
+        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def build_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
-    """Mlp with layer sizes dims[0] -> ... -> dims[-1]; ReLU on all but the last layer."""
+    """Mlp with layer sizes dims[0] -> ... -> dims[-1], zero biases and Glorot-uniform
+    weights in +-sqrt(6/(fan_in+fan_out)), drawn from rng one layer at a time."""
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
-    layers = []
-    for i in range(len(dims) - 1):
-        act = "relu" if i < len(dims) - 2 else None
-        layers.append(init_dense(dims[i], dims[i + 1], rng, act))
-    return Mlp(layers)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        limit = np.sqrt(6.0 / max(1, fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    return Mlp(weights, biases)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -170,20 +139,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of softmax(logits) against integer class targets.
+    """Mean cross-entropy of softmax((n, k) logits) against n integer class targets.
 
-    Accepts a single logit vector with a scalar target, or a (n, k) batch with
-    n targets. The returned gradient is w.r.t. the logits and already carries
-    the 1/n batch factor, so it feeds straight into Mlp.backward.
+    The returned gradient is w.r.t. the logits and already carries the 1/n
+    batch factor, so it feeds straight into Mlp.backward.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    lg = np.atleast_2d(logits)
+    lg = np.asarray(logits, dtype=np.float64)
+    if lg.ndim != 2:
+        raise ValueError(f"logits must be (n, k), got shape {lg.shape}")
     if lg.shape[1] == 0:
         raise ValueError("empty logits")
-    t = np.atleast_1d(np.asarray(targets, dtype=np.intp))
-    if t.shape[0] != lg.shape[0]:
-        raise ValueError(f"{t.shape[0]} targets for {lg.shape[0]} logit rows")
+    t = np.asarray(targets, dtype=np.intp)
+    if t.shape != (lg.shape[0],):
+        raise ValueError(f"targets of shape {t.shape} for {lg.shape[0]} logit rows")
     if np.any(t < 0) or np.any(t >= lg.shape[1]):
         raise ValueError("target class out of range")
     n = lg.shape[0]
@@ -194,7 +162,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarra
     grad = e / norm
     grad[np.arange(n), t] -= 1.0
     grad /= n
-    return loss, (grad[0] if single else grad)
+    return loss, grad
 
 
 def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -211,13 +179,13 @@ def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
     """In-place SGD update: param -= learning_rate * grad. Returns net."""
-    for layer, dw, db in zip(net.layers, grads.weights, grads.biases):
+    for w, b, dw, db in zip(net.weights, net.biases, grads.weights, grads.biases):
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise TrainingDiverged("non-finite gradient in sgd_step")
-        if dw.shape != layer.weight.shape or db.shape != layer.bias.shape:
+        if dw.shape != w.shape or db.shape != b.shape:
             raise ValueError("gradient shapes do not match network parameters")
-        layer.weight -= config.learning_rate * dw
-        layer.bias -= config.learning_rate * db
+        w -= config.learning_rate * dw
+        b -= config.learning_rate * db
     return net
 
 
@@ -254,9 +222,8 @@ def grad_check(net: Mlp, loss_fn: Callable[[Mlp], float], analytic: MlpGrads,
         raise ValueError("tolerance must be > 0")
     worst = 0.0
     worst_name = ""
-    for k, layer in enumerate(net.layers):
-        for name, param, grad in (("w", layer.weight, analytic.weights[k]),
-                                  ("b", layer.bias, analytic.biases[k])):
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        for name, param, grad in (("w", w, analytic.weights[k]), ("b", b, analytic.biases[k])):
             flat = param.reshape(-1)
             gflat = np.asarray(grad).reshape(-1)
             for i in range(flat.size):

@@ -101,7 +101,7 @@ def probe_accuracies(params: DacaeParams, x: np.ndarray, s: np.ndarray) -> tuple
     s = np.atleast_1d(np.asarray(s, dtype=np.intp))
     if s.size == 0:
         raise ValueError("empty probe set")
-    z = encode(params, np.atleast_2d(x))
+    z = encode(params, x)
     adv = float(np.mean(np.argmax(params.adversary.forward(z[:, : params.d_a]), axis=1) == s))
     nui = float(np.mean(np.argmax(params.nuisance.forward(z[:, params.d_a:]), axis=1) == s))
     return adv, nui

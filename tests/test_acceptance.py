@@ -42,7 +42,7 @@ from dacae import (
     run_loso,
     softmax_cross_entropy,
 )
-from dacae.classifiers import best_split, gini_impurity
+from dacae.classifiers import KnnClassifier, best_split, gini_impurity
 
 REAL_DATA = os.environ.get("DACAE_REAL_DATA")
 
@@ -182,8 +182,8 @@ def test_criterion_2_loss_identity():
         params = init_params(n_channels, n_subjects, config,
                              seed=int(rng.integers(1 << 16)))
         for net in params.groups().values():
-            for layer in net.layers:
-                layer.bias[:] = rng.standard_normal(layer.bias.shape)
+            for b in net.biases:
+                b[:] = rng.standard_normal(b.shape)
         n = int(rng.integers(1, 9))
         x = rng.standard_normal((n, n_channels))
         s = rng.integers(0, n_subjects, size=n)
@@ -423,7 +423,7 @@ def test_criterion_8_classifier_oracles():
         y = rng.integers(0, 3, size=n)
 
         k = int(rng.integers(1, n + 1))
-        clf = fit("knn", z, y, k=k)
+        clf = KnnClassifier(z, y, k=k)
         queries = np.round(rng.standard_normal((8, dim)), 1)
         want = [brute_force_knn(z, y, q, k) for q in queries]
         assert list(clf.predict(queries)) == want, seed

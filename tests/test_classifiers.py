@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dacae import (KINDS, ConfigError, SgdConfig, accuracy, build_mlp, canonical_kind, fit,
                    make_rng, sgd_step, softmax_cross_entropy)
 from dacae import classifiers
-from dacae.classifiers import best_split, gini_impurity
+from dacae.classifiers import (KnnClassifier, TreeClassifier, _train_logreg, best_split,
+                               gini_impurity)
 
 
 def two_blobs(seed, n_per=40, gap=6.0, dim=3):
@@ -54,19 +55,19 @@ def brute_force_knn(train_z, train_y, query, k):
 
 
 def test_knn_one_neighbor_hand_case():
-    clf = fit("knn", np.array([[0.0], [10.0]]), np.array([3, 7]), k=1)
+    clf = KnnClassifier(np.array([[0.0], [10.0]]), np.array([3, 7]), k=1)
     assert clf.predict(np.array([[1.0]]))[0] == 3
     assert clf.predict(np.array([[9.0]]))[0] == 7
 
 
 def test_knn_vote_tie_goes_to_lowest_label():
     z = np.array([[-1.0], [1.0]])
-    clf = fit("knn", z, np.array([5, 2]), k=2)
+    clf = KnnClassifier(z, np.array([5, 2]), k=2)
     assert clf.predict(np.array([[0.0]]))[0] == 2
 
 
 def test_knn_k_clamped_to_training_size():
-    clf = fit("knn", np.array([[0.0], [1.0]]), np.array([0, 1]), k=10)
+    clf = KnnClassifier(np.array([[0.0], [1.0]]), np.array([0, 1]), k=10)
     assert clf.k == 2
 
 
@@ -92,7 +93,7 @@ def test_knn_matches_brute_force_random_instances():
         k = int(rng.integers(1, n + 1))
         train_z = np.round(rng.standard_normal((n, dim)), 1)  # coarse: force ties
         train_y = rng.integers(0, 3, size=n)
-        clf = fit("knn", train_z, train_y, k=k)
+        clf = KnnClassifier(train_z, train_y, k=k)
         queries = np.round(rng.standard_normal((8, dim)), 1)
         got = clf.predict(queries)
         want = [brute_force_knn(train_z, train_y, q, k) for q in queries]
@@ -212,7 +213,7 @@ def test_tree_fit_matches_reference_loop_bitwise(monkeypatch):
 def test_tree_learns_xor():
     z = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
     y = np.array([0, 1, 1, 0] * 3)
-    clf = fit("tree", z, y, min_leaf=1)
+    clf = TreeClassifier.train(z, y, min_leaf=1)
     assert accuracy(clf, z, y) == 1.0
     assert clf.depth() >= 2
 
@@ -221,7 +222,7 @@ def test_tree_depth_capped():
     rng = make_rng(13, 93)
     z = rng.standard_normal((300, 4))
     y = rng.integers(0, 4, size=300)  # pure noise forces deep growth
-    clf = fit("tree", z, y, min_leaf=1)
+    clf = TreeClassifier.train(z, y, min_leaf=1)
     assert clf.depth() <= 10
 
 
@@ -229,7 +230,7 @@ def test_tree_min_leaf_respected():
     rng = make_rng(14, 94)
     z = rng.standard_normal((60, 2))
     y = rng.integers(0, 2, size=60)
-    clf = fit("tree", z, y, min_leaf=5)
+    clf = TreeClassifier.train(z, y, min_leaf=5)
     leaf_sizes = clf.counts[clf.feature < 0].sum(axis=1)
     assert np.all(leaf_sizes >= 5)
 
@@ -287,10 +288,10 @@ def test_logreg_separates_blobs():
 def test_logreg_converges_on_overlapping_classes():
     # finite optimum: once the gradient tolerance trips, extra epochs are free
     z, y = two_blobs(3, gap=1.0)
-    a = fit("logreg", z, y, epochs=20000)
-    b = fit("logreg", z, y, epochs=200000)
-    assert np.allclose(a.coef, b.coef, atol=1e-6)
-    assert np.allclose(a.intercept, b.intercept, atol=1e-6)
+    a_coef, a_intercept = _train_logreg(z, y, epochs=20000)
+    b_coef, b_intercept = _train_logreg(z, y, epochs=200000)
+    assert np.allclose(a_coef, b_coef, atol=1e-6)
+    assert np.allclose(a_intercept, b_intercept, atol=1e-6)
 
 
 # -- MLP ----------------------------------------------------------------------------
@@ -326,9 +327,8 @@ def test_mlp_matches_reference_sgd_replay():
             idx = order[start: start + 32]
             _, grad = softmax_cross_entropy(net.forward(z[idx]), targets[idx])
             sgd_step(net, net.backward(grad), sgd)
-    for got, want in zip(clf.net.layers, net.layers, strict=True):
-        assert np.array_equal(got.weight, want.weight)
-        assert np.array_equal(got.bias, want.bias)
+    for got, want in zip(clf.net.weights + clf.net.biases, net.weights + net.biases, strict=True):
+        assert np.array_equal(got, want)
 
 
 # -- shared behavior ------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
+import csv
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
-from dacae import load_checkpoint, load_csv, load_synthetic_sidecar
+from dacae import (SyntheticSpec, classifiers, generate_synthetic, load_checkpoint, load_csv,
+                   load_synthetic_sidecar, save_csv)
 from dacae.cli import main
 
 
@@ -118,12 +121,16 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     ("sweep", {"sweep_lambda_a": []}, "sweep_lambda_a must not be empty"),
     ("sweep", {"latent_dim": 0}, "latent_dim must be >= 1"),
     ("train", {}, "train fits exactly one variant, got ['AE', 'DA-cAE']; pass --variant NAME"),
+    ("loso", {"lambda_a": float("nan")}, "config field 'lambda_a' must be finite float, got nan"),
+    ("loso", {"lambda_n": float("inf")}, "config field 'lambda_n' must be finite float, got inf"),
+    ("loso", {"synthetic": {"sigma": float("nan")}},
+     "synthetic field 'sigma' must be finite float, got nan"),
 ], ids=["repeated-variant", "repeated-classifier-alias", "repeated-fraction",
         "unknown-synthetic-key", "synthetic-not-object", "string-epochs",
         "string-synthetic-int", "bool-epochs", "repeated-sweep-lambda-n",
         "repeated-sweep-lambda-a", "empty-variants", "empty-classifiers",
         "empty-sweep-lambda-n", "empty-sweep-lambda-a", "sweep-zero-latent-dim",
-        "train-two-variants"])
+        "train-two-variants", "nan-lambda-a", "infinite-lambda-n", "nan-synthetic-sigma"])
 def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 1
@@ -131,6 +138,56 @@ def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
     assert "configuration error:" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_non_finite_fold_fails_alone(tmp_path, capsys):
+    # subject 2's rows overflow every channel sum that includes them: the folds that
+    # train on them fail at normalization, the fold that holds them out stays finite
+    ds, _, _ = generate_synthetic(SyntheticSpec(n_subjects=3, n_classes=2, n_channels=4,
+                                                samples_per_cell=12, trials_per_cell=2))
+    ds.x *= 10.0
+    ds.x[ds.s == 2, 0] = 1.7e308
+    ds.x[ds.s == 2, 1] = -1.7e308
+    save_csv(tmp_path / "huge.csv", ds)
+    cfg = write_config(tmp_path, dataset=str(tmp_path / "huge.csv"))
+    assert main(["loso", "--config", str(cfg)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    for variant in ("AE", "DA-cAE"):
+        rows = _csv_rows(tmp_path / "out" / "loso" / variant / "lda" / "folds.csv")
+        assert [(r["subject"], r["status"]) for r in rows] == [
+            ("0", "failed"), ("1", "failed"), ("2", "done")]
+        assert rows[0]["error"] == rows[1]["error"] == "ValueError: non-finite channel values"
+        assert rows[2]["error"] == ""
+
+
+def test_classifier_failure_fails_only_its_row(tmp_path, monkeypatch, capsys):
+    real_fit, calls = classifiers.fit, []
+
+    def fit(kind, *args, **kwargs):
+        calls.append(kind)
+        if kind == "svm" and calls.count("svm") == 2:  # the second fold of the first variant
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_fit(kind, *args, **kwargs)
+
+    monkeypatch.setattr(classifiers, "fit", fit)
+    cfg = write_config(tmp_path, classifiers=["lda", "svm"])
+    assert main(["loso", "--config", str(cfg)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    root = tmp_path / "out" / "loso"
+    svm = _csv_rows(root / "AE" / "svm" / "folds.csv")
+    assert [r["status"] for r in svm] == ["done", "failed", "done"]
+    assert svm[1]["error"] == "LinAlgError: singular matrix"
+    assert svm[1]["test_acc"] == "nan"
+    for rel in ("AE/lda", "DA-cAE/svm"):
+        assert [r["status"] for r in _csv_rows(root / rel / "folds.csv")] == ["done"] * 3
+    summary = {(r["variant"], r["classifier"]): r for r in _csv_rows(root / "summary.csv")}
+    assert (summary["AE", "svm"]["folds"], summary["AE", "svm"]["failed"]) == ("2", "1")
 
 
 def test_missing_dataset_exit_code(tmp_path):

@@ -358,7 +358,7 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     ds, _, _ = generate_synthetic(SyntheticSpec(samples_per_cell=3, seed=8))
     path = tmp_path / "data.csv"
     save_csv(path, ds)
-    back = load_csv(path, n_classes=ds.n_classes, n_subjects=ds.n_subjects)
+    back = load_csv(path)
     assert np.array_equal(ds.x, back.x)
     assert np.array_equal(ds.y, back.y)
     assert np.array_equal(ds.s, back.s)

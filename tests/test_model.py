@@ -66,6 +66,11 @@ def test_unset_r_n_takes_variant_default():
 def test_config_validation():
     with pytest.raises(ConfigError):
         HyperConfig(lambda_a=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            HyperConfig(lambda_a=bad)
+        with pytest.raises(ConfigError):
+            HyperConfig(lambda_n=bad)
     with pytest.raises(ConfigError):
         HyperConfig(r_n=1.0)
     with pytest.raises(ConfigError):
@@ -75,12 +80,12 @@ def test_config_validation():
 def test_init_params_shapes():
     config = HyperConfig(variant="DA-cAE", latent_dim=15, r_n=1.0 / 3.0)
     params = init_params(7, 20, config, seed=0)
-    assert params.encoder.layers[0].weight.shape == (15, 7)
-    assert params.encoder.layers[1].weight.shape == (15, 15)
-    assert params.decoder.layers[0].weight.shape == (15, 35)
-    assert params.decoder.layers[1].weight.shape == (7, 15)
-    assert params.adversary.layers[0].weight.shape == (20, 10)
-    assert params.nuisance.layers[0].weight.shape == (20, 5)
+    assert params.encoder.weights[0].shape == (15, 7)
+    assert params.encoder.weights[1].shape == (15, 15)
+    assert params.decoder.weights[0].shape == (15, 35)
+    assert params.decoder.weights[1].shape == (7, 15)
+    assert params.adversary.weights[0].shape == (20, 10)
+    assert params.nuisance.weights[0].shape == (20, 5)
 
 
 def test_init_params_deterministic():
@@ -88,8 +93,8 @@ def test_init_params_deterministic():
     a = init_params(7, 6, config, seed=3)
     b = init_params(7, 6, config, seed=3)
     for g in a.groups():
-        for la, lb in zip(a.groups()[g].layers, b.groups()[g].layers):
-            assert np.array_equal(la.weight, lb.weight)
+        for wa, wb in zip(a.groups()[g].weights, b.groups()[g].weights, strict=True):
+            assert np.array_equal(wa, wb)
 
 
 def test_one_hot_subjects():
@@ -112,7 +117,7 @@ def test_encode_splits_batch():
 def test_conditioned_decode_depends_on_subject():
     config = HyperConfig(variant="DA-cAE")
     params = init_params(7, 6, config, seed=2)
-    x = make_rng(2).standard_normal(7)
+    x = make_rng(2).standard_normal((1, 7))
     z = encode(params, x)
 
     def decode(s, conditioned):
@@ -160,9 +165,8 @@ def test_zero_parameters_loss_closed_form():
     config = HyperConfig(lambda_a=0.1, lambda_n=0.01, r_n=1.0 / 3.0, variant="DA-cAE")
     params = init_params(7, 6, config, seed=0)
     for net in params.groups().values():
-        for layer in net.layers:
-            layer.weight[:] = 0.0
-            layer.bias[:] = 0.0
+        for param in net.weights + net.biases:
+            param[:] = 0.0
     x = make_rng(0).standard_normal((4, 7))
     s = np.array([0, 1, 2, 3])
     total, parts = dacae_loss(params, x, s, config)
@@ -198,14 +202,14 @@ def test_loss_gradient_matches_finite_differences():
     params.encoder.forward(x)
     enc_grads = params.encoder.backward(dz)
 
-    for li, layer in enumerate(params.encoder.layers):
-        for idx in [(0, 0), (layer.weight.shape[0] - 1, layer.weight.shape[1] - 1)]:
-            orig = layer.weight[idx]
-            layer.weight[idx] = orig + step
+    for li, w in enumerate(params.encoder.weights):
+        for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1)]:
+            orig = w[idx]
+            w[idx] = orig + step
             up = loss()
-            layer.weight[idx] = orig - step
+            w[idx] = orig - step
             down = loss()
-            layer.weight[idx] = orig
+            w[idx] = orig
             fd = (up - down) / (2 * step)
             assert enc_grads.weights[li][idx] == pytest.approx(fd, abs=1e-6)
 
@@ -239,10 +243,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
     assert config2 == config
     for g in params.groups():
-        for la, lb in zip(params.groups()[g].layers, params2.groups()[g].layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.array_equal(la.bias, lb.bias)
-            assert la.activation == lb.activation
+        net, net2 = params.groups()[g], params2.groups()[g]
+        for a, b in zip(net.weights + net.biases, net2.weights + net2.biases, strict=True):
+            assert np.array_equal(a, b)
     assert np.array_equal(norm[0], norm2[0]) and np.array_equal(norm[1], norm2[1])
 
 
@@ -284,20 +287,28 @@ def test_params_reject_inconsistent_networks(group, dims, message):
         DacaeParams(**nets)
 
 
-@pytest.mark.parametrize("key", ["n_channels", "n_subjects", "latent_dim", "d_n"])
-def test_checkpoint_dims_must_match_networks(tmp_path, key):
+def _checkpoint_with_meta(tmp_path, edit):
+    """A saved DA-cAE checkpoint whose JSON meta has gone through edit(meta)."""
     config = HyperConfig(variant="DA-cAE")
     path = tmp_path / "model.npz"
     save_checkpoint(path, init_params(7, 6, config, seed=0), config)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays["meta"]).decode())
-    meta["dims"][key] += 1
+    edit(meta)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("key", ["n_channels", "n_subjects", "latent_dim", "d_n"])
+def test_checkpoint_dims_must_match_networks(tmp_path, key):
+    def edit(meta):
+        meta["dims"][key] += 1
+
     with pytest.raises(ValueError, match="do not match its networks"):
-        load_checkpoint(path)
+        load_checkpoint(_checkpoint_with_meta(tmp_path, edit))
 
 
 def test_all_variants_share_parameter_shapes():
@@ -305,6 +316,19 @@ def test_all_variants_share_parameter_shapes():
     for variant in VARIANTS:
         config = HyperConfig(variant=variant, r_n=1.0 / 3.0)
         params = init_params(7, 6, config, seed=0)
-        shapes.add(tuple(l.weight.shape for net in params.groups().values()
-                         for l in net.layers))
+        shapes.add(tuple(w.shape for net in params.groups().values() for w in net.weights))
     assert len(shapes) == 1
+
+
+@pytest.mark.parametrize("group, layer, activation", [
+    ("adversary", 0, "relu"),
+    ("encoder", 0, None),
+], ids=["relu-on-head-output", "linear-encoder-hidden"])
+def test_checkpoint_rejects_other_activations(tmp_path, group, layer, activation):
+    def edit(meta):
+        stored = meta["layers"][group][layer]["activation"]
+        assert stored == ("relu" if activation is None else None)
+        meta["layers"][group][layer] = {"activation": activation}
+
+    with pytest.raises(ValueError, match=f"checkpoint group '{group}'"):
+        load_checkpoint(_checkpoint_with_meta(tmp_path, edit))

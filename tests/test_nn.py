@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from dacae import (
     ConfigError,
+    Mlp,
     SgdConfig,
     build_mlp,
     grad_check,
-    init_dense,
     job_seed,
     make_rng,
     mse_loss,
@@ -48,21 +48,49 @@ def test_sgd_config_rejects_bad_values():
         SgdConfig(epochs=-1)
 
 
-def test_init_dense_glorot_bounds():
-    layer = init_dense(30, 20, make_rng(0))
-    bound = np.sqrt(6.0 / 50.0)
-    assert layer.weight.shape == (20, 30)
-    assert np.all(np.abs(layer.weight) <= bound)
-    assert np.all(layer.bias == 0.0)
+def test_build_mlp_glorot_bounds():
+    net = build_mlp([30, 20, 5], make_rng(0))
+    for (fan_in, fan_out), w, b in zip([(30, 20), (20, 5)], net.weights, net.biases):
+        assert w.shape == (fan_out, fan_in)
+        assert np.all(np.abs(w) <= np.sqrt(6.0 / (fan_in + fan_out)))
+        assert np.all(b == 0.0)
 
 
-def test_single_layer_relu_forward():
+def test_relu_after_every_layer_but_the_last():
     net = build_mlp([1, 1], make_rng(0))
-    net.layers[0].weight[:] = [[2.0]]
-    net.layers[0].bias[:] = [1.0]
-    net.layers[0].activation = "relu"
-    assert np.array_equal(net.forward(np.array([[-3.0]])), [[0.0]])
-    assert np.array_equal(net.forward(np.array([[3.0]])), [[7.0]])
+    net.weights[0][:] = [[2.0]]
+    net.biases[0][:] = [1.0]
+    # a lone layer is the output layer, so it stays linear
+    assert np.array_equal(net.forward(np.array([[-3.0]])), [[-5.0]])
+    net = build_mlp([1, 1, 1], make_rng(0))
+    net.weights[0][:] = [[2.0]]
+    net.biases[0][:] = [1.0]
+    net.weights[1][:] = [[-1.0]]
+    net.biases[1][:] = [0.5]
+    assert np.array_equal(net.forward(np.array([[-3.0], [3.0]])), [[0.5], [-6.5]])
+
+
+def test_mlp_is_batch_only():
+    net = build_mlp([3, 4, 2], make_rng(0))
+    with pytest.raises(ValueError, match=r"input shape \(3,\)"):
+        net.forward(np.zeros(3))
+    net.forward(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="upstream grad shape"):
+        net.backward(np.zeros(2))
+    with pytest.raises(ValueError, match="logits must be"):
+        softmax_cross_entropy(np.zeros(2), 0)
+
+
+@pytest.mark.parametrize("weights, biases, message", [
+    ([], [], "0 weights and 0 biases"),
+    ([np.zeros((2, 3))], [], "1 weights and 0 biases"),
+    ([np.zeros(3)], [np.zeros(3)], r"layer 0: weight shape \(3,\)"),
+    ([np.zeros((2, 3))], [np.zeros(3)], r"layer 0: weight shape \(2, 3\) and bias shape \(3,\)"),
+    ([np.zeros((2, 3)), np.zeros((1, 4))], [np.zeros(2), np.zeros(1)], "dims mismatch: 2 -> 4"),
+], ids=["no-layers", "missing-bias", "flat-weight", "bias-width", "unchained-dims"])
+def test_mlp_rejects_inconsistent_arrays(weights, biases, message):
+    with pytest.raises(ValueError, match=message):
+        Mlp(weights, biases)
 
 
 def test_forward_deterministic_given_seed():
@@ -97,22 +125,22 @@ def test_mse_loss_zero_at_target():
 
 def test_sgd_step_hand_example():
     net = build_mlp([1, 1], make_rng(0))
-    net.layers[0].weight[:] = [[1.0]]
+    net.weights[0][:] = [[1.0]]
     net.forward(np.array([[1.0]]))
     grads = net.backward(np.array([[0.5]]))
     assert grads.weights[0][0, 0] == pytest.approx(0.5)
     sgd_step(net, grads, SgdConfig(learning_rate=0.1))
-    assert net.layers[0].weight[0, 0] == pytest.approx(0.95, abs=1e-15)
+    assert net.weights[0][0, 0] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_sgd_step_zero_gradients_noop():
     net = build_mlp([3, 4, 2], make_rng(2))
-    before = [l.weight.copy() for l in net.layers]
+    before = [w.copy() for w in net.weights]
     net.forward(np.zeros((1, 3)))
     grads = net.backward(np.zeros((1, 2)))
     sgd_step(net, grads, SgdConfig(learning_rate=0.5))
-    for b, l in zip(before, net.layers):
-        assert np.array_equal(b, l.weight)
+    for b, w in zip(before, net.weights):
+        assert np.array_equal(b, w)
 
 
 def _fd_param_grad(net, loss_fn, arr, idx, step=1e-6):
@@ -136,10 +164,10 @@ def test_backward_matches_finite_differences():
 
     _, grad = mse_loss(net.forward(x), target)
     grads = net.backward(grad)
-    for li, layer in enumerate(net.layers):
-        fd = _fd_param_grad(net, loss_fn, layer.weight, (0, 0))
+    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+        fd = _fd_param_grad(net, loss_fn, w, (0, 0))
         assert grads.weights[li][0, 0] == pytest.approx(fd, abs=1e-6)
-        fd = _fd_param_grad(net, loss_fn, layer.bias, (layer.bias.size - 1,))
+        fd = _fd_param_grad(net, loss_fn, b, (b.size - 1,))
         assert grads.biases[li][-1] == pytest.approx(fd, abs=1e-6)
 
 
@@ -175,7 +203,7 @@ def test_grad_check_catches_sign_flip():
 
 def test_grad_check_zero_net_zero_error():
     net = build_mlp([2, 2], make_rng(0))
-    net.layers[0].weight[:] = 0.0
+    net.weights[0][:] = 0.0
     x = np.zeros((3, 2))
 
     def loss_fn(n):
@@ -213,10 +241,13 @@ def test_minibatches_cover_each_index_once_per_pass_in_permutation_order(n, batc
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_relu_hidden_output_nonnegative(seed):
-    net = build_mlp([5, 8, 8], make_rng(seed))
-    net.layers[-1].activation = "relu"
+    net = build_mlp([5, 8, 8, 3], make_rng(seed))
+    (w0, w1, w2), (b0, b1, b2) = net.weights, net.biases
     x = make_rng(seed, 1).standard_normal((10, 5)) * 5.0
-    assert np.all(net.forward(x) >= 0.0)
+    h0 = np.maximum(x @ w0.T + b0, 0.0)
+    h1 = np.maximum(h0 @ w1.T + b1, 0.0)
+    assert np.all(h1 >= 0.0)
+    assert np.array_equal(net.forward(x), h1 @ w2.T + b2)
 
 
 def test_repeated_steps_decrease_fixed_batch_loss():
@@ -245,7 +276,7 @@ def test_training_bit_identical_across_runs():
         for _ in range(20):
             _, grad = softmax_cross_entropy(net.forward(x), y)
             sgd_step(net, net.backward(grad), config)
-        return [l.weight.copy() for l in net.layers]
+        return [w.copy() for w in net.weights]
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)

@@ -82,9 +82,9 @@ def test_train_step_matches_reference_bitwise():
     train_step(params, x, s, config)
     reference_step(ref, x, s, config)
     for name in ("encoder", "decoder", "adversary", "nuisance"):
-        for la, lb in zip(params.groups()[name].layers, ref.groups()[name].layers):
-            assert np.array_equal(la.weight, lb.weight), name
-            assert np.array_equal(la.bias, lb.bias), name
+        net, want = params.groups()[name], ref.groups()[name]
+        for a, b in zip(net.weights + net.biases, want.weights + want.biases, strict=True):
+            assert np.array_equal(a, b), name
 
 
 def test_train_step_heads_untouched_by_joint_update():
@@ -103,8 +103,8 @@ def test_train_step_heads_untouched_by_joint_update():
     _, gn = softmax_cross_entropy(ref.nuisance.forward(z[:, ref.d_a:]), s)
     sgd_step(ref.nuisance, ref.nuisance.backward(gn), config.sgd)
     for name in ("adversary", "nuisance"):
-        for la, lb in zip(params.groups()[name].layers, ref.groups()[name].layers):
-            assert np.array_equal(la.weight, lb.weight)
+        for wa, wb in zip(params.groups()[name].weights, ref.groups()[name].weights):
+            assert np.array_equal(wa, wb)
 
 
 def test_train_step_zero_lambda_matches_plain_autoencoder_path():
@@ -124,8 +124,8 @@ def test_train_step_zero_lambda_matches_plain_autoencoder_path():
     sgd_step(ae.encoder, enc_grads, config.sgd)
     sgd_step(ae.decoder, dec_grads, config.sgd)
     for name in ("encoder", "decoder"):
-        for la, lb in zip(params.groups()[name].layers, ae.groups()[name].layers):
-            assert np.array_equal(la.weight, lb.weight)
+        for wa, wb in zip(params.groups()[name].weights, ae.groups()[name].weights):
+            assert np.array_equal(wa, wb)
 
 
 def test_train_step_adversary_ce_descends_on_its_batch():
@@ -180,8 +180,8 @@ def test_fit_feature_extractor_log_shape_and_determinism():
     assert len(log1.rows) == config.sgd.epochs
     assert [r.epoch for r in log1.rows] == [0, 1, 2]
     assert np.array_equal(log1.total_losses(), log2.total_losses())
-    for la, lb in zip(p1.encoder.layers, p2.encoder.layers):
-        assert np.array_equal(la.weight, lb.weight)
+    for wa, wb in zip(p1.encoder.weights, p2.encoder.weights):
+        assert np.array_equal(wa, wb)
     assert all(r.val_task_acc == 0.0 for r in log1.rows)
 
 
@@ -227,10 +227,10 @@ def test_fit_task_classifier_leaves_encoder_frozen():
     ds = small_dataset(4)
     config = small_config()
     params, _ = fit_feature_extractor(ds, config)
-    snapshot = [l.weight.copy() for l in params.encoder.layers]
+    snapshot = [w.copy() for w in params.encoder.weights]
     clf = fit_task_classifier(params, ds, "mlp", seed=4)
-    for before, layer in zip(snapshot, params.encoder.layers):
-        assert np.array_equal(before, layer.weight)
+    for before, w in zip(snapshot, params.encoder.weights):
+        assert np.array_equal(before, w)
     z = encode(params, ds.x)
     assert clf.decision_scores(z).shape == (len(ds), 2)
 
