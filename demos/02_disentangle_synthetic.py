@@ -8,7 +8,7 @@ it into z_n.
 
 import numpy as np
 
-from dacae import (HyperConfig, SgdConfig, SyntheticSpec, fit_feature_extractor,
+from dacae import (HyperConfig, SgdConfig, SyntheticSpec, encode, fit_feature_extractor,
                    generate_synthetic, holdout_split, normalize, probe_accuracies)
 
 spec = SyntheticSpec(n_subjects=6, n_classes=4, n_channels=7,
@@ -26,7 +26,7 @@ sgd = SgdConfig(learning_rate=0.1, batch_size=32, epochs=50, seed=0)
 for variant, lambda_a, lambda_n in (("AE", 0.0, 0.0), ("DA-cAE", 0.1, 0.01)):
     config = HyperConfig(variant=variant, lambda_a=lambda_a, lambda_n=lambda_n, sgd=sgd)
     params, log = fit_feature_extractor(train, config, val=val)
-    adv, nui = probe_accuracies(params, val.x, val.s)
+    adv, nui = probe_accuracies(params, encode(params, val.x), val.s)
     print(f"\n{variant}: lambda_a={lambda_a} lambda_n={lambda_n} "
           f"r_n={config.r_n:.3f}")
     print(f"  final recon loss      {log.rows[-1].recon_loss:.4f}")

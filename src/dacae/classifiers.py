@@ -6,8 +6,9 @@ expose predict() returning integer labels, decision_scores() returning one
 score row per input (argmax of which is the prediction, ties resolving to the
 lowest label), and fit deterministically for a given seed.
 
-Classifiers train on whatever label subset is present; scores are reported
-over the sorted unique training labels.
+Features are (n, d) batches; a 1-D array raises ValueError. Classifiers train
+on whatever label subset is present; scores are reported over the sorted
+unique training labels.
 """
 
 from __future__ import annotations
@@ -38,16 +39,15 @@ def canonical_kind(kind: str) -> str:
 
 
 def _check_features(z: np.ndarray, dim: int) -> np.ndarray:
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[1] != dim:
-        raise ValueError(f"feature dim {z.shape[1]} != fitted dim {dim}")
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != dim:
+        raise ValueError(f"features of shape {z.shape} are not (n, {dim})")
     return z
 
 
 class _Fitted:
     kind: str = ""
     classes: np.ndarray  # sorted unique training labels
-    dim: int
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -62,10 +62,9 @@ class MlpClassifier(_Fitted):
 
     kind = "mlp"
 
-    def __init__(self, net: Mlp, classes: np.ndarray, dim: int):
+    def __init__(self, net: Mlp, classes: np.ndarray):
         self.net = net
         self.classes = classes
-        self.dim = dim
 
     @classmethod
     def train(cls, z: np.ndarray, y: np.ndarray, seed: int) -> "MlpClassifier":
@@ -75,10 +74,10 @@ class MlpClassifier(_Fitted):
         for _ in range(_MLP_SGD.epochs):
             for idx in minibatches(rng, z.shape[0], _MLP_SGD.batch_size):
                 ce_step(net, z[idx], targets[idx], _MLP_SGD)
-        return cls(net, classes, z.shape[1])
+        return cls(net, classes)
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
-        return self.net.forward(_check_features(z, self.dim))
+        return self.net.forward(z)  # rejects all but (n, net.in_dim) input
 
 
 class KnnClassifier(_Fitted):
@@ -95,10 +94,9 @@ class KnnClassifier(_Fitted):
         self.y = np.asarray(y, dtype=np.intp)
         self.k = min(k, self.z.shape[0])
         self.classes = np.unique(self.y)
-        self.dim = self.z.shape[1]
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
-        z = _check_features(z, self.dim)
+        z = _check_features(z, self.z.shape[1])
         label_pos = np.searchsorted(self.classes, self.y)
         votes = np.zeros((z.shape[0], self.classes.size))
         for i in range(z.shape[0]):
@@ -151,7 +149,7 @@ def best_split(z: np.ndarray, label_pos: np.ndarray, n_labels: int,
 
 
 class TreeClassifier(_Fitted):
-    """CART with Gini impurity; axis-aligned splits, x <= threshold goes left."""
+    """CART with Gini impurity, depth at most 10; axis-aligned splits, x <= threshold goes left."""
 
     kind = "tree"
 
@@ -166,8 +164,7 @@ class TreeClassifier(_Fitted):
         self.dim = dim
 
     @classmethod
-    def train(cls, z: np.ndarray, y: np.ndarray, max_depth: int = 10,
-              min_leaf: int = 5) -> "TreeClassifier":
+    def train(cls, z: np.ndarray, y: np.ndarray, min_leaf: int = 5) -> "TreeClassifier":
         classes = np.unique(y)
         label_pos = np.searchsorted(classes, y)
         feature: list[int] = []
@@ -184,7 +181,7 @@ class TreeClassifier(_Fitted):
             right.append(-1)
             node_counts = np.bincount(label_pos[ids], minlength=classes.size).astype(np.float64)
             counts.append(node_counts)
-            if depth >= max_depth or np.count_nonzero(node_counts) <= 1:
+            if depth >= 10 or np.count_nonzero(node_counts) <= 1:
                 return node
             split = best_split(z[ids], label_pos[ids], classes.size, min_leaf)
             if split is None:
@@ -221,8 +218,8 @@ class TreeClassifier(_Fitted):
         return walk(0)
 
 
-def _train_lda(z: np.ndarray, y: np.ndarray, ridge: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian LDA: pooled within-class covariance with a small ridge."""
+def _train_lda(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian LDA: pooled within-class covariance with a ridge of 1e-6 of its mean variance."""
     classes = np.unique(y)
     n, d = z.shape
     means = np.vstack([z[y == c].mean(axis=0) for c in classes])
@@ -233,23 +230,22 @@ def _train_lda(z: np.ndarray, y: np.ndarray, ridge: float = 1e-6) -> tuple[np.nd
         scatter += centered.T @ centered
     cov = scatter / max(1, n - classes.size)
     # ridge floor keeps the solve finite even with zero within-class scatter
-    cov = cov + (ridge * np.trace(cov) / d + 1e-12) * np.eye(d)
+    cov = cov + (1e-6 * np.trace(cov) / d + 1e-12) * np.eye(d)
     solved = np.linalg.solve(cov, means.T).T
     intercept = -0.5 * np.sum(solved * means, axis=1) + np.log(priors)
     return solved, intercept
 
 
-def _train_svm(z: np.ndarray, y: np.ndarray, c: float = 1.0, epochs: int = 200,
-               learning_rate: float = 0.5, decay: float = 0.02) -> tuple[np.ndarray, np.ndarray]:
-    """One-vs-rest L2-regularized hinge loss, full-batch subgradient descent."""
+def _train_svm(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-vs-rest hinge loss, L2 weight 1/n, 200 full-batch steps at rate 0.5 / (1 + 0.02 t)."""
     classes = np.unique(y)
     n, d = z.shape
     targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, L)
-    lam = 1.0 / (c * n)
+    lam = 1.0 / n
     w = np.zeros((classes.size, d))
     b = np.zeros(classes.size)
-    for t in range(epochs):
-        lr = learning_rate / (1.0 + decay * t)
+    for t in range(200):
+        lr = 0.5 / (1.0 + 0.02 * t)
         margins = (z @ w.T + b) * targets
         active = (margins < 1.0) * targets
         w -= lr * (lam * w - active.T @ z / n)
@@ -257,10 +253,8 @@ def _train_svm(z: np.ndarray, y: np.ndarray, c: float = 1.0, epochs: int = 200,
     return w, b
 
 
-def _train_logreg(z: np.ndarray, y: np.ndarray, l2: float = 1e-4, epochs: int = 500,
-                  learning_rate: float = 1.0,
-                  grad_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial logistic regression, L2 penalty, full-batch gradient descent."""
+def _train_logreg(z: np.ndarray, y: np.ndarray, epochs: int = 500) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial logistic regression, L2 weight 1e-4, full-batch unit steps to grad norm 1e-6."""
     classes, targets = np.unique(y, return_inverse=True)
     n, d = z.shape
     w = np.zeros((classes.size, d))
@@ -269,12 +263,12 @@ def _train_logreg(z: np.ndarray, y: np.ndarray, l2: float = 1e-4, epochs: int = 
     onehot[np.arange(n), targets] = 1.0
     for _ in range(epochs):
         err = (softmax(z @ w.T + b) - onehot) / n
-        gw = err.T @ z + l2 * w
+        gw = err.T @ z + 1e-4 * w
         gb = err.sum(axis=0)
-        if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < grad_tol:
+        if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < 1e-6:
             break
-        w -= learning_rate * gw
-        b -= learning_rate * gb
+        w -= gw
+        b -= gb
     return w, b
 
 
@@ -285,21 +279,21 @@ _LINEAR = {"lda": _train_lda, "svm": _train_svm, "logreg": _train_logreg}
 class LinearClassifier(_Fitted):
     """Affine scores z @ coef.T + intercept; kind names the procedure that fit them."""
 
-    def __init__(self, kind: str, coef: np.ndarray, intercept: np.ndarray,
-                 classes: np.ndarray, dim: int):
+    def __init__(self, kind: str, coef: np.ndarray, intercept: np.ndarray, classes: np.ndarray):
         self.kind = kind
         self.coef = coef            # (n_classes, dim)
         self.intercept = intercept  # (n_classes,)
         self.classes = classes
-        self.dim = dim
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
-        return _check_features(z, self.dim) @ self.coef.T + self.intercept
+        return _check_features(z, self.coef.shape[1]) @ self.coef.T + self.intercept
 
 
 def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
     """Train one classifier kind on features z (n, d) and integer labels y (n,)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
+        raise ValueError(f"features must be (n, d), got shape {z.shape}")
     y = np.asarray(y, dtype=np.intp)
     if z.shape[0] == 0:
         raise ConfigError("empty feature list")
@@ -312,7 +306,7 @@ def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
         return KnnClassifier(z, y)
     if kind == "tree":
         return TreeClassifier.train(z, y)
-    return LinearClassifier(kind, *_LINEAR[kind](z, y), np.unique(y), z.shape[1])
+    return LinearClassifier(kind, *_LINEAR[kind](z, y), np.unique(y))
 
 
 def accuracy(fitted: _Fitted, z: np.ndarray, y: np.ndarray) -> float:

@@ -291,6 +291,8 @@ class SyntheticSpec:
             raise ConfigError("all cardinalities must be >= 1")
         if not 1 <= self.trials_per_cell <= self.samples_per_cell:
             raise ConfigError("trials_per_cell must be in [1, samples_per_cell]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -3,9 +3,9 @@
 Every run is a list of independent fold jobs executed inline or in a process
 pool; job seeds derive from the master seed and the job's grid position, and
 outputs are written in fixed job order, so the emitted tree is byte-identical
-for any worker count. A fold whose extractor or classifier fails is recorded
-as failed and the run continues; the caller decides the exit status from the
-failure count.
+for any worker count. A fold whose extractor or classifier fails (an
+overflow in a classifier included) is recorded as failed and the run
+continues; the caller decides the exit status from the failure count.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"duplicate {name} in {values}")
+        if min(self.sweep_lambda_n + self.sweep_lambda_a) < 0:
+            raise ConfigError("sweep_lambda_n and sweep_lambda_a must be >= 0")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:
@@ -204,7 +206,6 @@ SUMMARY_HEADER = tuple(f.name for f in fields(SummaryRow))
 @dataclass
 class _FoldJob:
     subdir: str                  # output directory under the experiment root
-    variant: str
     hyper: HyperConfig
     plan: SplitPlan
     kinds: tuple[str, ...]
@@ -220,7 +221,7 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
     h, nan = job.hyper, float("nan")
 
     def row(kind: str, acc: float, adv: float, nui: float, err: Exception | None = None):
-        return FoldResult(job.plan.test_subject, job.variant, kind, "failed" if err else "done",
+        return FoldResult(job.plan.test_subject, h.variant, kind, "failed" if err else "done",
                           acc, adv, nui, h.lambda_a, h.lambda_n, h.r_n,
                           f"{type(err).__name__}: {err}" if err else "")
 
@@ -230,7 +231,7 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
         val = normed.subset(job.plan.val_ids)
         test = normed.subset(job.plan.test_ids)
         params, log = fit_feature_extractor(train, h, val=val)
-        adv, nui = probe_accuracies(params, val.x, val.s)
+        adv, nui = probe_accuracies(params, encode(params, val.x), val.s)
         z_train, z_test = encode(params, train.x), encode(params, test.x)
     except ConfigError:
         raise
@@ -239,8 +240,10 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
     results = []
     for kind, clf_seed in zip(job.kinds, job.clf_seeds):
         try:
-            clf = classifiers.fit(kind, z_train, train.y, seed=clf_seed)
-            results.append(row(kind, classifiers.accuracy(clf, z_test, test.y), adv, nui))
+            with np.errstate(over="raise", invalid="raise"):
+                clf = classifiers.fit(kind, z_train, train.y, seed=clf_seed)
+                acc = classifiers.accuracy(clf, z_test, test.y)
+            results.append(row(kind, acc, adv, nui))
         except ConfigError:
             raise
         except _FOLD_ERRORS as err:
@@ -268,7 +271,7 @@ def _grid(config: ExperimentConfig, rows, plans: list[SplitPlan],
         for plan in plans:
             subj = plan.test_subject
             jobs.append(_FoldJob(
-                subdir, variant,
+                subdir,
                 replace(config.hyper(variant, job_seed(config.seed, index, subj)), **overrides),
                 plan, kinds,
                 tuple(job_seed(config.seed, index, subj, ci) for ci in range(len(kinds)))))
@@ -299,21 +302,18 @@ def summarize(results: list[FoldResult]) -> list[SummaryRow]:
     Quartiles use midpoint (linear) interpolation. Failed folds are excluded
     from the statistics and surfaced in the failed count.
     """
-    order: list[tuple[str, str]] = []
-    done: dict[tuple[str, str], list[float]] = {}
+    done: dict[tuple[str, str], list[float]] = {}  # keys in first-seen order
     failed: dict[tuple[str, str], int] = {}
     for r in results:
         key = (r.variant, r.classifier)
-        if key not in done:
-            order.append(key)
-            done[key] = []
-            failed[key] = 0
+        done.setdefault(key, [])
+        failed.setdefault(key, 0)
         if r.status == "done":
             done[key].append(r.test_acc)
         else:
             failed[key] += 1
     rows = []
-    for key in order:
+    for key in done:
         accs = np.array(done[key])
         if accs.size:
             q1, med, q3 = np.percentile(accs, [25, 50, 75])
@@ -329,15 +329,13 @@ def failed_count(results: list[FoldResult]) -> int:
     return sum(r.status != "done" for r in results)
 
 
-def run_loso(config: ExperimentConfig, dataset: Dataset | None = None
-             ) -> tuple[list[FoldResult], list[SummaryRow]]:
+def run_loso(config: ExperimentConfig) -> tuple[list[FoldResult], list[SummaryRow]]:
     """Leave-one-subject-out evaluation of every (variant, classifier) pair.
 
     Writes <out>/loso/<variant>/<classifier>/folds.csv, per-fold
     training logs beside the classifier directories, and a summary.csv.
     """
-    if dataset is None:
-        dataset = load_dataset(config)
+    dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
     rows = [(vi, variant, variant, {}) for vi, variant in enumerate(config.variants)]
     root = Path(config.out) / "loso"
@@ -364,15 +362,13 @@ class Table3Row:
 TABLE3_HEADER = tuple(f.name for f in fields(Table3Row))
 
 
-def run_table3(config: ExperimentConfig, dataset: Dataset | None = None
-               ) -> tuple[list[FoldResult], list[Table3Row]]:
+def run_table3(config: ExperimentConfig) -> tuple[list[FoldResult], list[Table3Row]]:
     """Parameter-impact table: LOSO means of task/adversary/nuisance accuracy.
 
     Always evaluates the fixed TABLE3_ROWS grid with the MLP classifier; the
     chance column is the uniform subject-guessing baseline 1/S.
     """
-    if dataset is None:
-        dataset = load_dataset(config)
+    dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
     rows = [(ri, f"row{ri:02d}_{variant}", variant, {"lambda_a": lambda_a, "lambda_n": lambda_n})
             for ri, (variant, lambda_a, lambda_n) in enumerate(TABLE3_ROWS)]
@@ -410,8 +406,7 @@ class CurveRow:
 CURVE_HEADER = tuple(f.name for f in fields(CurveRow))
 
 
-def run_datasize(config: ExperimentConfig, dataset: Dataset | None = None
-                 ) -> tuple[list[CurveRow], dict[float, list[FoldResult]]]:
+def run_datasize(config: ExperimentConfig) -> tuple[list[CurveRow], dict[float, list[FoldResult]]]:
     """Accuracy versus training-set fraction, holding splits and seeds fixed.
 
     Trials are dropped from each fold's training split only; validation and
@@ -419,8 +414,7 @@ def run_datasize(config: ExperimentConfig, dataset: Dataset | None = None
     splits, so its numbers reproduce the full run. The subsample draw is
     shared across variants at a given (fraction, fold) for paired comparison.
     """
-    if dataset is None:
-        dataset = load_dataset(config)
+    dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
     jobs: list[_FoldJob] = []
     for fi, fraction in enumerate(config.fractions):
@@ -446,10 +440,9 @@ def run_datasize(config: ExperimentConfig, dataset: Dataset | None = None
     return curve, by_fraction
 
 
-def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResult:
+def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Two-stage hyperparameter sweep on a 90/10 split; writes sweep.csv."""
-    if dataset is None:
-        dataset = load_dataset(config)
+    dataset = load_dataset(config)
     train_ids, val_ids = holdout_split(dataset, config.val_fraction, config.seed)
     normed = normalize(dataset, train_ids)
     result = two_stage_sweep(normed.subset(train_ids), normed.subset(val_ids),

@@ -139,7 +139,9 @@ def encode(params: DacaeParams, x: np.ndarray) -> np.ndarray:
 
 
 def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
-    s = np.atleast_1d(np.asarray(s, dtype=np.intp))
+    s = np.asarray(s, dtype=np.intp)
+    if s.ndim != 1:
+        raise ValueError(f"subject ids must be (n,), got shape {s.shape}")
     if np.any(s < 0) or np.any(s >= n_subjects):
         raise ValueError(f"subject index out of range [0, {n_subjects})")
     out = np.zeros((s.shape[0], n_subjects))
@@ -168,9 +170,7 @@ def dacae_loss(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     z_n; the negative adversary term rewards hiding it from z_a. Reconstruction
     is mean squared error of the conditioned decode against the input.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    s = np.atleast_1d(np.asarray(s, dtype=np.intp))
-    if x.shape[0] == 0:
+    if len(x) == 0:
         raise ValueError("empty batch")
     z = encode(params, x)
     x_hat = params.decoder.forward(decoder_input(z, s, params.n_subjects, config.conditioned))

@@ -212,8 +212,8 @@ class GradCheckReport:
 
 
 def grad_check(net: Mlp, loss_fn: Callable[[Mlp], float], analytic: MlpGrads,
-               tolerance: float = 1e-4, step: float = 1e-6) -> GradCheckReport:
-    """Compare analytic parameter gradients against central finite differences.
+               tolerance: float = 1e-4) -> GradCheckReport:
+    """Compare analytic parameter gradients against central finite differences of step 1e-6.
 
     loss_fn must evaluate the full loss for the net's current parameters
     (re-running forward internally); analytic holds the gradients under test.
@@ -228,12 +228,12 @@ def grad_check(net: Mlp, loss_fn: Callable[[Mlp], float], analytic: MlpGrads,
             gflat = np.asarray(grad).reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + 1e-6
                 up = loss_fn(net)
-                flat[i] = orig - step
+                flat[i] = orig - 1e-6
                 down = loss_fn(net)
                 flat[i] = orig
-                numeric = (up - down) / (2.0 * step)
+                numeric = (up - down) / 2e-6
                 denom = max(abs(numeric), abs(gflat[i]))
                 # absolute error near zero, else relative: FD noise (~1e-10)
                 # would swamp a pure ratio when the true gradient vanishes

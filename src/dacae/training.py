@@ -5,6 +5,9 @@ descends its own cross-entropy, then the nuisance head, then the
 encoder-decoder pair descends the joint objective with both heads frozen.
 Gradients of the joint step flow through the heads into the encoder without
 touching head weights.
+
+Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
+and each epoch encodes the training set once for its probes and its LDA readout.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     lambda = 0 a head contributes nothing to the encoder gradient, so the
     encoder-decoder trajectory matches a plain (conditional) autoencoder.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    s = np.atleast_1d(np.asarray(s, dtype=np.intp))
-    if x.shape[0] == 0:
+    if len(x) == 0:
         raise ValueError("empty batch")
 
     # (1) + (2): heads fit the current code; encoder sees no update here
@@ -96,21 +97,13 @@ class TrainLog:
         return np.array([r.total_loss for r in self.rows])
 
 
-def probe_accuracies(params: DacaeParams, x: np.ndarray, s: np.ndarray) -> tuple[float, float]:
-    """Fraction of samples whose adversary/nuisance argmax recovers the subject."""
-    s = np.atleast_1d(np.asarray(s, dtype=np.intp))
-    if s.size == 0:
+def probe_accuracies(params: DacaeParams, z: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+    """Fraction of rows of the code z whose adversary/nuisance argmax recovers subject s."""
+    if len(s) == 0:
         raise ValueError("empty probe set")
-    z = encode(params, x)
     adv = float(np.mean(np.argmax(params.adversary.forward(z[:, : params.d_a]), axis=1) == s))
     nui = float(np.mean(np.argmax(params.nuisance.forward(z[:, params.d_a:]), axis=1) == s))
     return adv, nui
-
-
-def _val_probe_accuracy(params: DacaeParams, train: Dataset, val: Dataset) -> float:
-    """Cheap per-epoch task readout: LDA on the full code."""
-    clf = classifiers.fit("lda", encode(params, train.x), train.y)
-    return classifiers.accuracy(clf, encode(params, val.x), val.y)
 
 
 def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
@@ -119,8 +112,8 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
 
     The conditioning width is dataset.n_subjects, so codes from subjects held
     out of this split still decode. One TrainLog row is appended per epoch,
-    evaluated on the full training set; val_task_acc is 0.0 when no validation
-    split is given.
+    evaluated on the full training set; val_task_acc, an LDA fit on its code scored
+    on the validation code, is 0.0 when no validation split is given.
     """
     if np.unique(dataset.s).size < 2:
         raise ConfigError("feature extractor needs at least two subjects")
@@ -134,16 +127,16 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
             except TrainingDiverged as err:
                 raise TrainingDiverged(f"epoch {epoch}, batch {batch}: {err}") from err
         total, parts = dacae_loss(params, dataset.x, dataset.s, config)
-        adv_acc, nui_acc = probe_accuracies(params, dataset.x, dataset.s)
-        val_acc = _val_probe_accuracy(params, dataset, val) if val is not None else 0.0
+        z = encode(params, dataset.x)
+        adv_acc, nui_acc = probe_accuracies(params, z, dataset.s)
+        val_acc = 0.0
+        if val is not None:  # cheap task readout: LDA on the full code
+            readout = classifiers.fit("lda", z, dataset.y)
+            val_acc = classifiers.accuracy(readout, encode(params, val.x), val.y)
         rows.append(TrainLogRow(epoch, total, parts.recon, parts.adv_ce, parts.nui_ce,
                                 adv_acc, nui_acc, val_acc))
+        del z  # not held through the next epoch's training, where it would raise peak memory
     return params, TrainLog(rows)
-
-
-def fit_task_classifier(params: DacaeParams, dataset: Dataset, kind: str, seed: int = 0):
-    """Train a downstream classifier on (encode(x), y); the extractor is untouched."""
-    return classifiers.fit(kind, encode(params, dataset.x), dataset.y, seed=seed)
 
 
 @dataclass
@@ -201,9 +194,10 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
     def run(stage: int, lambda_a: float, lambda_n: float) -> SweepRow:
         config = replace(base, lambda_a=lambda_a, lambda_n=lambda_n)
         params, _ = fit_feature_extractor(train, config)
-        clf = fit_task_classifier(params, train, classifier, seed=config.sgd.seed)
-        val_acc = classifiers.accuracy(clf, encode(params, val.x), val.y)
-        adv_acc, nui_acc = probe_accuracies(params, val.x, val.s)
+        z_val = encode(params, val.x)
+        clf = classifiers.fit(classifier, encode(params, train.x), train.y, seed=config.sgd.seed)
+        val_acc = classifiers.accuracy(clf, z_val, val.y)
+        adv_acc, nui_acc = probe_accuracies(params, z_val, val.s)
         return SweepRow(stage, lambda_a, lambda_n, config.r_n, val_acc, adv_acc, nui_acc)
 
     stage1 = [run(1, 0.0, ln) for ln in lambda_n_grid]

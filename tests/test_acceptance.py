@@ -26,6 +26,7 @@ from dacae import (
     build_mlp,
     dacae_loss,
     decoder_input,
+    encode,
     fit,
     fit_feature_extractor,
     generate_synthetic,
@@ -77,7 +78,7 @@ def probe_run(lambda_a, lambda_n, seed):
         sgd=SgdConfig(learning_rate=0.1, batch_size=32, epochs=50, seed=seed))
     params, _ = fit_feature_extractor(ds.subset(train_ids), config)
     val = ds.subset(val_ids)
-    return probe_accuracies(params, val.x, val.s)
+    return probe_accuracies(params, encode(params, val.x), val.s)
 
 
 # -- 1: gradients -----------------------------------------------------------------

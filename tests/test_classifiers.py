@@ -369,6 +369,17 @@ def test_feature_dim_mismatch_raises(kind):
         clf.predict(np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_row_rejected(kind):
+    # a 1-D feature vector is not lifted to a batch of one, in fit or in predict
+    z, y = two_blobs(8)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        fit(kind, z[0], y[:1], seed=0)
+    clf = fit(kind, z, y, seed=0)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        clf.predict(z[0])
+
+
 def test_accuracy_monte_carlo_chance():
     rng = make_rng(21, 98)
     z = rng.standard_normal((2000, 2))

@@ -148,22 +148,29 @@ def _csv_rows(path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_non_finite_fold_fails_alone(tmp_path, capsys):
     # subject 2's rows overflow every channel sum that includes them: the folds that
-    # train on them fail at normalization, the fold that holds them out stays finite
+    # train on them fail at normalization; the fold that holds them out trains on finite
+    # rows, but its test codes near 1e307 overflow the LDA scores, which fails that row only
     ds, _, _ = generate_synthetic(SyntheticSpec(n_subjects=3, n_classes=2, n_channels=4,
                                                 samples_per_cell=12, trials_per_cell=2))
     ds.x *= 10.0
     ds.x[ds.s == 2, 0] = 1.7e308
     ds.x[ds.s == 2, 1] = -1.7e308
     save_csv(tmp_path / "huge.csv", ds)
-    cfg = write_config(tmp_path, dataset=str(tmp_path / "huge.csv"))
+    cfg = write_config(tmp_path, dataset=str(tmp_path / "huge.csv"), classifiers=["lda", "mlp"])
     assert main(["loso", "--config", str(cfg)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     for variant in ("AE", "DA-cAE"):
-        rows = _csv_rows(tmp_path / "out" / "loso" / variant / "lda" / "folds.csv")
-        assert [(r["subject"], r["status"]) for r in rows] == [
+        root = tmp_path / "out" / "loso" / variant
+        lda, mlp = (_csv_rows(root / kind / "folds.csv") for kind in ("lda", "mlp"))
+        assert [(r["subject"], r["status"]) for r in lda] == [
+            ("0", "failed"), ("1", "failed"), ("2", "failed")]
+        assert [(r["subject"], r["status"]) for r in mlp] == [
             ("0", "failed"), ("1", "failed"), ("2", "done")]
-        assert rows[0]["error"] == rows[1]["error"] == "ValueError: non-finite channel values"
-        assert rows[2]["error"] == ""
+        for rows in (lda, mlp):
+            assert rows[0]["error"] == rows[1]["error"] == "ValueError: non-finite channel values"
+        assert lda[2]["error"] == "FloatingPointError: overflow encountered in matmul"
+        assert lda[2]["test_acc"] == "nan"
+        assert mlp[2]["error"] == ""
 
 
 def test_classifier_failure_fails_only_its_row(tmp_path, monkeypatch, capsys):

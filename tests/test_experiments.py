@@ -123,15 +123,15 @@ def test_run_loso_layout_and_accounting(tmp_path):
     assert all(s.folds == 3 and s.failed == 0 for s in summary)
 
 
-def test_run_loso_byte_identical_across_worker_counts(tmp_path):
-    ds, _, _ = generate_synthetic(SyntheticSpec(n_subjects=3, n_classes=2,
-                                                n_channels=4, samples_per_cell=12,
-                                                trials_per_cell=2, seed=1))
-    cfg1 = tiny_config(tmp_path / "one", seed=1, jobs=1)
-    cfg2 = tiny_config(tmp_path / "two", seed=1, jobs=2)
-    run_loso(cfg1, dataset=ds)
-    run_loso(cfg2, dataset=ds)
-    a_root, b_root = tmp_path / "one" / "loso", tmp_path / "two" / "loso"
+@pytest.mark.parametrize("runner", [run_loso, run_table3, run_datasize],
+                         ids=lambda f: f.__name__)
+def test_runners_byte_identical_across_worker_counts(tmp_path, runner):
+    spec = SyntheticSpec(n_subjects=3, n_classes=2, n_channels=4, samples_per_cell=12,
+                         trials_per_cell=4, seed=1)
+    for out, jobs in (("one", 1), ("two", 2)):
+        runner(tiny_config(tmp_path / out, synthetic=spec, seed=1, jobs=jobs,
+                           fractions=(0.5, 1.0)))
+    a_root, b_root = tmp_path / "one", tmp_path / "two"
     a_files = sorted(p.relative_to(a_root) for p in a_root.rglob("*") if p.is_file())
     b_files = sorted(p.relative_to(b_root) for p in b_root.rglob("*") if p.is_file())
     assert a_files == b_files
@@ -211,11 +211,10 @@ def test_run_table3_rows_and_chance(tmp_path):
 def test_run_datasize_full_fraction_reproduces_loso(tmp_path):
     spec = SyntheticSpec(n_subjects=3, n_classes=2, n_channels=4,
                          samples_per_cell=12, trials_per_cell=4, seed=5)
-    ds, _, _ = generate_synthetic(spec)
     cfg = tiny_config(tmp_path / "out", synthetic=spec, seed=5,
                       fractions=(0.5, 1.0))
-    loso_results, _ = run_loso(cfg, dataset=ds)
-    curve, by_fraction = run_datasize(cfg, dataset=ds)
+    loso_results, _ = run_loso(cfg)
+    curve, by_fraction = run_datasize(cfg)
     assert set(by_fraction) == {0.5, 1.0}
     full = {(r.variant, r.subject): r.test_acc for r in by_fraction[1.0]}
     base = {(r.variant, r.subject): r.test_acc for r in loso_results}

@@ -1,0 +1,215 @@
+"""Property tests: a config or interchange CSV that one mutation made invalid exits 1.
+
+Each case runs `dacae loso` in-process on a mutated copy of a small valid input
+and checks for exit code 1, a `configuration error:` line on stderr, no
+traceback and no output tree. Every mutation makes the input invalid, and
+none asks for more workers, epochs or rows than the valid input.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dacae import SyntheticSpec, generate_synthetic, save_csv
+from dacae.cli import main
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+SYNTHETIC = {"n_subjects": 3, "n_classes": 2, "n_channels": 4, "samples_per_cell": 12,
+             "trials_per_cell": 2, "alpha": 1.0, "beta": 1.0, "sigma": 0.3, "seed": 0}
+CONFIG = {"synthetic": SYNTHETIC, "variants": ["AE", "DA-cAE"], "classifiers": ["lda"],
+          "lambda_a": 0.1, "lambda_n": 0.01, "r_n": None, "latent_dim": 4,
+          "learning_rate": 0.05, "batch_size": 16, "epochs": 1, "val_fraction": 0.1,
+          "fractions": [0.5, 1.0], "sweep_classifier": "lda", "sweep_lambda_n": [0.0, 0.01],
+          "sweep_lambda_a": [0.0, 0.1], "seed": 0, "jobs": 1}
+# written in place of the JSON string BIG, since json.dumps cannot emit the literal
+BIG = "__1e999__"
+
+
+def _run(config_text: str, dataset: bytes | None = None) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if dataset is not None:
+            (root / "data.csv").write_bytes(dataset)
+            config_text = config_text.replace("@DATA@", str(root / "data.csv"))
+        (root / "config.json").write_text(config_text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["loso", "--config", str(root / "config.json"),
+                         "--out", str(root / "out")])
+        assert code == 1, (code, config_text[:300], err.getvalue())
+        assert "configuration error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not (root / "out").exists()
+
+
+def _dump(config: dict) -> str:
+    return json.dumps(config).replace(json.dumps(BIG), "1e999")
+
+
+# -- configs --------------------------------------------------------------------------
+
+# field -> (JSON type, values out of its valid range)
+TOP = {
+    "dataset": ("str?", None),
+    "synthetic": ("object", None),
+    "variants": ("list", None),
+    "classifiers": ("list", None),
+    "lambda_a": ("float", st.floats(max_value=-1e-9)),
+    "lambda_n": ("float", st.floats(max_value=-1e-9)),
+    "r_n": ("float?", st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0))),
+    "latent_dim": ("int", st.integers(max_value=0)),
+    "learning_rate": ("float", st.floats(max_value=0.0)),
+    "batch_size": ("int", st.integers(max_value=0)),
+    "epochs": ("int", st.integers(max_value=0)),
+    "val_fraction": ("float", st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0))),
+    "fractions": ("list", None),
+    "sweep_classifier": ("str", None),
+    "sweep_lambda_n": ("list", None),
+    "sweep_lambda_a": ("list", None),
+    "seed": ("int", st.integers(max_value=-1)),
+    "jobs": ("int", st.integers(max_value=0)),
+    "out": ("str", None),
+}
+SYNTH = {
+    "n_subjects": ("int", st.integers(max_value=0)),
+    "n_classes": ("int", st.integers(max_value=0)),
+    "n_channels": ("int", st.integers(max_value=0)),
+    "samples_per_cell": ("int", st.integers(max_value=0)),
+    "trials_per_cell": ("int", st.one_of(st.integers(max_value=0), st.integers(min_value=13))),
+    "alpha": ("float", st.floats(max_value=-1e-9)),
+    "beta": ("float", st.floats(max_value=-1e-9)),
+    "sigma": ("float", st.floats(max_value=-1e-9)),
+    "seed": ("int", st.integers(max_value=-1)),
+}
+# list field -> values no entry may take
+LIST_ENTRY_OUT_OF_RANGE = {
+    "fractions": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True)),
+    "sweep_lambda_n": st.floats(max_value=-1e-9),
+    "sweep_lambda_a": st.floats(max_value=-1e-9),
+}
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"), BIG])
+
+_others = (st.booleans(), st.just({}), st.lists(st.just(None), min_size=1, max_size=2))
+WRONG_TYPE = {
+    "int": st.one_of(st.none(), st.floats(allow_nan=False), st.text(max_size=3), *_others),
+    "float": st.one_of(st.none(), st.text(max_size=3), *_others),
+    "float?": st.one_of(st.text(max_size=3), *_others),
+    "str": st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), *_others),
+    "str?": st.one_of(st.integers(), st.floats(allow_nan=False), *_others),
+    "list": st.one_of(st.none(), st.integers(), st.text(max_size=3), st.booleans(), st.just({}),
+                      st.lists(st.one_of(st.booleans(), st.none(), st.just({})),
+                               min_size=1, max_size=2)),
+    "object": st.one_of(st.none(), st.integers(), st.text(max_size=3), st.booleans(),
+                        st.lists(st.integers(), max_size=2)),
+}
+
+
+@st.composite
+def bad_configs(draw):
+    config = json.loads(json.dumps(CONFIG))
+    nested = draw(st.booleans())
+    target, table = (config["synthetic"], SYNTH) if nested else (config, TOP)
+    name = draw(st.sampled_from(sorted(table)))
+    kind, out_of_range = table[name]
+    lists = [k for k in TOP if TOP[k][0] == "list"]
+    mutation = draw(st.sampled_from(["type", "non-finite", "unknown-key", "list", "range"]))
+    if mutation == "unknown-key":
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in table))
+        target[key] = draw(st.integers(0, 3))
+    elif mutation == "non-finite" and kind.startswith("float"):
+        target[name] = draw(NON_FINITE)
+    elif mutation == "non-finite":  # a non-finite entry of a number list
+        name = draw(st.sampled_from(sorted(LIST_ENTRY_OUT_OF_RANGE)))
+        config[name] = config[name] + [draw(NON_FINITE)]
+    elif mutation == "list":
+        name = draw(st.sampled_from(lists))
+        values = config[name]
+        config[name] = draw(st.sampled_from([[], values + values[:1], values[::-1] + values]))
+    elif mutation == "range" and out_of_range is not None:
+        target[name] = draw(out_of_range)
+    elif mutation == "range":
+        name = draw(st.sampled_from(sorted(LIST_ENTRY_OUT_OF_RANGE)))
+        config[name] = config[name] + [draw(LIST_ENTRY_OUT_OF_RANGE[name])]
+    else:
+        target[name] = draw(WRONG_TYPE[kind])
+    return _dump(config)
+
+
+@SETTINGS
+@given(bad_configs())
+@example(_dump({**CONFIG, "sweep_lambda_a": [0.0, -0.5]}))
+@example(_dump({**CONFIG, "synthetic": {**SYNTHETIC, "seed": -1}}))
+@example(_dump({**CONFIG, "fractions": [0.5, BIG]}))
+def test_mutated_config_exits_1(config_text):
+    _run(config_text)
+
+
+# -- interchange CSVs -------------------------------------------------------------------
+
+def _valid_csv() -> list[list[str]]:
+    ds, _, _ = generate_synthetic(SyntheticSpec(n_subjects=3, n_classes=2, n_channels=2,
+                                                samples_per_cell=4, trials_per_cell=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_csv(Path(tmp) / "data.csv", ds)
+        text = (Path(tmp) / "data.csv").read_text(encoding="utf-8")
+    return [line.split(",") for line in text.splitlines()]
+
+
+ROWS = _valid_csv()
+CSV_CONFIG = _dump({**CONFIG, "dataset": "@DATA@"})
+CELL_TEXT = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+                    max_size=6)
+
+
+def _parses(text: str, column: int) -> bool:
+    try:
+        (int if column < 3 else float)(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _encode(rows: list[list[str]]) -> bytes:
+    return "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
+
+
+@st.composite
+def bad_csvs(draw):
+    rows = [list(row) for row in ROWS]
+    mutation = draw(st.sampled_from(["header", "width", "cell", "utf8", "shared-trial"]))
+    i = draw(st.integers(1, len(rows) - 1))
+    if mutation == "header":
+        j = draw(st.integers(0, 3))
+        rows[0][j] = draw(CELL_TEXT.filter(lambda t: t != ROWS[0][j]))
+    elif mutation == "width":
+        width = draw(st.integers(0, len(rows[i]) + 2).filter(lambda w: w != len(rows[i])))
+        rows[i] = (rows[i] + ["0", "0"])[:width]
+    elif mutation == "cell":
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(CELL_TEXT.filter(lambda t: not _parses(t, j)))
+    elif mutation == "shared-trial":  # row i takes a trial id of another subject
+        other = draw(st.sampled_from([r for r in rows[1:] if r[0] != rows[i][0]]))
+        rows[i][1] = other[1]
+    if mutation != "utf8":
+        return _encode(rows)
+    data = _encode(rows)
+    at = draw(st.integers(0, len(data)))
+    junk = draw(st.binary(min_size=1, max_size=3))
+    mutated = data[:at] + junk + data[at:]
+    try:
+        mutated.decode("utf-8")
+    except UnicodeDecodeError:
+        return mutated
+    return mutated + b"\xff"
+
+
+@SETTINGS
+@given(bad_csvs())
+def test_mutated_csv_exits_1(data):
+    _run(CSV_CONFIG, data)

@@ -13,10 +13,10 @@ from dacae import (
     TrainLogRow,
     TrainingDiverged,
     VARIANTS,
+    classifiers,
     decoder_input,
     encode,
     fit_feature_extractor,
-    fit_task_classifier,
     generate_synthetic,
     init_params,
     make_rng,
@@ -27,6 +27,8 @@ from dacae import (
     train_step,
     two_stage_sweep,
 )
+import dacae.model
+import dacae.training
 from dacae.training import LAMBDA_A_GRID, LAMBDA_N_GRID, _pick
 
 
@@ -165,6 +167,19 @@ def test_train_step_empty_batch_raises():
         train_step(params, np.empty((0, 4)), np.array([], dtype=int), config)
 
 
+def test_train_step_rejects_single_row():
+    # a 1-D sample is not lifted to a batch of one
+    config = small_config()
+    params = init_params(4, 3, config, seed=0)
+    before = params.copy()
+    x, s = _batch()
+    with pytest.raises(ValueError, match=r"input shape \(4,\)"):
+        train_step(params, x[0], s[:1], config)
+    for net, want in zip(params.groups().values(), before.groups().values()):
+        for a, b in zip(net.weights + net.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+
 def test_fit_feature_extractor_single_subject_raises():
     ds = small_dataset()
     solo = ds.subset(np.flatnonzero(ds.s == 0))
@@ -202,6 +217,30 @@ def test_fit_feature_extractor_divergence_names_position():
         fit_feature_extractor(ds, config)
 
 
+def test_epoch_encodes_training_set_at_most_twice(monkeypatch):
+    # the loss is a function of the parameters and encodes on its own; the probes
+    # and the LDA readout share one code of the training set
+    ds = small_dataset(3)
+    val_ids = np.arange(0, len(ds), 5)
+    train = ds.subset(np.setdiff1d(np.arange(len(ds)), val_ids))
+    val = ds.subset(val_ids)
+    rows = []
+
+    def counting(real):
+        def encode_counted(params, x):
+            rows.append(len(x))
+            return real(params, x)
+        return encode_counted
+
+    for module in (dacae.model, dacae.training):
+        monkeypatch.setattr(module, "encode", counting(module.encode))
+    fit_feature_extractor(train, small_config(sgd=SgdConfig(epochs=1, seed=0)), val=val)
+    assert len(train) != len(val)
+    assert rows.count(len(train)) <= 2
+    assert rows.count(len(val)) == 1
+    assert len(rows) == rows.count(len(train)) + 1
+
+
 def test_fit_feature_extractor_val_probe_populated():
     ds = small_dataset(3)
     val = ds.subset(np.arange(0, len(ds), 5))
@@ -218,7 +257,7 @@ def test_untrained_probes_near_chance():
     ds, _, _ = generate_synthetic(spec)
     config = small_config()
     params = init_params(6, 5, config, seed=9)
-    adv, nui = probe_accuracies(params, ds.x, ds.s)
+    adv, nui = probe_accuracies(params, encode(params, ds.x), ds.s)
     assert abs(adv - 0.2) <= 0.05
     assert abs(nui - 0.2) <= 0.05
 
@@ -228,7 +267,7 @@ def test_fit_task_classifier_leaves_encoder_frozen():
     config = small_config()
     params, _ = fit_feature_extractor(ds, config)
     snapshot = [w.copy() for w in params.encoder.weights]
-    clf = fit_task_classifier(params, ds, "mlp", seed=4)
+    clf = classifiers.fit("mlp", encode(params, ds.x), ds.y, seed=4)
     for before, w in zip(snapshot, params.encoder.weights):
         assert np.array_equal(before, w)
     z = encode(params, ds.x)
@@ -240,7 +279,7 @@ def test_fit_task_classifier_separable_latents():
     config = small_config(sgd=SgdConfig(learning_rate=0.05, batch_size=16,
                                         epochs=30, seed=5))
     params, _ = fit_feature_extractor(ds, config)
-    clf = fit_task_classifier(params, ds, "lda", seed=5)
+    clf = classifiers.fit("lda", encode(params, ds.x), ds.y, seed=5)
     z = encode(params, ds.x)
     assert np.mean(clf.predict(z) == ds.y) >= 0.99
 
