@@ -54,6 +54,8 @@ class Dataset:
         self.t = np.asarray(self.t, dtype=np.float64)
         if not np.all(np.isfinite(self.x)):
             raise ValueError("non-finite channel values")
+        if not np.all(np.isfinite(self.t)):
+            raise ValueError("non-finite time values")
         if n and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise ValueError("task label out of range")
         if n and (self.s.min() < 0 or self.s.max() >= self.n_subjects):
@@ -360,9 +362,11 @@ def load_csv(path: str | Path) -> Dataset:
     """Read the interchange CSV back into a dataset.
 
     The class and subject counts are one past the largest label and subject id.
-    Raises IngestionError naming the file (and the line, for a malformed row)
-    when the file is not UTF-8 CSV, a row has the wrong width, a cell does not
-    parse, or the rows do not form a valid dataset.
+    Subject ids must be contiguous, 0..S-1, since every head and the decoder's
+    condition are S wide. Raises IngestionError naming the file (and the line,
+    for a malformed row) when the file is not UTF-8 CSV, a row has the wrong
+    width, a cell does not parse, the subject ids skip one (naming the first
+    missing id), or the rows do not form a valid dataset.
     """
     x, y, s, trial, t = [], [], [], [], []
     try:
@@ -390,10 +394,15 @@ def load_csv(path: str | Path) -> Dataset:
         raise IngestionError(f"{path}: {err}") from err
     n = len(y)
     try:
-        return Dataset(np.array(x, dtype=np.float64).reshape(n, n_channels), y, s, trial, t,
-                       max(y) + 1 if n else 1, max(s) + 1 if n else 1)
+        dataset = Dataset(np.array(x, dtype=np.float64).reshape(n, n_channels), y, s, trial, t,
+                          max(y) + 1 if n else 1, max(s) + 1 if n else 1)
     except (ValueError, OverflowError) as err:
         raise IngestionError(f"{path}: {err}") from err
+    present = set(s)  # the dataset has checked that every id is in [0, n_subjects)
+    missing = next(i for i in range(len(present) + 1) if i not in present)
+    if n and missing < dataset.n_subjects:
+        raise IngestionError(f"{path}: subject id {missing} is missing; ids must run 0..S-1")
+    return dataset
 
 
 def save_synthetic(csv_path: str | Path, dataset: Dataset, spec: SyntheticSpec,

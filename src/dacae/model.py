@@ -142,7 +142,7 @@ def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
     s = np.asarray(s, dtype=np.intp)
     if s.ndim != 1:
         raise ValueError(f"subject ids must be (n,), got shape {s.shape}")
-    if np.any(s < 0) or np.any(s >= n_subjects):
+    if s.size and (s.min() < 0 or s.max() >= n_subjects):
         raise ValueError(f"subject index out of range [0, {n_subjects})")
     out = np.zeros((s.shape[0], n_subjects))
     out[np.arange(s.shape[0]), s] = 1.0

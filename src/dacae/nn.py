@@ -2,7 +2,8 @@
 
 Everything is float64 numpy on (n, features) batches. A network is its weight and
 bias arrays, with ReLU after every layer but the last; the forward pass caches
-activations so the matching backward pass can return exact analytic gradients.
+each layer's input, so the matching backward pass can return exact analytic
+gradients and read each hidden ReLU's mask off the next layer's input.
 A central finite-difference checker is the independent oracle for those gradients.
 """
 
@@ -73,7 +74,7 @@ class Mlp:
                 raise ValueError(f"layer dims mismatch: {weights[k - 1].shape[0]} -> {w.shape[1]}")
         self.weights = weights
         self.biases = biases
-        self._cache: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._cache: list[np.ndarray] | None = None  # each layer's input
 
     @property
     def in_dim(self) -> int:
@@ -89,11 +90,13 @@ class Mlp:
         if a.ndim != 2 or a.shape[1] != self.in_dim:
             raise ValueError(f"input shape {a.shape} is not (n, {self.in_dim})")
         last = len(self.weights) - 1
-        cache = []
+        cache = [a]
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            cache.append((a, z))
-            a = np.maximum(z, 0.0) if k < last else z
+            a = a @ w.T
+            a += b
+            if k < last:
+                np.maximum(a, 0.0, out=a)  # ReLU in place: a is this layer's own array
+                cache.append(a)
         self._cache = cache
         return a
 
@@ -104,13 +107,14 @@ class Mlp:
         g = np.asarray(upstream_grad, dtype=np.float64)
         if g.ndim != 2 or g.shape[1] != self.out_dim:
             raise ValueError(f"upstream grad shape {g.shape} is not (n, {self.out_dim})")
+        cache = self._cache
         last = len(self.weights) - 1
         w_grads, b_grads = [], []  # last layer first
         for k in range(last, -1, -1):
-            a_prev, z = self._cache[k]
             if k < last:
-                g = g * (z > 0)
-            w_grads.append(g.T @ a_prev)
+                # relu(z) > 0 exactly where z > 0 (NaN included); g is our own g @ w here
+                g *= cache[k + 1] > 0
+            w_grads.append(g.T @ cache[k])
             b_grads.append(g.sum(axis=0))
             g = g @ self.weights[k]
         return MlpGrads(w_grads[::-1], b_grads[::-1], g)
@@ -147,20 +151,23 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarra
     lg = np.asarray(logits, dtype=np.float64)
     if lg.ndim != 2:
         raise ValueError(f"logits must be (n, k), got shape {lg.shape}")
-    if lg.shape[1] == 0:
+    n, k = lg.shape
+    if k == 0:
         raise ValueError("empty logits")
     t = np.asarray(targets, dtype=np.intp)
-    if t.shape != (lg.shape[0],):
-        raise ValueError(f"targets of shape {t.shape} for {lg.shape[0]} logit rows")
-    if np.any(t < 0) or np.any(t >= lg.shape[1]):
+    if t.shape != (n,):
+        raise ValueError(f"targets of shape {t.shape} for {n} logit rows")
+    if n == 0:
+        raise ValueError("empty batch")
+    if t.min() < 0 or t.max() >= k:
         raise ValueError("target class out of range")
-    n = lg.shape[0]
+    rows = np.arange(n)
     shifted = lg - lg.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     norm = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(norm[:, 0]) - shifted[np.arange(n), t]))
-    grad = e / norm
-    grad[np.arange(n), t] -= 1.0
+    loss = float((np.log(norm[:, 0]) - shifted[rows, t]).sum() / n)  # np.mean, bit for bit
+    grad = np.divide(e, norm, out=e)
+    grad[rows, t] -= 1.0
     grad /= n
     return loss, grad
 
@@ -171,21 +178,24 @@ def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x_hat.shape != x.shape:
         raise ValueError(f"shape mismatch {x_hat.shape} vs {x.shape}")
+    if x.size == 0:
+        raise ValueError("empty batch")
     diff = x_hat - x
-    loss = float(np.mean(diff * diff))
+    loss = float((diff * diff).sum() / diff.size)  # np.mean, bit for bit
     grad = 2.0 * diff / diff.size
     return loss, grad
 
 
 def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
     """In-place SGD update: param -= learning_rate * grad. Returns net."""
+    lr = config.learning_rate
     for w, b, dw, db in zip(net.weights, net.biases, grads.weights, grads.biases):
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
+        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise TrainingDiverged("non-finite gradient in sgd_step")
         if dw.shape != w.shape or db.shape != b.shape:
             raise ValueError("gradient shapes do not match network parameters")
-        w -= config.learning_rate * dw
-        b -= config.learning_rate * db
+        w -= lr * dw
+        b -= lr * db
     return net
 
 

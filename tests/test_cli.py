@@ -208,10 +208,12 @@ def test_missing_dataset_exit_code(tmp_path):
     ("1,5,0,0.0,1.0", "data.csv:3: expected 6 columns, got 5"),
     ("1,0,1,0.0,1.0,2.0", "data.csv: trial id 0 is shared across (subject, label) pairs"),
     ("-1,5,0,0.0,1.0,2.0", "data.csv: subject id out of range"),
+    ("3,5,0,0.0,1.0,2.0", "data.csv: subject id 1 is missing; ids must run 0..S-1"),
+    ("1,5,0,nan,1.0,2.0", "data.csv: non-finite time values"),
     ("1,5,0,0.0,\xff,2.0", "data.csv: 'utf-8' codec can't decode byte 0xff"),
     ("1,5,0,0.0,1" + "0" * 131072 + ",2.0", "data.csv: field larger than field limit"),
 ], ids=["unparsable", "non-finite", "short-row", "shared-trial", "negative-subject",
-        "not-utf8", "oversized-field"])
+        "sparse-subjects", "non-finite-time", "not-utf8", "oversized-field"])
 def test_bad_dataset_csv_exit_code(tmp_path, capsys, row, message):
     path = tmp_path / "data.csv"
     path.write_text(f"subject,trial,label,t,ch0,ch1\n0,0,0,0.0,1.0,2.0\n{row}\n",

@@ -102,6 +102,13 @@ def test_one_hot_subjects():
     assert np.array_equal(out, [[0, 0, 1, 0], [1, 0, 0, 0]])
     with pytest.raises(ValueError):
         one_hot_subjects([4], 4)
+    assert one_hot_subjects(np.zeros(0, dtype=int), 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("s", [[0, -1], [3, 0]], ids=["negative", "not-below-count"])
+def test_one_hot_subjects_rejects_out_of_range_ids(s):
+    with pytest.raises(ValueError, match=r"^subject index out of range \[0, 3\)$"):
+        one_hot_subjects(s, 3)
 
 
 def test_encode_splits_batch():

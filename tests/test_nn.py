@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from dacae import (
     ConfigError,
+    HyperConfig,
     Mlp,
     SgdConfig,
     build_mlp,
     grad_check,
+    init_params,
     job_seed,
     make_rng,
     mse_loss,
     sgd_step,
     softmax,
     softmax_cross_entropy,
+    train_step,
 )
-from dacae.nn import minibatches
+from dacae.nn import ce_step, minibatches
 
 
 def test_make_rng_reproducible():
@@ -280,3 +283,159 @@ def test_training_bit_identical_across_runs():
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("targets", [[0, -1], [0, 3]], ids=["negative", "not-below-k"])
+def test_softmax_cross_entropy_rejects_out_of_range_targets(targets):
+    with pytest.raises(ValueError, match="^target class out of range$"):
+        softmax_cross_entropy(np.zeros((2, 3)), np.array(targets))
+
+
+def test_losses_reject_an_empty_batch():
+    with pytest.raises(ValueError, match="^empty batch$"):
+        softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="^empty batch$"):
+        mse_loss(np.zeros((0, 4)), np.zeros((0, 4)))
+
+
+# -- bitwise oracle ------------------------------------------------------------
+# The primitives as they stood before the in-place forward cache, kept verbatim:
+# a fresh array per layer and per ReLU, (input, pre-activation) cached per layer,
+# the ReLU mask read off z, and np.mean for both losses.
+
+def reference_forward(net, x):
+    a, cache = x, []
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w.T + b
+        cache.append((a, z))
+        a = np.maximum(z, 0.0) if k < len(net.weights) - 1 else z
+    return a, cache
+
+
+def reference_backward(net, cache, g):
+    last = len(net.weights) - 1
+    w_grads, b_grads = [], []
+    for k in range(last, -1, -1):
+        a_prev, z = cache[k]
+        if k < last:
+            g = g * (z > 0)
+        w_grads.append(g.T @ a_prev)
+        b_grads.append(g.sum(axis=0))
+        g = g @ net.weights[k]
+    return w_grads[::-1], b_grads[::-1], g
+
+
+def reference_softmax_ce(logits, t):
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(norm[:, 0]) - shifted[np.arange(n), t]))
+    grad = e / norm
+    grad[np.arange(n), t] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+def reference_mse(x_hat, x):
+    diff = x_hat - x
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+
+
+def reference_sgd(net, w_grads, b_grads, lr):
+    for w, b, dw, db in zip(net.weights, net.biases, w_grads, b_grads):
+        w -= lr * dw
+        b -= lr * db
+
+
+def reference_ce_step(net, x, t, lr):
+    out, cache = reference_forward(net, x)
+    loss, grad = reference_softmax_ce(out, t)
+    w_grads, b_grads, _ = reference_backward(net, cache, grad)
+    reference_sgd(net, w_grads, b_grads, lr)
+    return loss
+
+
+def reference_train_step(params, x, s, config):
+    """train_step's three sub-updates, spelled out with the reference primitives."""
+    lr, d_a = config.sgd.learning_rate, params.d_a
+    z, enc_cache = reference_forward(params.encoder, x)
+    adv_ce = reference_ce_step(params.adversary, z[:, :d_a], s, lr)
+    nui_ce = reference_ce_step(params.nuisance, z[:, d_a:], s, lr)
+    cond = np.zeros((len(s), params.n_subjects))
+    cond[np.arange(len(s)), s] = 1.0
+    x_hat, dec_cache = reference_forward(params.decoder, np.concatenate([z, cond], axis=1))
+    recon, gx = reference_mse(x_hat, x)
+    dec_w, dec_b, dec_in = reference_backward(params.decoder, dec_cache, gx)
+    dz = dec_in[:, : params.latent_dim].copy()
+    out, cache = reference_forward(params.adversary, z[:, :d_a])
+    _, ga = reference_softmax_ce(out, s)
+    dz[:, :d_a] -= config.lambda_a * reference_backward(params.adversary, cache, ga)[2]
+    out, cache = reference_forward(params.nuisance, z[:, d_a:])
+    _, gn = reference_softmax_ce(out, s)
+    dz[:, d_a:] += config.lambda_n * reference_backward(params.nuisance, cache, gn)[2]
+    enc_w, enc_b, _ = reference_backward(params.encoder, enc_cache, dz)
+    reference_sgd(params.encoder, enc_w, enc_b, lr)
+    reference_sgd(params.decoder, dec_w, dec_b, lr)
+    return recon + config.lambda_n * nui_ce - config.lambda_a * adv_ce
+
+
+def _assert_same_arrays(net, ref):
+    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims", [[15, 15, 4], [6, 8, 8, 3]])
+def test_ce_step_matches_reference_primitives_bitwise(dims):
+    rng = make_rng(31, 7)
+    x = rng.standard_normal((200, dims[0])) * 2.0
+    y = rng.integers(0, dims[-1], size=200)
+    net = build_mlp(dims, make_rng(31, 8))
+    ref = net.copy()
+    sgd = SgdConfig(learning_rate=0.05, batch_size=32)
+    batches = make_rng(31, 9)
+    steps = 0
+    while steps < 200:
+        for idx in minibatches(batches, len(y), 32):
+            if idx.size < 32:
+                continue
+            assert ce_step(net, x[idx], y[idx], sgd) == reference_ce_step(ref, x[idx], y[idx], 0.05)
+            steps += 1
+    _assert_same_arrays(net, ref)
+
+
+def test_train_step_matches_reference_primitives_bitwise():
+    config = HyperConfig(lambda_a=0.2, lambda_n=0.5, latent_dim=6, variant="DA-cAE",
+                         sgd=SgdConfig(learning_rate=0.1, batch_size=64))
+    params = init_params(5, 4, config, seed=13)
+    ref = params.copy()
+    rng = make_rng(13, 1)
+    for _ in range(50):
+        x = rng.standard_normal((64, 5)) * 2.0
+        s = rng.integers(0, 4, size=64)
+        total, _ = train_step(params, x, s, config)
+        assert total == reference_train_step(ref, x, s, config)
+    for name, net in params.groups().items():
+        _assert_same_arrays(net, ref.groups()[name])
+
+
+@pytest.mark.parametrize("dims", [[4, 3], [4, 6, 6, 3]])
+def test_forward_and_backward_leave_their_inputs_unchanged(dims):
+    rng = make_rng(41)
+    x = rng.standard_normal((9, 4)) * 3.0
+    x[2, 1] = np.nan  # relu(nan) is nan, so the mask is 0 there exactly as z > 0 is
+    upstream = rng.standard_normal((9, 3))
+    x0, upstream0 = x.copy(), upstream.copy()
+    net = build_mlp(dims, make_rng(42))
+    out = net.forward(x)
+    first = net.backward(upstream)
+    again = net.backward(upstream)  # the cache survives a backward pass
+    assert np.array_equal(x, x0, equal_nan=True)
+    assert np.array_equal(upstream, upstream0)
+    want_out, cache = reference_forward(net, x0)
+    assert np.array_equal(out, want_out, equal_nan=True)
+    want = reference_backward(net, cache, upstream0)
+    for grads in (first, again):
+        for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
+                        [*want[0], *want[1], want[2]], strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
