@@ -121,6 +121,14 @@ def resample_channel(times: np.ndarray, values: np.ndarray, grid: np.ndarray) ->
     return out
 
 
+def _subject_gap(present: set[int], n_subjects: int) -> str | None:
+    """The error naming the lowest id below n_subjects that no row carries, if any."""
+    missing = next(i for i in range(len(present) + 1) if i not in present)
+    if missing < n_subjects:
+        return f"subject id {missing} is missing; ids must run 0..S-1"
+    return None
+
+
 def ingest(trials: list[RawTrial], channel_map: list[str], n_classes: int = 4,
            n_subjects: int | None = None) -> Dataset:
     """Build a dataset from raw recordings.
@@ -129,6 +137,7 @@ def ingest(trials: list[RawTrial], channel_map: list[str], n_classes: int = 4,
     carry a label; a subject's relaxation trials beyond the first are dropped
     so each subject contributes exactly one trial per class. Raw trial numbers
     may repeat across subjects, so kept trials get fresh globally unique ids.
+    Without n_subjects, the subject ids must run 0..S-1, as in load_csv.
     """
     if not trials:
         raise IngestionError("no trials to ingest")
@@ -142,6 +151,11 @@ def ingest(trials: list[RawTrial], channel_map: list[str], n_classes: int = 4,
                 continue
             seen_relax.add(tr.subject)
         kept.append(tr)
+    if n_subjects is None:
+        present = {tr.subject for tr in kept}
+        n_subjects = max(present) + 1
+        if gap := _subject_gap(present, n_subjects):
+            raise IngestionError(gap)
 
     xs, ys, ss, trs, ts = [], [], [], [], []
     for uid, tr in enumerate(kept):
@@ -160,9 +174,6 @@ def ingest(trials: list[RawTrial], channel_map: list[str], n_classes: int = 4,
         trs.append(np.full(n_seconds, uid, dtype=np.intp))
         ts.append(grid - start)
 
-    subjects = sorted({tr.subject for tr in kept})
-    if n_subjects is None:
-        n_subjects = max(subjects) + 1
     return Dataset(np.concatenate(xs), np.concatenate(ys), np.concatenate(ss),
                    np.concatenate(trs), np.concatenate(ts), n_classes, n_subjects)
 
@@ -398,10 +409,9 @@ def load_csv(path: str | Path) -> Dataset:
                           max(y) + 1 if n else 1, max(s) + 1 if n else 1)
     except (ValueError, OverflowError) as err:
         raise IngestionError(f"{path}: {err}") from err
-    present = set(s)  # the dataset has checked that every id is in [0, n_subjects)
-    missing = next(i for i in range(len(present) + 1) if i not in present)
-    if n and missing < dataset.n_subjects:
-        raise IngestionError(f"{path}: subject id {missing} is missing; ids must run 0..S-1")
+    # the dataset has checked that every id is in [0, n_subjects)
+    if n and (gap := _subject_gap(set(s), dataset.n_subjects)):
+        raise IngestionError(f"{path}: {gap}")
     return dataset
 
 

@@ -136,10 +136,49 @@ def build_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
     return Mlp(weights, biases)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """np.max(a, axis=1) as one np.maximum per column. numpy reduces a short last axis
+    row by row; a max never rounds, so the chain gives the same values for any width.
+    Only signs may differ: a NaN's, and from 8 columns up, where numpy's max runs in
+    8 lanes, a zero max's. softmax's output depends on neither."""
+    m = a[:, 0].copy()
+    for col in a.T[1:]:
+        np.maximum(m, col, out=m)
+    return m
+
+
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """e.sum(axis=1) of an exp output. Below 8 columns numpy adds each row left to right
+    from +0.0, which a chain of column adds repeats bit for bit (only a row of -0.0
+    alone, which exp never returns, would differ); from 8 up it sums pairwise, so its
+    own sum stays."""
+    if e.shape[1] >= 8:
+        return e.sum(axis=1)
+    s = e[:, 0].copy()
+    for col in e.T[1:]:
+        s += col
+    return s
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax of (n, k) logits, k >= 1: exp(x - row max) / row sum.
+
+    Every step runs once per column, never once per row, and gives the bits of the
+    broadcast form e = np.exp(x - x.max(axis=1, keepdims=True)); e / e.sum(axis=1,
+    keepdims=True).
+    """
+    lg = np.asarray(logits, dtype=np.float64)
+    if lg.ndim != 2 or lg.shape[1] == 0:
+        raise ValueError(f"logits must be (n, k) with k >= 1, got shape {lg.shape}")
+    m = _row_max(lg)
+    e = np.empty_like(lg)
+    for src, dst in zip(lg.T, e.T):
+        np.subtract(src, m, out=dst)
+    np.exp(e, out=e)
+    s = _row_sum(e)
+    for col in e.T:
+        col /= s
+    return e
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:

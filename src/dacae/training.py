@@ -93,9 +93,6 @@ class TrainLog:
     def to_csv(self, path: str | Path) -> None:
         write_csv(path, [f.name for f in fields(TrainLogRow)], map(astuple, self.rows))
 
-    def total_losses(self) -> np.ndarray:
-        return np.array([r.total_loss for r in self.rows])
-
 
 def probe_accuracies(params: DacaeParams, z: np.ndarray, s: np.ndarray) -> tuple[float, float]:
     """Fraction of rows of the code z whose adversary/nuisance argmax recovers subject s."""

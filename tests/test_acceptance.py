@@ -290,7 +290,7 @@ def convergence_clauses(dataset, seed, lambda_a, lambda_n, sgd):
     config = HyperConfig(lambda_a=lambda_a, lambda_n=lambda_n, r_n=1.0 / 3.0,
                          latent_dim=15, variant="DA-cAE", sgd=sgd)
     _, log = fit_feature_extractor(dataset.subset(train_ids), config)
-    totals = log.total_losses()
+    totals = [r.total_loss for r in log.rows]
     ratio = float(abs(totals[9] - totals[4]) / abs(totals[4]))
     return ratio, log.rows[0].nuisance_ce, log.rows[-1].nuisance_ce
 

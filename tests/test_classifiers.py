@@ -210,12 +210,19 @@ def test_tree_fit_matches_reference_loop_bitwise(monkeypatch):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def tree_depth(clf, node=0):
+    """Edges on the longest root-to-leaf path of a fitted TreeClassifier."""
+    if clf.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(clf, clf.left[node]), tree_depth(clf, clf.right[node]))
+
+
 def test_tree_learns_xor():
     z = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
     y = np.array([0, 1, 1, 0] * 3)
     clf = TreeClassifier.train(z, y, min_leaf=1)
     assert accuracy(clf, z, y) == 1.0
-    assert clf.depth() >= 2
+    assert tree_depth(clf) >= 2
 
 
 def test_tree_depth_capped():
@@ -223,7 +230,7 @@ def test_tree_depth_capped():
     z = rng.standard_normal((300, 4))
     y = rng.integers(0, 4, size=300)  # pure noise forces deep growth
     clf = TreeClassifier.train(z, y, min_leaf=1)
-    assert clf.depth() <= 10
+    assert tree_depth(clf) <= 10
 
 
 def test_tree_min_leaf_respected():
@@ -292,6 +299,72 @@ def test_logreg_converges_on_overlapping_classes():
     b_coef, b_intercept = _train_logreg(z, y, epochs=200000)
     assert np.allclose(a_coef, b_coef, atol=1e-6)
     assert np.allclose(a_intercept, b_intercept, atol=1e-6)
+
+
+# -- linear fits, bit for bit -------------------------------------------------------
+# The full-batch loops as written with broadcasting, kept verbatim: the fits now
+# run each (n, classes) step once per class column and must keep every bit.
+
+def reference_train_svm(z, y):
+    classes = np.unique(y)
+    n, d = z.shape
+    targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)
+    lam = 1.0 / n
+    w = np.zeros((classes.size, d))
+    b = np.zeros(classes.size)
+    for t in range(200):
+        lr = 0.5 / (1.0 + 0.02 * t)
+        margins = (z @ w.T + b) * targets
+        active = (margins < 1.0) * targets
+        w -= lr * (lam * w - active.T @ z / n)
+        b -= lr * (-active.mean(axis=0))
+    return w, b
+
+
+def reference_train_logreg(z, y, epochs=500):
+    classes, targets = np.unique(y, return_inverse=True)
+    n, d = z.shape
+    w = np.zeros((classes.size, d))
+    b = np.zeros(classes.size)
+    onehot = np.zeros((n, classes.size))
+    onehot[np.arange(n), targets] = 1.0
+    for _ in range(epochs):
+        logits = z @ w.T + b
+        e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+        err = (e / e.sum(axis=-1, keepdims=True) - onehot) / n
+        gw = err.T @ z + 1e-4 * w
+        gb = err.sum(axis=0)
+        if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < 1e-6:
+            break
+        w -= gw
+        b -= gb
+    return w, b
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 7, 8, 9])
+@pytest.mark.parametrize("n_rows", [60, 720, 3040])
+def test_linear_fits_match_broadcast_reference_bitwise(n_rows, n_classes):
+    rng = make_rng(61, n_rows, n_classes)
+    y = rng.permutation(np.arange(n_rows) % n_classes)
+    z = rng.standard_normal((n_rows, 15)) + 1.5 * rng.standard_normal((n_classes, 15))[y]
+    for kind, reference in (("svm", reference_train_svm), ("logreg", reference_train_logreg)):
+        clf = fit(kind, z, y)
+        coef, intercept = reference(z, y)
+        assert np.array_equal(clf.coef, coef), kind
+        assert np.array_equal(clf.intercept, intercept), kind
+        assert np.array_equal(clf.decision_scores(z), z @ coef.T + intercept), kind
+
+
+@pytest.mark.parametrize("kind, message", [("logreg", "overflow encountered in multiply"),
+                                           ("svm", "overflow encountered in matmul")])
+def test_linear_fit_overflow_keeps_its_message(kind, message):
+    # a fold's classifiers fit under this errstate; the text lands in folds.csv
+    rng = make_rng(62)
+    z = rng.uniform(-1.0, 1.0, size=(720, 15)) * 1e307
+    y = np.arange(720) % 4
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            fit(kind, z, y)
 
 
 # -- MLP ----------------------------------------------------------------------------

@@ -100,6 +100,15 @@ def test_ingest_remaps_trial_ids_globally_unique():
     assert len({tr for tr, _, _ in ds.trial_table()}) == 2
 
 
+def test_ingest_rejects_a_gap_in_subject_ids():
+    trials = [_raw_trial(subject, k, label) for subject in (0, 1, 50000)
+              for k, label in enumerate((1, 2))]
+    with pytest.raises(IngestionError, match=r"^subject id 2 is missing; ids must run 0\.\.S-1$"):
+        ingest(trials, ["hr", "eda"], n_classes=3)
+    ds = ingest(trials[:4], ["hr", "eda"], n_classes=3)
+    assert ds.n_subjects == 2
+
+
 def test_ingest_missing_channel_raises():
     bad = RawTrial(0, 0, 1, {"hr": (np.arange(3.0), np.ones(3))})
     with pytest.raises(IngestionError):

@@ -21,7 +21,7 @@ from dacae import (
     softmax_cross_entropy,
     train_step,
 )
-from dacae.nn import ce_step, minibatches
+from dacae.nn import _row_max, _row_sum, ce_step, minibatches
 
 
 def test_make_rng_reproducible():
@@ -439,3 +439,77 @@ def test_forward_and_backward_leave_their_inputs_unchanged(dims):
         for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
                         [*want[0], *want[1], want[2]], strict=True):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+# -- column-wise softmax -------------------------------------------------------
+# softmax runs each step once per class column; these pin it to numpy's own
+# row reductions and to the broadcast form on every width a head can have here.
+
+def reference_softmax(logits):
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _special_rows(width, rng):
+    """Rows of NaN, +-inf and +-0 mixed with finite values of every magnitude."""
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+    rows = rng.choice(special, size=(400, width))
+    finite = rng.standard_normal((100, width)) * 10.0 ** rng.integers(-300, 300, (100, 1))
+    return np.vstack([rows, finite, np.full((1, width), -0.0), np.full((1, width), 0.0)])
+
+
+def _assert_same_bits(got, want):
+    """Equal bit patterns, except that a NaN may be either NaN."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_row_max_matches_np_max_bitwise(width):
+    rng = make_rng(51, width)
+    a = _special_rows(width, rng)
+    for layout in (a, np.asfortranarray(a)):
+        got, want = _row_max(layout), np.max(layout, axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        if width < 8:  # from 8 up numpy's 8-lane max may give a zero max either sign
+            _assert_same_bits(got, want)
+        else:
+            _assert_same_bits(got[want != 0.0], want[want != 0.0])
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_row_sum_matches_np_sum_bitwise(width):
+    rng = make_rng(52, width)
+    logits = _special_rows(width, rng)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # 0, +inf, NaN and everything between
+        e = np.exp(logits - 300.0 * rng.standard_normal(logits.shape))
+    _assert_same_bits(_row_sum(e), e.sum(axis=-1))
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_softmax_matches_broadcast_form_bitwise(width):
+    rng = make_rng(53, width)
+    logits = rng.standard_normal((300, width)) * 10.0 ** rng.integers(-3, 4, (300, 1))
+    _assert_same_bits(softmax(logits), reference_softmax(logits))
+    special = _special_rows(width, rng)  # zero maxima of either sign included
+    with np.errstate(invalid="ignore"):
+        _assert_same_bits(softmax(special), reference_softmax(special))
+
+
+@pytest.mark.parametrize("row", [[np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [np.inf, np.inf]])
+def test_softmax_raises_the_broadcast_forms_error(row):
+    logits = np.array([[0.0] * len(row), row])
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError) as want:
+            reference_softmax(logits)
+        with pytest.raises(FloatingPointError, match=f"^{want.value}$"):
+            softmax(logits)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 0), (0, 0), (2, 3, 4)])
+def test_softmax_is_batch_only(shape):
+    with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, shape))},?\)"):
+        softmax(np.zeros(shape))

@@ -194,7 +194,7 @@ def test_fit_feature_extractor_log_shape_and_determinism():
     p2, log2 = fit_feature_extractor(ds, config)
     assert len(log1.rows) == config.sgd.epochs
     assert [r.epoch for r in log1.rows] == [0, 1, 2]
-    assert np.array_equal(log1.total_losses(), log2.total_losses())
+    assert [r.total_loss for r in log1.rows] == [r.total_loss for r in log2.rows]
     for wa, wb in zip(p1.encoder.weights, p2.encoder.weights):
         assert np.array_equal(wa, wb)
     assert all(r.val_task_acc == 0.0 for r in log1.rows)
@@ -205,7 +205,7 @@ def test_fit_feature_extractor_loss_decreases_long_run():
     config = small_config(sgd=SgdConfig(learning_rate=0.05, batch_size=16,
                                         epochs=50, seed=1))
     _, log = fit_feature_extractor(ds, config)
-    losses = log.total_losses()
+    losses = [r.total_loss for r in log.rows]
     assert losses[49] <= losses[4]
 
 
