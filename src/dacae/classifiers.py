@@ -118,33 +118,43 @@ def best_split(z: np.ndarray, label_pos: np.ndarray, n_labels: int,
                min_leaf: int) -> tuple[int, float, float] | None:
     """Lowest weighted-Gini (feature, threshold) split, or None if no split is legal.
 
-    Thresholds are midpoints between consecutive distinct sorted values. Each
-    feature is scored in one pass: cumulative one-hot label counts over its
-    stably sorted column give the left counts at every cut (the right counts
-    are the total minus them), and cuts between equal values or leaving fewer
-    than min_leaf rows on a side are masked out. Ties go to the lowest
-    feature (only a strictly better score replaces the incumbent), then to
-    the lowest threshold (argmin takes the first minimum).
+    Thresholds are midpoints between consecutive distinct sorted values. All
+    features are scored in one pass: cumulative one-hot label counts over the
+    stably sorted columns give the (n-1, d, labels) left counts at every cut
+    (the right counts are the total minus them), and cuts between equal
+    values or leaving fewer than min_leaf rows on a side score +inf. Ties go
+    to the lowest feature (only a strictly better score replaces the
+    incumbent), then to the lowest threshold (argmin takes the first minimum).
+
+    The Gini terms are gini_impurity's arithmetic done in place: a side's
+    counts sum exactly to its row count, so p is the counts over that count.
     """
     n = z.shape[0]
-    onehot = np.eye(n_labels)[label_pos]
-    total = onehot.sum(axis=0)
-    cut = np.arange(1, n)                      # rows left of each cut
-    sized = (cut >= min_leaf) & (n - cut >= min_leaf)
+    order = np.argsort(z, axis=0, kind="stable")
+    vals = np.take_along_axis(z, order, axis=0)
+    cut = np.arange(1, n)[:, None]             # rows left of each cut
+    legal = (vals[1:] != vals[:-1]) & ((cut >= min_leaf) & (n - cut >= min_leaf))
+    usable = legal.any(axis=0)
+    if not usable.any():
+        return None
+    counts = np.eye(n_labels)[label_pos[order[:-1]]]  # (n-1, d, labels)
+    np.cumsum(counts, axis=0, out=counts)
+    p = counts / cut[:, :, None]
+    p *= p
+    g_left = 1.0 - p.sum(axis=-1)
+    total = np.bincount(label_pos, minlength=n_labels).astype(np.float64)
+    np.subtract(total, counts, out=counts)
+    np.divide(counts, (n - cut)[:, :, None], out=p)
+    p *= p
+    g_right = 1.0 - p.sum(axis=-1)
+    scores = (cut * g_left + (n - cut) * g_right) / n
+    scores[~legal] = np.inf
+    ks = np.argmin(scores, axis=0)
     best: tuple[int, float, float] | None = None
-    for f in range(z.shape[1]):
-        order = np.argsort(z[:, f], kind="stable")
-        vals = z[order, f]
-        legal = sized & (vals[1:] != vals[:-1])
-        if not legal.any():
-            continue
-        left = np.cumsum(onehot[order[:-1]], axis=0)[legal]
-        i = cut[legal]
-        scores = (i * gini_impurity(left) + (n - i) * gini_impurity(total - left)) / n
-        k = int(np.argmin(scores))
-        if best is None or scores[k] < best[2]:
-            j = i[k]
-            best = (f, float((vals[j - 1] + vals[j]) / 2.0), float(scores[k]))
+    for f in np.flatnonzero(usable):
+        k = ks[f]
+        if best is None or scores[k, f] < best[2]:
+            best = (int(f), float((vals[k, f] + vals[k + 1, f]) / 2.0), float(scores[k, f]))
     return best
 
 

@@ -78,11 +78,6 @@ class Dataset:
         return Dataset(self.x[ids], self.y[ids], self.s[ids], self.trial[ids],
                        self.t[ids], self.n_classes, self.n_subjects, self.normalization)
 
-    def trial_table(self) -> list[tuple[int, int, int]]:
-        """Sorted unique (trial, subject, label) triples."""
-        trials, first = np.unique(self.trial, return_index=True)
-        return list(zip(trials.tolist(), self.s[first].tolist(), self.y[first].tolist()))
-
 
 # -- raw ingestion -------------------------------------------------------------
 

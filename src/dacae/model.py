@@ -110,9 +110,6 @@ class DacaeParams:
         return {"encoder": self.encoder, "decoder": self.decoder,
                 "adversary": self.adversary, "nuisance": self.nuisance}
 
-    def copy(self) -> "DacaeParams":
-        return DacaeParams(*(net.copy() for net in self.groups().values()))
-
 
 def init_params(n_channels: int, n_subjects: int, config: HyperConfig, seed: int) -> DacaeParams:
     """Fresh parameters: encoder C->15->d, decoder (d+S)->15->C, linear S-way heads.

@@ -3,8 +3,10 @@
 Everything is float64 numpy on (n, features) batches. A network is its weight and
 bias arrays, with ReLU after every layer but the last; the forward pass caches
 each layer's input, so the matching backward pass can return exact analytic
-gradients and read each hidden ReLU's mask off the next layer's input.
-A central finite-difference checker is the independent oracle for those gradients.
+gradients and read each hidden ReLU's mask off the next layer's input. ce_step,
+the one-call cross-entropy update of the heads and the MLP classifier, runs the
+same arithmetic on the bare arrays. A central finite-difference checker is the
+independent oracle for those gradients.
 """
 
 from __future__ import annotations
@@ -118,9 +120,6 @@ class Mlp:
             b_grads.append(g.sum(axis=0))
             g = g @ self.weights[k]
         return MlpGrads(w_grads[::-1], b_grads[::-1], g)
-
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def build_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
@@ -239,9 +238,63 @@ def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
 
 
 def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig) -> float:
-    """One SGD step on the mean softmax cross-entropy of net(x); returns the pre-step loss."""
-    loss, grad = softmax_cross_entropy(net.forward(x), targets)
-    sgd_step(net, net.backward(grad), sgd)
+    """One SGD step on the mean softmax cross-entropy of net(x); returns the pre-step loss.
+
+    Runs on net.weights and net.biases directly, without Mlp.forward: it does
+    the arithmetic of forward, softmax_cross_entropy, backward and sgd_step bit
+    for bit, but skips the input gradient, and a non-finite gradient raises
+    TrainingDiverged before any parameter changes. It drops the forward cache,
+    which no longer matches the weights and could hold a large batch (an
+    epoch's probe code) alive. x must be a nonempty (n, net.in_dim) float64
+    batch and targets n class ids in [0, net.out_dim): callers check them
+    once per fit, not here.
+    """
+    net._cache = None
+    weights, biases = net.weights, net.biases
+    last = len(weights) - 1
+    inputs = [x]  # each layer's input; a hidden ReLU's mask is read off the next one
+    a = x
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        a = a @ w.T
+        a += b
+        if k < last:
+            np.maximum(a, 0.0, out=a)
+            inputs.append(a)
+
+    # softmax cross-entropy of the logits a, in place
+    n = a.shape[0]
+    rows = np.arange(n)
+    a -= a.max(axis=1, keepdims=True)
+    picked = a[rows, targets]
+    np.exp(a, out=a)
+    norm = a.sum(axis=1, keepdims=True)
+    loss = float((np.log(norm[:, 0]) - picked).sum() / n)
+    a /= norm
+    a[rows, targets] -= 1.0
+    a /= n
+
+    # backward into views of one gradient vector, which is checked and scaled once
+    grads = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+    params, views, start = [], [], 0
+    g = a
+    for k in range(last, -1, -1):
+        w, b = weights[k], biases[k]
+        if k < last:
+            g *= inputs[k + 1] > 0
+        dw = grads[start: start + w.size].reshape(w.shape)
+        db = grads[start + w.size: start + w.size + b.size]
+        start += w.size + b.size
+        np.matmul(g.T, inputs[k], out=dw)
+        g.sum(axis=0, out=db)
+        params += (w, b)
+        views += (dw, db)
+        if k:
+            g = g @ w
+    if not np.isfinite(grads).all():
+        raise TrainingDiverged("non-finite gradient in sgd_step")
+    grads *= sgd.learning_rate
+    for param, step in zip(params, views):
+        param -= step
     return loss
 
 

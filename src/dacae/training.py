@@ -46,8 +46,14 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     if len(x) == 0:
         raise ValueError("empty batch")
 
-    # (1) + (2): heads fit the current code; encoder sees no update here
+    # (1) + (2): heads fit the current code; encoder sees no update here.
+    # ce_step trusts its targets, so s is checked here, once for both heads
     z = params.encoder.forward(x)
+    s = np.asarray(s, dtype=np.intp)
+    if s.shape != (z.shape[0],):
+        raise ValueError(f"targets of shape {s.shape} for {z.shape[0]} logit rows")
+    if s.min() < 0 or s.max() >= params.n_subjects:
+        raise ValueError("target class out of range")
     z_a, z_n = z[:, : params.d_a], z[:, params.d_a:]
     adv_ce = ce_step(params.adversary, z_a, s, config.sgd)
     nui_ce = ce_step(params.nuisance, z_n, s, config.sgd)
@@ -176,10 +182,12 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
     Every run trains replace(base, lambda_a=..., lambda_n=...), so the latent
     width, nuisance ratio and optimizer settings (including the seed of every
     run's extractor and classifier) all come from base, which must be the full
-    DA-cAE variant. Runs len(grid1) + len(grid2) trainings, never the cross
-    product. Selection maximizes validation task accuracy for the given
-    classifier kind; rows within TIE_MARGIN of the best resolve toward lower
-    adversary and higher nuisance accuracy.
+    DA-cAE variant. Stage 2's lambda_a=0 point is stage 1's winning run, so its
+    metrics are reused rather than retrained: a sweep trains len(grid1) +
+    len(grid2) runs, less one when grid2 holds a zero, never the cross product.
+    Selection maximizes validation task accuracy for the given classifier
+    kind; rows within TIE_MARGIN of the best resolve toward lower adversary and
+    higher nuisance accuracy.
     """
     if base.variant != "DA-cAE":
         raise ConfigError(f"sweep needs a DA-cAE base config, got {base.variant!r}")
@@ -198,7 +206,9 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
         return SweepRow(stage, lambda_a, lambda_n, config.r_n, val_acc, adv_acc, nui_acc)
 
     stage1 = [run(1, 0.0, ln) for ln in lambda_n_grid]
-    best_n = _pick(stage1).lambda_n
-    stage2 = [run(2, la, best_n) for la in lambda_a_grid]
+    best = _pick(stage1)
+    # the row keeps the grid's own lambda_a, so a -0.0 entry prints as -0.0
+    stage2 = [replace(best, stage=2, lambda_a=la) if la == 0.0 else run(2, la, best.lambda_n)
+              for la in lambda_a_grid]
     selected = _pick(stage2)
     return SweepResult(stage1 + stage2, selected)

@@ -44,6 +44,7 @@ from dacae import (
     softmax_cross_entropy,
 )
 from dacae.classifiers import KnnClassifier, best_split, gini_impurity
+from helpers import trial_table
 
 REAL_DATA = os.environ.get("DACAE_REAL_DATA")
 
@@ -359,7 +360,7 @@ def test_criterion_7_pipeline_soundness(tmp_path):
             raw.append(relaxation_heavy_trial(subject, k, label))
     ingested = ingest(raw, ["hr", "eda"])
     for subject in range(4):
-        labels = sorted(lbl for _, subj, lbl in ingested.trial_table()
+        labels = sorted(lbl for _, subj, lbl in trial_table(ingested)
                         if subj == subject)
         assert labels == [0, 1, 2, 3]
 

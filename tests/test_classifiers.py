@@ -183,7 +183,7 @@ def test_best_split_matches_reference_loop_bitwise():
         rng = make_rng(seed, 99)
         n = int(rng.integers(1, 41))
         dim = int(rng.integers(1, 16))
-        n_labels = int(rng.integers(2, 7))
+        n_labels = int(rng.integers(2, 11))  # the label-axis sums go pairwise from 8
         min_leaf = int(rng.integers(1, 8))
         z = np.round(rng.standard_normal((n, dim)), int(rng.integers(0, 3)))  # value ties
         label_pos = rng.integers(0, n_labels, size=n)

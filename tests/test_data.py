@@ -25,6 +25,7 @@ from dacae import (
     save_synthetic,
     subsample_trials,
 )
+from helpers import trial_table
 
 
 def _toy_dataset(n_subjects=3, n_classes=2, per_trial=5):
@@ -87,7 +88,7 @@ def test_ingest_excludes_extra_relaxation_trials():
         for k, label in enumerate((1, 2, 3), start=4):
             trials.append(_raw_trial(s, k, label))
     ds = ingest(trials, ["hr", "eda"])
-    table = ds.trial_table()
+    table = trial_table(ds)
     assert len(table) == 20
     for s in range(5):
         labels = sorted(lbl for _, subj, lbl in table if subj == s)
@@ -97,7 +98,7 @@ def test_ingest_excludes_extra_relaxation_trials():
 def test_ingest_remaps_trial_ids_globally_unique():
     trials = [_raw_trial(0, 0, 1), _raw_trial(1, 0, 2)]
     ds = ingest(trials, ["hr", "eda"], n_subjects=2)
-    assert len({tr for tr, _, _ in ds.trial_table()}) == 2
+    assert len({tr for tr, _, _ in trial_table(ds)}) == 2
 
 
 def test_ingest_rejects_a_gap_in_subject_ids():
@@ -304,7 +305,7 @@ def test_synthetic_trials_per_cell_partition():
     spec = SyntheticSpec(n_subjects=2, n_classes=2, samples_per_cell=10,
                          trials_per_cell=3, seed=5)
     ds, _, _ = generate_synthetic(spec)
-    table = ds.trial_table()
+    table = trial_table(ds)
     assert len(table) == 2 * 2 * 3
     for s in range(2):
         for y in range(2):

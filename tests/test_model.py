@@ -27,6 +27,7 @@ from dacae import (
     save_checkpoint,
     softmax_cross_entropy,
 )
+from helpers import copy_params
 
 
 def test_nuisance_dim_rounds_half_up():
@@ -274,7 +275,7 @@ def test_params_read_dims_off_networks():
     params = init_params(7, 6, HyperConfig(variant="DA-cAE", latent_dim=9), seed=0)
     dims = (params.n_channels, params.latent_dim, params.d_a, params.d_n, params.n_subjects)
     assert dims == (7, 9, 6, 3, 6)
-    twin = params.copy()
+    twin = copy_params(params)
     assert (twin.n_channels, twin.latent_dim, twin.d_a, twin.d_n, twin.n_subjects) == dims
     assert twin.encoder is not params.encoder
 

@@ -10,6 +10,7 @@ from dacae import (
     HyperConfig,
     Mlp,
     SgdConfig,
+    TrainingDiverged,
     build_mlp,
     grad_check,
     init_params,
@@ -22,6 +23,7 @@ from dacae import (
     train_step,
 )
 from dacae.nn import _row_max, _row_sum, ce_step, minibatches
+from helpers import copy_mlp, copy_params
 
 
 def test_make_rng_reproducible():
@@ -385,30 +387,51 @@ def _assert_same_arrays(net, ref):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("dims", [[15, 15, 4], [6, 8, 8, 3]])
-def test_ce_step_matches_reference_primitives_bitwise(dims):
+@pytest.mark.parametrize("dims, batch", [([15, 15, 4], 32), ([6, 8, 8, 3], 32), ([10, 6], 64)],
+                         ids=["dims0", "dims1", "dims2"])
+def test_ce_step_matches_reference_primitives_bitwise(dims, batch):
+    # 200 rows: every pass ends on a short batch (8 rows)
     rng = make_rng(31, 7)
     x = rng.standard_normal((200, dims[0])) * 2.0
     y = rng.integers(0, dims[-1], size=200)
     net = build_mlp(dims, make_rng(31, 8))
-    ref = net.copy()
-    sgd = SgdConfig(learning_rate=0.05, batch_size=32)
+    ref = copy_mlp(net)
+    sgd = SgdConfig(learning_rate=0.05, batch_size=batch)
     batches = make_rng(31, 9)
     steps = 0
     while steps < 200:
-        for idx in minibatches(batches, len(y), 32):
-            if idx.size < 32:
-                continue
+        for idx in minibatches(batches, len(y), batch):
             assert ce_step(net, x[idx], y[idx], sgd) == reference_ce_step(ref, x[idx], y[idx], 0.05)
             steps += 1
     _assert_same_arrays(net, ref)
+
+
+@pytest.mark.parametrize("dims", [[4, 3], [4, 6, 3]])
+def test_ce_step_non_finite_gradient_raises_before_any_update(dims):
+    net = build_mlp(dims, make_rng(32))
+    before = copy_mlp(net)
+    x = make_rng(33).standard_normal((8, 4))
+    x[2, 1] = np.inf
+    with np.errstate(all="ignore"), \
+            pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
+        ce_step(net, x, np.arange(8) % 3, SgdConfig(learning_rate=0.1))
+    _assert_same_arrays(net, before)
+
+
+def test_ce_step_drops_the_forward_cache():
+    # a probe's forward pass caches its whole batch; the step must not keep it alive
+    net = build_mlp([4, 3], make_rng(34))
+    net.forward(make_rng(35).standard_normal((500, 4)))
+    ce_step(net, make_rng(36).standard_normal((8, 4)), np.arange(8) % 3, SgdConfig())
+    with pytest.raises(RuntimeError, match=r"^backward\(\) called before forward\(\)$"):
+        net.backward(np.zeros((8, 3)))
 
 
 def test_train_step_matches_reference_primitives_bitwise():
     config = HyperConfig(lambda_a=0.2, lambda_n=0.5, latent_dim=6, variant="DA-cAE",
                          sgd=SgdConfig(learning_rate=0.1, batch_size=64))
     params = init_params(5, 4, config, seed=13)
-    ref = params.copy()
+    ref = copy_params(params)
     rng = make_rng(13, 1)
     for _ in range(50):
         x = rng.standard_normal((64, 5)) * 2.0

@@ -1,5 +1,7 @@
 """Alternating training loop, logging, and the two-stage sweep."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from dacae import (
 import dacae.model
 import dacae.training
 from dacae.training import LAMBDA_A_GRID, LAMBDA_N_GRID, _pick
+from helpers import copy_params
 
 
 def small_dataset(seed=0, **kw):
@@ -79,7 +82,7 @@ def _batch(seed=1, n=12, channels=4, subjects=3):
 def test_train_step_matches_reference_bitwise():
     config = small_config()
     params = init_params(4, 3, config, seed=2)
-    ref = params.copy()
+    ref = copy_params(params)
     x, s = _batch()
     train_step(params, x, s, config)
     reference_step(ref, x, s, config)
@@ -95,7 +98,7 @@ def test_train_step_heads_untouched_by_joint_update():
     # third sub-step leaves head weights exactly where the replay put them
     config = small_config()
     params = init_params(4, 3, config, seed=3)
-    ref = params.copy()
+    ref = copy_params(params)
     x, s = _batch(2)
     train_step(params, x, s, config)
 
@@ -114,7 +117,7 @@ def test_train_step_zero_lambda_matches_plain_autoencoder_path():
     # to an autoencoder that never consults the heads
     config = small_config(variant="AE", lambda_a=0.0, lambda_n=0.0)
     params = init_params(4, 3, config, seed=4)
-    ae = params.copy()
+    ae = copy_params(params)
     x, s = _batch(3)
     train_step(params, x, s, config)
 
@@ -148,7 +151,7 @@ def test_train_step_returns_prestep_loss_identity():
     config = small_config()
     params = init_params(4, 3, config, seed=6)
     x, s = _batch(5)
-    probe = params.copy()
+    probe = copy_params(params)
     z = encode(probe, x)
     adv0, _ = softmax_cross_entropy(probe.adversary.forward(z[:, : probe.d_a]), s)
     nui0, _ = softmax_cross_entropy(probe.nuisance.forward(z[:, probe.d_a:]), s)
@@ -171,10 +174,26 @@ def test_train_step_rejects_single_row():
     # a 1-D sample is not lifted to a batch of one
     config = small_config()
     params = init_params(4, 3, config, seed=0)
-    before = params.copy()
+    before = copy_params(params)
     x, s = _batch()
     with pytest.raises(ValueError, match=r"input shape \(4,\)"):
         train_step(params, x[0], s[:1], config)
+    for net, want in zip(params.groups().values(), before.groups().values()):
+        for a, b in zip(net.weights + net.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", ["AE", "DA-cAE"])
+@pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "too-large"])
+def test_train_step_rejects_out_of_range_subject(variant, bad):
+    # AE is unconditioned, so its decoder input never checks s: train_step must
+    config = small_config(variant=variant)
+    params = init_params(4, 3, config, seed=0)
+    before = copy_params(params)
+    x, s = _batch()
+    s[5] = bad
+    with pytest.raises(ValueError, match="^target class out of range$"):
+        train_step(params, x, s, config)
     for net, want in zip(params.groups().values(), before.groups().values()):
         for a, b in zip(net.weights + net.biases, want.weights + want.biases):
             assert np.array_equal(a, b)
@@ -336,6 +355,35 @@ def test_two_stage_sweep_run_count_and_stages():
     best_n = _pick(stage1).lambda_n
     assert all(r.lambda_n == best_n for r in stage2)
     assert result.selected in stage2
+
+
+def test_two_stage_sweep_reuses_stage_one_winner_for_zero_lambda_a(monkeypatch):
+    # stage 2's lambda_a=0 point is stage 1's winning run: default grids train 5 + 4 times
+    seen = []
+    real = dacae.training.fit_feature_extractor
+
+    def spy(dataset, config, val=None):
+        seen.append((config.lambda_a, config.lambda_n))
+        return real(dataset, config, val=val)
+
+    monkeypatch.setattr(dacae.training, "fit_feature_extractor", spy)
+    train, val = _sweep_dataset()
+    base = sweep_base(learning_rate=0.05, batch_size=32, epochs=1, seed=14)
+    result = two_stage_sweep(train, val, base, classifier="lda")
+    assert len(seen) == 9 and len(set(seen)) == 9
+    winner = _pick(result.rows[: len(LAMBDA_N_GRID)])
+    reused = result.rows[len(LAMBDA_N_GRID) + LAMBDA_A_GRID.index(0.0)]
+    assert reused == SweepRow(2, 0.0, winner.lambda_n, *astuple(winner)[3:])
+
+
+def test_two_stage_sweep_keeps_a_negative_zero_grid_entry():
+    train, val = _sweep_dataset()
+    base = sweep_base(learning_rate=0.05, batch_size=32, epochs=1, seed=15)
+    result = two_stage_sweep(train, val, base, classifier="lda",
+                             lambda_n_grid=(0.01,), lambda_a_grid=(-0.0, 0.1))
+    assert [r.stage for r in result.rows] == [1, 2, 2]
+    assert np.copysign(1.0, result.rows[1].lambda_a) == -1.0
+    assert astuple(result.rows[1])[2:] == astuple(result.rows[0])[2:]
 
 
 def test_two_stage_sweep_single_point_grids():
