@@ -97,21 +97,37 @@ class KnnClassifier(_Fitted):
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
         z = _check_features(z, self.z.shape[1])
-        label_pos = np.searchsorted(self.classes, self.y)
-        votes = np.zeros((z.shape[0], self.classes.size))
-        for i in range(z.shape[0]):
-            d2 = ((z[i] - self.z) ** 2).sum(axis=1)
-            nearest = np.argsort(d2, kind="stable")[: self.k]
-            votes[i] = np.bincount(label_pos[nearest], minlength=self.classes.size)
+        onehot = np.eye(self.classes.size)[np.searchsorted(self.classes, self.y)]
+        votes = np.empty((z.shape[0], self.classes.size))
+        for start in range(0, z.shape[0], _KNN_BLOCK):
+            d2 = _squared_distances(z[start: start + _KNN_BLOCK], self.z)
+            votes[start: start + len(d2)] = _nearest(d2, self.k) @ onehot
         return votes
 
 
-def gini_impurity(counts: np.ndarray) -> np.ndarray | float:
-    """Gini impurity 1 - sum(p^2) of class counts along the last axis; 0 where all are 0."""
-    n = counts.sum(axis=-1, keepdims=True)
-    p = counts / np.where(n > 0, n, 1.0)
-    g = np.where(n[..., 0] > 0, 1.0 - np.sum(p * p, axis=-1), 0.0)
-    return float(g) if g.ndim == 0 else g
+_KNN_BLOCK = 8  # queries per distance block, whose temporary is (8, n_train, d)
+
+
+def _squared_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(m, n) squared Euclidean distances; row i has the bits of
+    ((queries[i] - points) ** 2).sum(axis=1)."""
+    diff = queries[:, None, :] - points
+    np.square(diff, out=diff)
+    return diff.sum(axis=-1)
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's k nearest columns: the first k of a stable argsort of the row.
+
+    Columns below the k-th smallest distance are in; of those tied with it,
+    the lowest indices fill the rest. NaN sorts last, as in argsort.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1: k]
+    nan_kth = np.isnan(kth)
+    below = np.where(nan_kth, ~np.isnan(d2), d2 < kth)
+    tied = np.where(nan_kth, np.isnan(d2), d2 == kth)
+    room = k - below.sum(axis=1, keepdims=True)
+    return below | (tied & (np.cumsum(tied, axis=1) <= room))
 
 
 def best_split(z: np.ndarray, label_pos: np.ndarray, n_labels: int,
@@ -126,8 +142,10 @@ def best_split(z: np.ndarray, label_pos: np.ndarray, n_labels: int,
     to the lowest feature (only a strictly better score replaces the
     incumbent), then to the lowest threshold (argmin takes the first minimum).
 
-    The Gini terms are gini_impurity's arithmetic done in place: a side's
-    counts sum exactly to its row count, so p is the counts over that count.
+    Each side's Gini impurity is 1 - sum(p * p) over its labels, with p its
+    label counts divided by its row count (its counts sum to it exactly), in
+    that order of operations; the tests' reference loops score every cut
+    with the same arithmetic one side at a time, and must match bit for bit.
     """
     n = z.shape[0]
     order = np.argsort(z, axis=0, kind="stable")

@@ -147,9 +147,15 @@ def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
 
 
 def decoder_input(z: np.ndarray, s, n_subjects: int, conditioned: bool) -> np.ndarray:
-    """Concatenate the code with a one-hot condition (zeros when unconditioned)."""
-    cond = one_hot_subjects(s, n_subjects) if conditioned else np.zeros((len(z), n_subjects))
-    return np.concatenate([z, cond], axis=1)
+    """Concatenate the code with a one-hot condition (zeros when unconditioned).
+
+    A stack's (R, n, d) code gets the same condition in every replica.
+    """
+    d = z.shape[-1]
+    out = np.empty(z.shape[:-1] + (d + n_subjects,))
+    out[..., :d] = z
+    out[..., d:] = one_hot_subjects(s, n_subjects) if conditioned else 0.0
+    return out
 
 
 @dataclass

@@ -7,6 +7,19 @@ gradients and read each hidden ReLU's mask off the next layer's input. ce_step,
 the one-call cross-entropy update of the heads and the MLP classifier, runs the
 same arithmetic on the bare arrays. A central finite-difference checker is the
 independent oracle for those gradients.
+
+A network's arrays may carry a leading replica axis: R networks of one shape,
+with (R, out, in) weights and (R, out) biases, run as one stack. Every primitive
+broadcasts over that axis. An input is either shared, (n, in), or one per
+replica, (R, n, in); losses come back one per replica as an (R,) array, and a
+step checks every replica's gradient before it updates any. Each replica's
+arithmetic is that of its own 2-D network, bit for bit, and a 2-D network runs
+the same lines with no replica axis.
+
+The training step's reductions call the ufuncs' reduce directly (np.add.reduce
+for .sum(), np.maximum.reduce for .max(), _all for .all()): the same arithmetic,
+without the methods' Python wrappers, which cost more than the work on a
+minibatch's small arrays.
 """
 
 from __future__ import annotations
@@ -62,7 +75,11 @@ class MlpGrads:
 
 
 class Mlp:
-    """Dense layers a @ weights[k].T + biases[k], with ReLU after every layer but the last."""
+    """Dense layers a @ weights[k].T + biases[k], with ReLU after every layer but the last.
+
+    Weights are (out, in) and biases (out,), or (R, out, in) and (R, out) for a
+    stack of R replicas (see the module docstring).
+    """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
@@ -70,32 +87,37 @@ class Mlp:
         if not weights or len(biases) != len(weights):
             raise ValueError(f"{len(weights)} weights and {len(biases)} biases, not one per layer")
         for k, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2 or b.shape != (w.shape[0],):
+            if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
                 raise ValueError(f"layer {k}: weight shape {w.shape} and bias shape {b.shape}")
-            if k and weights[k - 1].shape[0] != w.shape[1]:
-                raise ValueError(f"layer dims mismatch: {weights[k - 1].shape[0]} -> {w.shape[1]}")
+            if w.shape[:-2] != weights[0].shape[:-2]:
+                raise ValueError(f"layer {k}: replica axis {w.shape[:-2]}, "
+                                 f"not layer 0's {weights[0].shape[:-2]}")
+            if k and weights[k - 1].shape[-2] != w.shape[-1]:
+                raise ValueError(
+                    f"layer dims mismatch: {weights[k - 1].shape[-2]} -> {w.shape[-1]}")
         self.weights = weights
         self.biases = biases
         self._cache: list[np.ndarray] | None = None  # each layer's input
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network on a batch x of shape (n, in); caches for backward."""
+        """Run the network on a batch x of shape (n, in), or (R, n, in) for a stack;
+        caches for backward."""
         a = np.asarray(x, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != self.in_dim:
+        if not 2 <= a.ndim <= self.weights[0].ndim or a.shape[-1] != self.in_dim:
             raise ValueError(f"input shape {a.shape} is not (n, {self.in_dim})")
         last = len(self.weights) - 1
         cache = [a]
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T
-            a += b
+            a = a @ w.swapaxes(-1, -2)
+            a += b[..., None, :]
             if k < last:
                 np.maximum(a, 0.0, out=a)  # ReLU in place: a is this layer's own array
                 cache.append(a)
@@ -103,11 +125,12 @@ class Mlp:
         return a
 
     def backward(self, upstream_grad: np.ndarray) -> MlpGrads:
-        """Gradients of the cached forward pass; upstream_grad is dLoss/dOutput, (n, out)."""
+        """Gradients of the cached forward pass; upstream_grad is dLoss/dOutput, shaped
+        like the output."""
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
         g = np.asarray(upstream_grad, dtype=np.float64)
-        if g.ndim != 2 or g.shape[1] != self.out_dim:
+        if not 2 <= g.ndim <= self.weights[0].ndim or g.shape[-1] != self.out_dim:
             raise ValueError(f"upstream grad shape {g.shape} is not (n, {self.out_dim})")
         cache = self._cache
         last = len(self.weights) - 1
@@ -116,8 +139,8 @@ class Mlp:
             if k < last:
                 # relu(z) > 0 exactly where z > 0 (NaN included); g is our own g @ w here
                 g *= cache[k + 1] > 0
-            w_grads.append(g.T @ cache[k])
-            b_grads.append(g.sum(axis=0))
+            w_grads.append(g.swapaxes(-1, -2) @ cache[k])
+            b_grads.append(np.add.reduce(g, axis=-2))
             g = g @ self.weights[k]
         return MlpGrads(w_grads[::-1], b_grads[::-1], g)
 
@@ -180,16 +203,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
+def _all(a: np.ndarray) -> bool:
+    """a.all(), without ndarray.all's Python wrapper."""
+    return bool(np.logical_and.reduce(a, axis=None))
+
+
+def _per_replica(loss: np.ndarray) -> np.ndarray | float:
+    """A stack's losses as an (R,) array; a 2-D network's one loss as a Python float."""
+    return loss if loss.ndim else float(loss)
+
+
+def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy of softmax((n, k) logits) against n integer class targets.
 
     The returned gradient is w.r.t. the logits and already carries the 1/n
-    batch factor, so it feeds straight into Mlp.backward.
+    batch factor, so it feeds straight into Mlp.backward. A stack's (R, n, k)
+    logits share the targets and give one loss per replica.
     """
     lg = np.asarray(logits, dtype=np.float64)
-    if lg.ndim != 2:
+    if lg.ndim not in (2, 3):
         raise ValueError(f"logits must be (n, k), got shape {lg.shape}")
-    n, k = lg.shape
+    n, k = lg.shape[-2:]
     if k == 0:
         raise ValueError("empty logits")
     t = np.asarray(targets, dtype=np.intp)
@@ -200,54 +234,67 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarra
     if t.min() < 0 or t.max() >= k:
         raise ValueError("target class out of range")
     rows = np.arange(n)
-    shifted = lg - lg.max(axis=1, keepdims=True)
+    shifted = lg - np.maximum.reduce(lg, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    norm = e.sum(axis=1, keepdims=True)
-    loss = float((np.log(norm[:, 0]) - shifted[rows, t]).sum() / n)  # np.mean, bit for bit
+    norm = np.add.reduce(e, axis=-1, keepdims=True)
+    # np.mean's bits, one loss per replica
+    loss = np.add.reduce(np.log(norm[..., 0]) - shifted[..., rows, t], axis=-1) / n
     grad = np.divide(e, norm, out=e)
-    grad[rows, t] -= 1.0
+    grad[..., rows, t] -= 1.0
     grad /= n
-    return loss, grad
+    return _per_replica(loss), grad
 
 
-def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over all entries; gradient w.r.t. x_hat."""
+def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean squared error over all entries; gradient w.r.t. x_hat.
+
+    A stack's (R, n, c) x_hat may share one (n, c) target and gives one loss
+    per replica.
+    """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if x_hat.shape != x.shape:
+    if x_hat.shape != x.shape and (x_hat.ndim != 3 or x_hat.shape[1:] != x.shape):
         raise ValueError(f"shape mismatch {x_hat.shape} vs {x.shape}")
     if x.size == 0:
         raise ValueError("empty batch")
     diff = x_hat - x
-    loss = float((diff * diff).sum() / diff.size)  # np.mean, bit for bit
-    grad = 2.0 * diff / diff.size
-    return loss, grad
+    sq = (diff * diff).reshape(x_hat.shape[:-2] + (-1,))
+    m = sq.shape[-1]
+    loss = np.add.reduce(sq, axis=-1) / m  # np.mean over each replica's entries, bit for bit
+    grad = 2.0 * diff / m
+    return _per_replica(loss), grad
 
 
 def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
-    """In-place SGD update: param -= learning_rate * grad. Returns net."""
-    lr = config.learning_rate
-    for w, b, dw, db in zip(net.weights, net.biases, grads.weights, grads.biases):
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
+    """In-place SGD update: param -= learning_rate * grad. Returns net.
+
+    Every gradient is checked before any parameter, of any replica, changes.
+    """
+    layers = list(zip(net.weights, net.biases, grads.weights, grads.biases))
+    for w, b, dw, db in layers:
+        if not (_all(np.isfinite(dw)) and _all(np.isfinite(db))):
             raise TrainingDiverged("non-finite gradient in sgd_step")
         if dw.shape != w.shape or db.shape != b.shape:
             raise ValueError("gradient shapes do not match network parameters")
+    lr = config.learning_rate
+    for w, b, dw, db in layers:
         w -= lr * dw
         b -= lr * db
     return net
 
 
-def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig) -> float:
+def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig
+            ) -> float | np.ndarray:
     """One SGD step on the mean softmax cross-entropy of net(x); returns the pre-step loss.
 
     Runs on net.weights and net.biases directly, without Mlp.forward: it does
     the arithmetic of forward, softmax_cross_entropy, backward and sgd_step bit
-    for bit, but skips the input gradient, and a non-finite gradient raises
-    TrainingDiverged before any parameter changes. It drops the forward cache,
-    which no longer matches the weights and could hold a large batch (an
-    epoch's probe code) alive. x must be a nonempty (n, net.in_dim) float64
-    batch and targets n class ids in [0, net.out_dim): callers check them
-    once per fit, not here.
+    for bit, but skips the input gradient, and a non-finite gradient in any
+    replica raises TrainingDiverged before any parameter changes. It drops the
+    forward cache, which no longer matches the weights and could hold a large
+    batch (an epoch's probe code) alive. x must be a nonempty (n, net.in_dim)
+    float64 batch, or (R, n, net.in_dim) for a stack, and targets n class ids
+    in [0, net.out_dim): callers check them once per fit, not here.
     """
     net._cache = None
     weights, biases = net.weights, net.biases
@@ -255,47 +302,49 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig) -> flo
     inputs = [x]  # each layer's input; a hidden ReLU's mask is read off the next one
     a = x
     for k, (w, b) in enumerate(zip(weights, biases)):
-        a = a @ w.T
-        a += b
+        a = a @ w.swapaxes(-1, -2)
+        a += b[..., None, :]
         if k < last:
             np.maximum(a, 0.0, out=a)
             inputs.append(a)
 
     # softmax cross-entropy of the logits a, in place
-    n = a.shape[0]
+    n = a.shape[-2]
     rows = np.arange(n)
-    a -= a.max(axis=1, keepdims=True)
-    picked = a[rows, targets]
+    a -= np.maximum.reduce(a, axis=-1, keepdims=True)
+    picked = a[..., rows, targets]
     np.exp(a, out=a)
-    norm = a.sum(axis=1, keepdims=True)
-    loss = float((np.log(norm[:, 0]) - picked).sum() / n)
+    norm = np.add.reduce(a, axis=-1, keepdims=True)
+    loss = np.add.reduce(np.log(norm[..., 0]) - picked, axis=-1) / n
     a /= norm
-    a[rows, targets] -= 1.0
+    a[..., rows, targets] -= 1.0
     a /= n
 
-    # backward into views of one gradient vector, which is checked and scaled once
-    grads = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+    # backward into views of one gradient vector per replica, checked and scaled once
+    sizes = [w.shape[-2] * (w.shape[-1] + 1) for w in weights]  # weights and bias
+    grads = np.empty(weights[0].shape[:-2] + (sum(sizes),))
     params, views, start = [], [], 0
     g = a
     for k in range(last, -1, -1):
         w, b = weights[k], biases[k]
         if k < last:
             g *= inputs[k + 1] > 0
-        dw = grads[start: start + w.size].reshape(w.shape)
-        db = grads[start + w.size: start + w.size + b.size]
-        start += w.size + b.size
-        np.matmul(g.T, inputs[k], out=dw)
-        g.sum(axis=0, out=db)
+        split = start + sizes[k] - b.shape[-1]
+        dw = grads[..., start:split].reshape(w.shape)  # a view: each replica's run is contiguous
+        db = grads[..., split: start + sizes[k]]
+        start += sizes[k]
+        np.matmul(g.swapaxes(-1, -2), inputs[k], out=dw)
+        np.add.reduce(g, axis=-2, out=db)
         params += (w, b)
         views += (dw, db)
         if k:
             g = g @ w
-    if not np.isfinite(grads).all():
+    if not _all(np.isfinite(grads)):
         raise TrainingDiverged("non-finite gradient in sgd_step")
     grads *= sgd.learning_rate
     for param, step in zip(params, views):
         param -= step
-    return loss
+    return _per_replica(loss)
 
 
 def minibatches(rng: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:

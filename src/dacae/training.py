@@ -8,12 +8,21 @@ touching head weights.
 
 Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
 and each epoch encodes the training set once for its probes and its LDA readout.
+
+Runs that differ only in their loss weights train as one stack: their
+parameters carry a leading replica axis (see dacae.nn), every step updates all
+of them with one call per primitive, and each replica's weights, losses and
+log equal its solo run's bit for bit. A single run trains 2-D networks, the
+one-replica case of the same lines. The two-stage sweep trains each stage's
+grid as one stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +30,7 @@ from . import classifiers
 from .data import Dataset, write_csv
 from .model import (DacaeParams, HyperConfig, LossParts, dacae_loss, decoder_input, encode,
                     init_params)
-from .nn import ConfigError, TrainingDiverged, ce_step, make_rng, minibatches, \
+from .nn import ConfigError, Mlp, TrainingDiverged, _all, ce_step, make_rng, minibatches, \
     mse_loss, sgd_step, softmax_cross_entropy
 
 LOSS_CEILING = 1e6
@@ -35,49 +44,80 @@ TIE_MARGIN = 0.005
 
 
 def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
-               config: HyperConfig) -> tuple[float, LossParts]:
+               config: HyperConfig | Sequence[HyperConfig]
+               ) -> tuple[float | np.ndarray, LossParts]:
     """One alternating update on a batch; mutates params, returns pre-step loss.
 
     Sub-updates run in a fixed order: adversary, nuisance, encoder-decoder.
     The encoder-decoder step leaves both heads bit-unchanged, and at
     lambda = 0 a head contributes nothing to the encoder gradient, so the
     encoder-decoder trajectory matches a plain (conditional) autoencoder.
+
+    A stack of R replicas takes one config per replica; the configs may differ
+    only in lambda_a and lambda_n. The replicas share the batch, and the loss
+    and its parts come back as (R,) arrays.
     """
     if len(x) == 0:
         raise ValueError("empty batch")
+    configs = [config] if isinstance(config, HyperConfig) else list(config)
+    replicas = params.encoder.weights[0].shape[:-2]
+    if len(configs) != math.prod(replicas):
+        raise ValueError(f"{len(configs)} configs for a stack of {replicas or 1} replicas")
+    # one weight per replica; [()] makes a 2-D net's lone weight a scalar, which is cheaper
+    lambda_a = np.array([c.lambda_a for c in configs]).reshape(replicas)[()]
+    lambda_n = np.array([c.lambda_n for c in configs]).reshape(replicas)[()]
+    sgd = configs[0].sgd
 
     # (1) + (2): heads fit the current code; encoder sees no update here.
     # ce_step trusts its targets, so s is checked here, once for both heads
     z = params.encoder.forward(x)
     s = np.asarray(s, dtype=np.intp)
-    if s.shape != (z.shape[0],):
-        raise ValueError(f"targets of shape {s.shape} for {z.shape[0]} logit rows")
+    if s.shape != (z.shape[-2],):
+        raise ValueError(f"targets of shape {s.shape} for {z.shape[-2]} logit rows")
     if s.min() < 0 or s.max() >= params.n_subjects:
         raise ValueError("target class out of range")
-    z_a, z_n = z[:, : params.d_a], z[:, params.d_a:]
-    adv_ce = ce_step(params.adversary, z_a, s, config.sgd)
-    nui_ce = ce_step(params.nuisance, z_n, s, config.sgd)
+    z_a, z_n = z[..., : params.d_a], z[..., params.d_a:]
+    adv_ce = ce_step(params.adversary, z_a, s, sgd)
+    nui_ce = ce_step(params.nuisance, z_n, s, sgd)
 
     # (3): encoder-decoder joint step against the freshly updated heads; the head
     # updates leave the encoder and its forward cache as (1) left them, so z is reused
-    x_hat = params.decoder.forward(decoder_input(z, s, params.n_subjects, config.conditioned))
+    x_hat = params.decoder.forward(
+        decoder_input(z, s, params.n_subjects, configs[0].conditioned))
     recon, recon_grad = mse_loss(x_hat, x)
     dec_grads = params.decoder.backward(recon_grad)
-    dz = dec_grads.wrt_input[:, : params.latent_dim].copy()
-    if config.lambda_a != 0.0:
-        _, ga = softmax_cross_entropy(params.adversary.forward(z_a), s)
-        dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga).wrt_input
-    if config.lambda_n != 0.0:
-        _, gn = softmax_cross_entropy(params.nuisance.forward(z_n), s)
-        dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn).wrt_input
+    dz = dec_grads.wrt_input[..., : params.latent_dim].copy()
+    _head_term(dz[..., : params.d_a], np.subtract, lambda_a, params.adversary, z_a, s)
+    _head_term(dz[..., params.d_a:], np.add, lambda_n, params.nuisance, z_n, s)
     enc_grads = params.encoder.backward(dz)
-    sgd_step(params.encoder, enc_grads, config.sgd)
-    sgd_step(params.decoder, dec_grads, config.sgd)
+    sgd_step(params.encoder, enc_grads, sgd)
+    sgd_step(params.decoder, dec_grads, sgd)
 
-    total = recon + config.lambda_n * nui_ce - config.lambda_a * adv_ce
-    if not np.isfinite(total) or abs(total) > LOSS_CEILING:
-        raise TrainingDiverged(f"joint loss {total} out of bounds")
+    total = recon + lambda_n * nui_ce - lambda_a * adv_ce
+    in_bounds = np.abs(total) <= LOSS_CEILING  # False for NaN too
+    if not _all(in_bounds):  # named by the first such replica's loss, as its solo run names it
+        raise TrainingDiverged(f"joint loss {np.ravel(total)[np.argmin(in_bounds)]} "
+                               "out of bounds")
     return total, LossParts(recon, adv_ce, nui_ce)
+
+
+def _head_term(dz: np.ndarray, combine, weight: np.ndarray, head: Mlp, code: np.ndarray,
+               s: np.ndarray) -> None:
+    """dz = combine(dz, weight * d CE(head(code), s) / d code), in place, in each replica
+    whose weight (one per replica) is not 0.
+
+    A replica at 0 is skipped by mask, not multiplied by 0, so its dz keeps the
+    bits, signed zeros included, of a run that never consults the head.
+    """
+    on = np.count_nonzero(weight)
+    if not on:
+        return
+    _, grad = softmax_cross_entropy(head.forward(code), s)
+    term = head.backward(grad).wrt_input
+    term *= weight[..., None, None]
+    # a full mask is left out: numpy's masked loop costs several times the plain one
+    mask = True if on == weight.size else (weight != 0.0)[..., None, None]
+    combine(dz, term, out=dz, where=mask)
 
 
 @dataclass
@@ -109,37 +149,77 @@ def probe_accuracies(params: DacaeParams, z: np.ndarray, s: np.ndarray) -> tuple
     return adv, nui
 
 
-def fit_feature_extractor(dataset: Dataset, config: HyperConfig,
-                          val: Dataset | None = None) -> tuple[DacaeParams, TrainLog]:
+def _stack(params: DacaeParams, replicas: int) -> DacaeParams:
+    """replicas copies of params, stacked along a new leading axis."""
+    return DacaeParams(*(Mlp([np.stack([w] * replicas) for w in net.weights],
+                             [np.stack([b] * replicas) for b in net.biases])
+                         for net in params.groups().values()))
+
+
+def _replica(stack: DacaeParams, r: int) -> DacaeParams:
+    """Replica r of a stack, as fresh networks over 2-D views of the stack's arrays."""
+    return DacaeParams(*(Mlp([w[r] for w in net.weights], [b[r] for b in net.biases])
+                         for net in stack.groups().values()))
+
+
+def _epoch_row(params: DacaeParams, dataset: Dataset, config: HyperConfig,
+               val: Dataset | None, epoch: int) -> TrainLogRow:
+    total, parts = dacae_loss(params, dataset.x, dataset.s, config)
+    z = encode(params, dataset.x)
+    adv_acc, nui_acc = probe_accuracies(params, z, dataset.s)
+    val_acc = 0.0
+    if val is not None:  # cheap task readout: LDA on the full code
+        readout = classifiers.fit("lda", z, dataset.y)
+        val_acc = classifiers.accuracy(readout, encode(params, val.x), val.y)
+    return TrainLogRow(epoch, total, parts.recon, parts.adv_ce, parts.nui_ce,
+                       adv_acc, nui_acc, val_acc)
+
+
+def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[HyperConfig],
+                          val: Dataset | None = None
+                          ) -> tuple[DacaeParams, TrainLog | list[TrainLog]]:
     """Train an extractor on the dataset with shuffled mini-batches.
 
     The conditioning width is dataset.n_subjects, so codes from subjects held
     out of this split still decode. One TrainLog row is appended per epoch,
     evaluated on the full training set; val_task_acc, an LDA fit on its code scored
     on the validation code, is 0.0 when no validation split is given.
+
+    One config returns (params, TrainLog). A list of configs that differ only
+    in lambda_a and lambda_n trains them as one stack and returns (stack, one
+    TrainLog per config): the runs share one init_params draw, one shuffle
+    stream and one gather per batch, and each epoch is evaluated replica by
+    replica. Replica r of the stack, and its log, equal a solo fit of
+    config[r] bit for bit; a divergence in any replica stops the whole stack.
+    A single config trains its 2-D networks, the one-replica case of the same
+    lines.
     """
+    single = isinstance(config, HyperConfig)
+    configs = [config] if single else list(config)
+    if not configs:
+        raise ConfigError("no configs to fit")
+    first = configs[0]
+    if any(replace(c, lambda_a=first.lambda_a, lambda_n=first.lambda_n) != first
+           for c in configs):
+        raise ConfigError("stacked configs may differ only in lambda_a and lambda_n")
     if np.unique(dataset.s).size < 2:
         raise ConfigError("feature extractor needs at least two subjects")
-    params = init_params(dataset.x.shape[1], dataset.n_subjects, config, config.sgd.seed)
-    shuffle_rng = make_rng(config.sgd.seed, 500)
-    rows = []
-    for epoch in range(config.sgd.epochs):
-        for batch, ids in enumerate(minibatches(shuffle_rng, len(dataset), config.sgd.batch_size)):
+    params = init_params(dataset.x.shape[1], dataset.n_subjects, first, first.sgd.seed)
+    if not single:
+        params = _stack(params, len(configs))
+    shuffle_rng = make_rng(first.sgd.seed, 500)
+    logs = [TrainLog([]) for _ in configs]
+    for epoch in range(first.sgd.epochs):
+        for batch, ids in enumerate(minibatches(shuffle_rng, len(dataset), first.sgd.batch_size)):
             try:
-                train_step(params, dataset.x[ids], dataset.s[ids], config)
+                train_step(params, dataset.x[ids], dataset.s[ids], configs)
             except TrainingDiverged as err:
                 raise TrainingDiverged(f"epoch {epoch}, batch {batch}: {err}") from err
-        total, parts = dacae_loss(params, dataset.x, dataset.s, config)
-        z = encode(params, dataset.x)
-        adv_acc, nui_acc = probe_accuracies(params, z, dataset.s)
-        val_acc = 0.0
-        if val is not None:  # cheap task readout: LDA on the full code
-            readout = classifiers.fit("lda", z, dataset.y)
-            val_acc = classifiers.accuracy(readout, encode(params, val.x), val.y)
-        rows.append(TrainLogRow(epoch, total, parts.recon, parts.adv_ce, parts.nui_ce,
-                                adv_acc, nui_acc, val_acc))
-        del z  # not held through the next epoch's training, where it would raise peak memory
-    return params, TrainLog(rows)
+        # one replica at a time, so evaluation needs no more memory than a solo fit's
+        for r, (c, log) in enumerate(zip(configs, logs)):
+            replica = params if single else _replica(params, r)
+            log.rows.append(_epoch_row(replica, dataset, c, val, epoch))
+    return (params, logs[0]) if single else (params, logs)
 
 
 @dataclass
@@ -182,9 +262,13 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
     Every run trains replace(base, lambda_a=..., lambda_n=...), so the latent
     width, nuisance ratio and optimizer settings (including the seed of every
     run's extractor and classifier) all come from base, which must be the full
-    DA-cAE variant. Stage 2's lambda_a=0 point is stage 1's winning run, so its
-    metrics are reused rather than retrained: a sweep trains len(grid1) +
-    len(grid2) runs, less one when grid2 holds a zero, never the cross product.
+    DA-cAE variant. Each stage's runs train as one stack, in one
+    fit_feature_extractor call, and each replica equals its solo run bit for
+    bit. Stage 2's lambda_a=0 point is stage 1's winning run, so its metrics
+    are reused rather than retrained: a sweep trains len(grid1) + len(grid2)
+    runs, less one when grid2 holds a zero, never the cross product. If a run
+    diverges, the stage is retrained one run at a time in grid order, so the
+    error raised is the first diverging run's, as a run-by-run sweep raises it.
     Selection maximizes validation task accuracy for the given classifier
     kind; rows within TIE_MARGIN of the best resolve toward lower adversary and
     higher nuisance accuracy.
@@ -196,19 +280,32 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
     if val.x.shape[0] == 0:
         raise ConfigError("sweep needs a nonempty validation set")
 
-    def run(stage: int, lambda_a: float, lambda_n: float) -> SweepRow:
-        config = replace(base, lambda_a=lambda_a, lambda_n=lambda_n)
-        params, _ = fit_feature_extractor(train, config)
+    def readout(stage: int, config: HyperConfig, params: DacaeParams) -> SweepRow:
         z_val = encode(params, val.x)
         clf = classifiers.fit(classifier, encode(params, train.x), train.y, seed=config.sgd.seed)
         val_acc = classifiers.accuracy(clf, z_val, val.y)
         adv_acc, nui_acc = probe_accuracies(params, z_val, val.s)
-        return SweepRow(stage, lambda_a, lambda_n, config.r_n, val_acc, adv_acc, nui_acc)
+        return SweepRow(stage, config.lambda_a, config.lambda_n, config.r_n, val_acc,
+                        adv_acc, nui_acc)
 
-    stage1 = [run(1, 0.0, ln) for ln in lambda_n_grid]
+    def run(stage: int, points: list[tuple[float, float]]) -> list[SweepRow]:
+        if not points:
+            return []
+        configs = [replace(base, lambda_a=la, lambda_n=ln) for la, ln in points]
+        try:
+            stack, _ = fit_feature_extractor(train, configs)
+            fits = (_replica(stack, r) for r in range(len(configs)))
+        except TrainingDiverged:
+            # the stack stops at whichever replica diverges first in time
+            fits = (fit_feature_extractor(train, c)[0] for c in configs)
+        # lazily, so each replica's networks (and their forward caches) go after its readout
+        return [readout(stage, c, params) for c, params in zip(configs, fits)]
+
+    stage1 = run(1, [(0.0, ln) for ln in lambda_n_grid])
     best = _pick(stage1)
-    # the row keeps the grid's own lambda_a, so a -0.0 entry prints as -0.0
-    stage2 = [replace(best, stage=2, lambda_a=la) if la == 0.0 else run(2, la, best.lambda_n)
+    trained = iter(run(2, [(la, best.lambda_n) for la in lambda_a_grid if la != 0.0]))
+    # the reused row keeps the grid's own lambda_a, so a -0.0 entry prints as -0.0
+    stage2 = [replace(best, stage=2, lambda_a=la) if la == 0.0 else next(trained)
               for la in lambda_a_grid]
     selected = _pick(stage2)
     return SweepResult(stage1 + stage2, selected)

@@ -43,8 +43,8 @@ from dacae import (
     run_loso,
     softmax_cross_entropy,
 )
-from dacae.classifiers import KnnClassifier, best_split, gini_impurity
-from helpers import trial_table
+from dacae.classifiers import KnnClassifier, best_split
+from helpers import gini_impurity, trial_table
 
 REAL_DATA = os.environ.get("DACAE_REAL_DATA")
 

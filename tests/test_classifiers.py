@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from dacae import (KINDS, ConfigError, SgdConfig, accuracy, build_mlp, canonical_kind, fit,
                    make_rng, sgd_step, softmax_cross_entropy)
 from dacae import classifiers
-from dacae.classifiers import (KnnClassifier, TreeClassifier, _train_logreg, best_split,
-                               gini_impurity)
+from dacae.classifiers import (KnnClassifier, TreeClassifier, _squared_distances, _train_logreg,
+                               best_split)
+from helpers import gini_impurity
 
 
 def two_blobs(seed, n_per=40, gap=6.0, dim=3):
@@ -98,6 +99,41 @@ def test_knn_matches_brute_force_random_instances():
         got = clf.predict(queries)
         want = [brute_force_knn(train_z, train_y, q, k) for q in queries]
         assert list(got) == want, f"seed {seed}"
+
+
+def per_query_knn_votes(train_z, train_y, queries, k):
+    """kNN votes as they were computed before blocking: one query at a time, the first k
+    of a stable argsort of its distances."""
+    classes = np.unique(train_y)
+    label_pos = np.searchsorted(classes, train_y)
+    votes = np.zeros((len(queries), classes.size))
+    for i, q in enumerate(queries):
+        d2 = ((q - train_z) ** 2).sum(axis=1)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        votes[i] = np.bincount(label_pos[nearest], minlength=classes.size)
+    return votes
+
+
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_knn_blocks_match_the_per_query_loop_bitwise(dim):
+    rng = make_rng(92, dim)
+    distinct = np.round(rng.standard_normal((40, dim)), 1)
+    train_z = distinct[rng.integers(0, 40, size=300)]  # duplicated rows: ties at every rank
+    train_y = rng.integers(0, 4, size=300)
+    queries = np.vstack([distinct[:13], np.round(rng.standard_normal((20, dim)), 1)])
+    train_z[[7, 150]] = np.nan  # NaN distances sort last
+    train_z[9] = 1e200          # an infinite distance sorts before them
+    queries[4] = np.nan         # every distance NaN: the lowest indices win
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1, 5, 17, 299, 300):
+            clf = KnnClassifier(train_z, train_y, k=k)
+            want = per_query_knn_votes(train_z, train_y, queries, k)
+            assert np.array_equal(clf.decision_scores(queries), want), k
+        for start in range(0, len(queries), 8):  # 33 queries: the last block is short
+            block = _squared_distances(queries[start: start + 8], train_z)
+            for i, d2 in enumerate(block):
+                want = ((queries[start + i] - train_z) ** 2).sum(axis=1)
+                assert np.array_equal(d2.view(np.uint64), want.view(np.uint64))
 
 
 # -- decision tree ------------------------------------------------------------------

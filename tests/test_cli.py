@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from dacae import (SyntheticSpec, classifiers, generate_synthetic, load_checkpoint, load_csv,
-                   load_synthetic_sidecar, save_csv)
+from dacae import (HyperConfig, SyntheticSpec, classifiers, generate_synthetic, load_checkpoint,
+                   load_csv, load_synthetic_sidecar, save_csv)
 from dacae.cli import main
 
 
@@ -88,6 +88,32 @@ def test_loso_variant_flag_overrides(tmp_path):
 def test_loso_diverged_exit_code(tmp_path):
     cfg = write_config(tmp_path, learning_rate=1e9, epochs=1, variants=["AE"])
     assert main(["loso", "--config", str(cfg)]) == 2
+
+
+def test_sweep_divergence_matches_the_diverging_point_fit_alone(tmp_path, monkeypatch, capsys):
+    # stage 1 trains as one stack. After a healthy point, lambda_n=1000 diverges at batch 2
+    # and lambda_n=1e6 at batch 0, so the stack stops on the later grid point first. The
+    # sweep must still fail as fitting lambda_n=1000 alone fails, and stage 2 never trains
+    import dacae.training as training
+    trained = []
+    real = training.fit_feature_extractor
+
+    def spy(dataset, config, val=None):
+        trained.extend([config] if isinstance(config, HyperConfig) else config)
+        return real(dataset, config, val=val)
+
+    monkeypatch.setattr(training, "fit_feature_extractor", spy)
+    cfg = write_config(tmp_path, sweep_classifier="lda", sweep_lambda_n=[0.01, 1000.0, 1e6],
+                       sweep_lambda_a=[0.0, 0.1], epochs=1)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    sweep_err = capsys.readouterr().err
+    assert {c.lambda_a for c in trained} == {0.0}
+    assert not (tmp_path / "out" / "sweep").exists()
+
+    solo = write_config(tmp_path, variants=["DA-cAE"], lambda_a=0.0, lambda_n=1000.0, epochs=1)
+    assert main(["train", "--config", str(solo)]) == 2
+    assert sweep_err == capsys.readouterr().err
+    assert sweep_err.startswith("training diverged: epoch 0, batch 2: joint loss ")
 
 
 def test_unknown_config_key_exit_code(tmp_path):

@@ -11,6 +11,7 @@ from dacae import (
     ConfigError,
     ExperimentConfig,
     FoldResult,
+    HyperConfig,
     ReportError,
     SyntheticSpec,
     generate_synthetic,
@@ -268,8 +269,8 @@ def test_run_sweep_trains_configured_extractor(tmp_path, monkeypatch):
     seen = []
     real = training.fit_feature_extractor
 
-    def spy(dataset, config, val=None):
-        seen.append(config)
+    def spy(dataset, config, val=None):  # counts configs trained, one run or a stack
+        seen.extend([config] if isinstance(config, HyperConfig) else config)
         return real(dataset, config, val=val)
 
     monkeypatch.setattr(training, "fit_feature_extractor", spy)

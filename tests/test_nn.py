@@ -536,3 +536,89 @@ def test_softmax_raises_the_broadcast_forms_error(row):
 def test_softmax_is_batch_only(shape):
     with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, shape))},?\)"):
         softmax(np.zeros(shape))
+
+
+# -- replica stacks ------------------------------------------------------------
+# A stack's arrays carry a leading replica axis; replica r must compute exactly
+# what its own 2-D network computes.
+
+def _stack(nets):
+    return Mlp([np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+               [np.stack(bs) for bs in zip(*(net.biases for net in nets))])
+
+
+def _assert_replica(stack, r, net):
+    for a, b in zip(stack.weights + stack.biases, net.weights + net.biases, strict=True):
+        _assert_same_bits(a[r], b)
+
+
+@pytest.mark.parametrize("dims, n", [([5, 15, 4], 64), ([6, 8, 8, 3], 1), ([3, 1], 7),
+                                     ([1, 4, 2], 13)], ids=["head", "one-row", "one-out", "one-in"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-input", "own-input"])
+def test_stacked_primitives_match_each_replica_bitwise(dims, n, shared):
+    replicas = 3
+    nets = [build_mlp(dims, make_rng(61, r)) for r in range(replicas)]
+    stack = _stack([copy_mlp(net) for net in nets])
+    rng = make_rng(62, n)
+    x = rng.standard_normal((n, dims[0]) if shared else (replicas, n, dims[0]))
+    xs = [x if shared else x[r] for r in range(replicas)]
+    t = rng.integers(0, dims[-1], size=n)
+    target = rng.standard_normal((n, dims[-1]))
+    sgd = SgdConfig(learning_rate=0.1)
+
+    out = stack.forward(x)
+    ce, ce_grad = softmax_cross_entropy(out, t)
+    mse, mse_grad = mse_loss(out, target)
+    grads = stack.backward(ce_grad + mse_grad)
+    sgd_step(stack, grads, sgd)
+    assert ce.shape == mse.shape == (replicas,)
+    for r, net in enumerate(nets):
+        out_r = net.forward(xs[r])
+        _assert_same_bits(out[r], out_r)
+        ce_r, ce_grad_r = softmax_cross_entropy(out_r, t)
+        mse_r, mse_grad_r = mse_loss(out_r, target)
+        assert (ce[r], mse[r]) == (ce_r, mse_r)
+        _assert_same_bits(ce_grad[r], ce_grad_r)
+        _assert_same_bits(mse_grad[r], mse_grad_r)
+        grads_r = net.backward(ce_grad_r + mse_grad_r)
+        for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
+                        [*grads_r.weights, *grads_r.biases, grads_r.wrt_input], strict=True):
+            _assert_same_bits(a[r], b)
+        sgd_step(net, grads_r, sgd)
+        _assert_replica(stack, r, net)
+
+    for _ in range(3):
+        losses = ce_step(stack, x, t, sgd)
+        assert [ce_step(net, x_r, t, sgd) for net, x_r in zip(nets, xs)] == list(losses)
+    for r, net in enumerate(nets):
+        _assert_replica(stack, r, net)
+
+
+def test_stacked_steps_check_every_replica_before_any_update():
+    nets = [build_mlp([4, 6, 3], make_rng(63, r)) for r in range(3)]
+    stack = _stack(nets)
+    before = copy_mlp(stack)
+    x = make_rng(64).standard_normal((3, 8, 4))
+    x[2, 1, 0] = np.inf  # only the last replica's batch
+    t = np.arange(8) % 3
+    sgd = SgdConfig(learning_rate=0.1)
+    with np.errstate(all="ignore"), \
+            pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
+        ce_step(stack, x, t, sgd)
+    _assert_same_arrays(stack, before)
+    # sgd_step likewise checks every layer of every replica before it updates the first
+    _, grad = softmax_cross_entropy(stack.forward(x[:, :1]), t[:1])
+    grads = stack.backward(grad)
+    grads.biases[-1][2, 0] = np.nan
+    with pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
+        sgd_step(stack, grads, sgd)
+    _assert_same_arrays(stack, before)
+
+
+def test_stack_layers_share_one_replica_axis():
+    with pytest.raises(ValueError, match=r"layer 1: replica axis \(2,\), not layer 0's \(3,\)"):
+        Mlp([np.zeros((3, 2, 4)), np.zeros((2, 1, 2))], [np.zeros((3, 2)), np.zeros((2, 1))])
+    with pytest.raises(ValueError, match=r"input shape \(2, 5, 3, 4\)"):
+        _stack([build_mlp([4, 2], make_rng(65))] * 2).forward(np.zeros((2, 5, 3, 4)))
+    with pytest.raises(ValueError, match=r"input shape \(2, 5, 4\)"):
+        build_mlp([4, 2], make_rng(65)).forward(np.zeros((2, 5, 4)))

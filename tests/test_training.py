@@ -16,6 +16,7 @@ from dacae import (
     TrainingDiverged,
     VARIANTS,
     classifiers,
+    dacae_loss,
     decoder_input,
     encode,
     fit_feature_extractor,
@@ -31,6 +32,7 @@ from dacae import (
 )
 import dacae.model
 import dacae.training
+from dacae.nn import minibatches
 from dacae.training import LAMBDA_A_GRID, LAMBDA_N_GRID, _pick
 from helpers import copy_params
 
@@ -236,6 +238,72 @@ def test_fit_feature_extractor_divergence_names_position():
         fit_feature_extractor(ds, config)
 
 
+def solo_fit(dataset, config, val=None):
+    """One run on 2-D networks, one train_step per batch: the fit as it stood before
+    runs were stacked, kept as the reference a stack's replicas must equal."""
+    params = init_params(dataset.x.shape[1], dataset.n_subjects, config, config.sgd.seed)
+    shuffle_rng = make_rng(config.sgd.seed, 500)
+    rows = []
+    for epoch in range(config.sgd.epochs):
+        for ids in minibatches(shuffle_rng, len(dataset), config.sgd.batch_size):
+            train_step(params, dataset.x[ids], dataset.s[ids], config)
+        total, parts = dacae_loss(params, dataset.x, dataset.s, config)
+        z = encode(params, dataset.x)
+        adv_acc, nui_acc = probe_accuracies(params, z, dataset.s)
+        val_acc = 0.0
+        if val is not None:
+            readout = classifiers.fit("lda", z, dataset.y)
+            val_acc = classifiers.accuracy(readout, encode(params, val.x), val.y)
+        rows.append(TrainLogRow(epoch, total, parts.recon, parts.adv_ce, parts.nui_ce,
+                                adv_acc, nui_acc, val_acc))
+    return params, rows
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("lambdas", [
+    [(0.1, 0.01)],
+    [(0.0, 0.2), (0.5, 0.0), (-0.0, 0.01), (0.1, 0.5)],
+    [(0.0, 0.0), (-0.0, 0.005), (0.0, 0.01), (0.2, -0.0), (0.5, 0.5)],
+], ids=["R1", "R4", "R5"])
+def test_stacked_fit_replicas_equal_solo_fits_bitwise(lambdas):
+    ds = small_dataset(6)
+    val_ids = np.arange(0, len(ds), 9)  # leaves 106 rows: every epoch ends on a short batch
+    train = ds.subset(np.setdiff1d(np.arange(len(ds)), val_ids))
+    val = ds.subset(val_ids)
+    configs = [small_config(lambda_a=la, lambda_n=ln, sgd=SgdConfig(
+        learning_rate=0.05, batch_size=16, epochs=8, seed=6)) for la, ln in lambdas]
+    stack, logs = fit_feature_extractor(train, configs, val=val)
+    assert len(logs) == len(configs)
+    for r, config in enumerate(configs):
+        want, want_rows = solo_fit(train, config, val=val)
+        for name, net in stack.groups().items():
+            ref = want.groups()[name]
+            for a, b in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
+                assert np.array_equal(_bits(a[r]), _bits(b)), (r, name)
+        assert [_bits(astuple(row)).tolist() for row in logs[r].rows] == \
+            [_bits(astuple(row)).tolist() for row in want_rows]
+    if len(configs) == 1:  # one config alone returns the replica's own 2-D networks
+        params, log = fit_feature_extractor(train, configs[0], val=val)
+        for name, net in params.groups().items():
+            for a, b in zip(net.weights + net.biases,
+                            stack.groups()[name].weights + stack.groups()[name].biases):
+                assert a.shape == b.shape[1:] and np.array_equal(_bits(a), _bits(b[0]))
+        assert log.rows == logs[0].rows
+
+
+def test_stacked_fit_rejects_configs_that_differ_beyond_the_loss_weights():
+    ds = small_dataset()
+    with pytest.raises(ConfigError, match="^no configs to fit$"):
+        fit_feature_extractor(ds, [])
+    for other in (small_config(latent_dim=5), small_config(r_n=0.5), small_config(variant="A-cAE"),
+                  small_config(sgd=SgdConfig(learning_rate=0.05, batch_size=16, epochs=3, seed=1))):
+        with pytest.raises(ConfigError, match="may differ only in lambda_a and lambda_n"):
+            fit_feature_extractor(ds, [small_config(), other])
+
+
 def test_epoch_encodes_training_set_at_most_twice(monkeypatch):
     # the loss is a function of the parameters and encodes on its own; the probes
     # and the LDA readout share one code of the training set
@@ -358,12 +426,14 @@ def test_two_stage_sweep_run_count_and_stages():
 
 
 def test_two_stage_sweep_reuses_stage_one_winner_for_zero_lambda_a(monkeypatch):
-    # stage 2's lambda_a=0 point is stage 1's winning run: default grids train 5 + 4 times
+    # stage 2's lambda_a=0 point is stage 1's winning run: default grids train 5 + 4 points,
+    # counted by config whether a call trains one run or a stack
     seen = []
     real = dacae.training.fit_feature_extractor
 
     def spy(dataset, config, val=None):
-        seen.append((config.lambda_a, config.lambda_n))
+        configs = [config] if isinstance(config, HyperConfig) else config
+        seen.extend((c.lambda_a, c.lambda_n) for c in configs)
         return real(dataset, config, val=val)
 
     monkeypatch.setattr(dacae.training, "fit_feature_extractor", spy)
