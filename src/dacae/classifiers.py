@@ -257,30 +257,57 @@ def _train_lda(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solved, intercept
 
 
-def _affine(z: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """z @ w.T + b with the bias added in place one column at a time: numpy broadcasts
-    over a short last axis row by row, and a column add gives the same bits."""
-    out = z @ w.T
-    for col, bias in zip(out.T, b):
-        col += bias
-    return out
+def _affine(zt: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Class-major z @ w.T + b from zt = z.T (d, n), C-ordered.
+
+    Returns an F-ordered (n, k) array: (w @ zt).T, each class's column contiguous,
+    with its bias added in place to that column. It has the bits of z @ w.T + b
+    with z C-ordered (numpy broadcasts a short last axis row by row, and a column
+    add gives the same bits).
+    """
+    out = w @ zt
+    for row, bias in zip(out, b):
+        row += bias
+    return out.T
+
+
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a C-ordered copy of an (n >= 1, k) array, bit for bit, in any layout.
+
+    From two columns up, numpy sums axis 0 of a C-ordered array row after row from
+    +0.0. An accumulate along axis 0 takes the same sequential sums in any layout
+    (a.sum(axis=0) of a class-major array would sum each column pairwise); it starts
+    from the first row instead, which differs only in giving -0.0 for a column of
+    -0.0, and adding +0.0 turns that into numpy's +0.0. One column is contiguous
+    along axis 0 even when C-ordered, so numpy sums it pairwise in every layout.
+    """
+    if a.shape[1] == 1:
+        return a.sum(axis=0)
+    return np.add(np.add.accumulate(a, axis=0)[-1], 0.0)
 
 
 def _train_svm(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-vs-rest hinge loss, L2 weight 1/n, 200 full-batch steps at rate 0.5 / (1 + 0.02 t)."""
+    """One-vs-rest hinge loss, L2 weight 1/n, 200 full-batch steps at rate 0.5 / (1 + 0.02 t).
+
+    Every (n, classes) array of an iteration is class-major (F-ordered), so each
+    step walks contiguous columns; z stays C-ordered, since the bits of
+    active.T @ z depend on its layout.
+    """
+    z = np.ascontiguousarray(z)
+    zt = np.ascontiguousarray(z.T)
     classes = np.unique(y)
     n, d = z.shape
-    targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, L)
+    targets = np.asfortranarray(np.where(y[:, None] == classes[None, :], 1.0, -1.0))  # (n, L)
     lam = 1.0 / n
     w = np.zeros((classes.size, d))
     b = np.zeros(classes.size)
     for t in range(200):
         lr = 0.5 / (1.0 + 0.02 * t)
-        margins = _affine(z, w, b)
+        margins = _affine(zt, w, b)
         margins *= targets
         active = (margins < 1.0) * targets
         w -= lr * (lam * w - active.T @ z / n)
-        b -= lr * (-active.mean(axis=0))
+        b -= lr * (-(_col_sum(active) / n))  # active.mean(axis=0)
     return w, b
 
 
@@ -288,20 +315,24 @@ def _train_logreg(z: np.ndarray, y: np.ndarray, epochs: int = 500) -> tuple[np.n
     """Multinomial logistic regression, L2 weight 1e-4, up to `epochs` full-batch unit steps.
 
     A fit stops early once the gradient norm falls below 1e-6; fits at the default
-    fold size do not get there and run all 500 steps.
+    fold size do not get there and run all 500 steps. The logits, the softmax and
+    its error are class-major (F-ordered); z stays C-ordered, since the bits of
+    err.T @ z depend on its layout.
     """
+    z = np.ascontiguousarray(z)
+    zt = np.ascontiguousarray(z.T)
     classes, targets = np.unique(y, return_inverse=True)
     n, d = z.shape
     w = np.zeros((classes.size, d))
     b = np.zeros(classes.size)
-    onehot = np.zeros((n, classes.size))
+    onehot = np.zeros((n, classes.size), order="F")
     onehot[np.arange(n), targets] = 1.0
     for _ in range(epochs):
-        err = softmax(_affine(z, w, b))
+        err = softmax(_affine(zt, w, b))
         err -= onehot
         err /= n
         gw = err.T @ z + 1e-4 * w
-        gb = err.sum(axis=0)
+        gb = _col_sum(err)
         if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < 1e-6:
             break
         w -= gw

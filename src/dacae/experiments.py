@@ -253,10 +253,22 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
 
 def _execute(dataset: Dataset, jobs: list[_FoldJob],
              n_workers: int) -> list[tuple[list[FoldResult], TrainLog | None]]:
+    """Every job's fold results in job order, inline or on a pool of n_workers.
+
+    Prints `fold i/N` on stderr as each job's results arrive, in job order.
+    """
     if n_workers <= 1:
-        return [_run_fold(dataset, job) for job in jobs]
+        return _with_progress(map(_run_fold, repeat(dataset), jobs), len(jobs))
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_run_fold, repeat(dataset), jobs))
+        return _with_progress(pool.map(_run_fold, repeat(dataset), jobs), len(jobs))
+
+
+def _with_progress(outs, total: int) -> list:
+    done = []
+    for i, out in enumerate(outs, 1):
+        done.append(out)
+        print(f"fold {i}/{total}", file=sys.stderr, flush=True)
+    return done
 
 
 def _grid(config: ExperimentConfig, rows, plans: list[SplitPlan],

@@ -170,12 +170,13 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(e: np.ndarray) -> np.ndarray:
-    """e.sum(axis=1) of an exp output. Below 8 columns numpy adds each row left to right
-    from +0.0, which a chain of column adds repeats bit for bit (only a row of -0.0
-    alone, which exp never returns, would differ); from 8 up it sums pairwise, so its
-    own sum stays."""
+    """e.sum(axis=1) of a C-ordered exp output, in any layout. Below 8 columns numpy adds
+    each row left to right from +0.0, which a chain of column adds repeats bit for bit
+    (only a row of -0.0 alone, which exp never returns, would differ); from 8 up it sums
+    each contiguous row pairwise, so it sums a C-ordered copy (on an F-ordered array it
+    would add the columns in sequence)."""
     if e.shape[1] >= 8:
-        return e.sum(axis=1)
+        return np.ascontiguousarray(e).sum(axis=1)
     s = e[:, 0].copy()
     for col in e.T[1:]:
         s += col
@@ -187,7 +188,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
     Every step runs once per column, never once per row, and gives the bits of the
     broadcast form e = np.exp(x - x.max(axis=1, keepdims=True)); e / e.sum(axis=1,
-    keepdims=True).
+    keepdims=True) on C-ordered logits. Logits in any layout give those bits, and
+    class-major (F-ordered) logits give an F-ordered output, each column contiguous.
     """
     lg = np.asarray(logits, dtype=np.float64)
     if lg.ndim != 2 or lg.shape[1] == 0:

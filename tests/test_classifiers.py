@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dacae import (KINDS, ConfigError, SgdConfig, accuracy, build_mlp, canonical_kind, fit,
                    make_rng, sgd_step, softmax_cross_entropy)
 from dacae import classifiers
-from dacae.classifiers import (KnnClassifier, TreeClassifier, _squared_distances, _train_logreg,
-                               best_split)
+from dacae.classifiers import (KnnClassifier, MlpClassifier, TreeClassifier,
+                               _col_sum, _squared_distances, _train_logreg, best_split)
 from helpers import gini_impurity
 
 
@@ -377,18 +377,44 @@ def reference_train_logreg(z, y, epochs=500):
     return w, b
 
 
-@pytest.mark.parametrize("n_classes", [2, 3, 4, 7, 8, 9])
-@pytest.mark.parametrize("n_rows", [60, 720, 3040])
-def test_linear_fits_match_broadcast_reference_bitwise(n_rows, n_classes):
+def _assert_linear_fits_match_reference(n_rows, n_classes):
     rng = make_rng(61, n_rows, n_classes)
     y = rng.permutation(np.arange(n_rows) % n_classes)
     z = rng.standard_normal((n_rows, 15)) + 1.5 * rng.standard_normal((n_classes, 15))[y]
     for kind, reference in (("svm", reference_train_svm), ("logreg", reference_train_logreg)):
         clf = fit(kind, z, y)
         coef, intercept = reference(z, y)
-        assert np.array_equal(clf.coef, coef), kind
-        assert np.array_equal(clf.intercept, intercept), kind
-        assert np.array_equal(clf.decision_scores(z), z @ coef.T + intercept), kind
+        assert np.array_equal(clf.coef, coef), (kind, n_classes)
+        assert np.array_equal(clf.intercept, intercept), (kind, n_classes)
+        assert np.array_equal(clf.decision_scores(z), z @ coef.T + intercept), (kind, n_classes)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 7, 8, 9, 10])
+@pytest.mark.parametrize("n_rows", [60, 720, 3040])
+def test_linear_fits_match_broadcast_reference_bitwise(n_rows, n_classes):
+    _assert_linear_fits_match_reference(n_rows, n_classes)
+
+
+@pytest.mark.parametrize("n_rows", range(1, 10))
+def test_linear_fits_match_broadcast_reference_bitwise_on_few_rows(n_rows):
+    # fewer rows than n_classes leave some classes out of y
+    for n_classes in range(1, 11):
+        _assert_linear_fits_match_reference(n_rows, n_classes)
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_col_sum_matches_row_major_sum_bitwise(width):
+    # magnitudes far apart, so that a pairwise and a sequential sum round apart
+    rng = make_rng(63, width)
+    a = rng.standard_normal((3040, width)) * np.exp(rng.uniform(-20.0, 20.0, (3040, width)))
+    a[rng.random(a.shape) < 0.05] = -0.0
+    a[:5, 0] = -0.0  # a short column of -0.0 sums to +0.0
+    wide = np.zeros((3040, 2 * width))
+    wide[:, ::2] = a
+    for n in range(1, 3041):
+        want = a[:n].sum(axis=0).view(np.uint64)
+        for layout in (a[:n], np.asfortranarray(a[:n]), wide[:n, ::2]):
+            assert np.array_equal(_col_sum(layout).view(np.uint64), want), n
 
 
 @pytest.mark.parametrize("kind, message", [("logreg", "overflow encountered in multiply"),
@@ -468,6 +494,37 @@ def test_noncontiguous_labels_preserved(kind):
     clf = fit(kind, z, y, seed=0)
     assert set(clf.predict(z)) <= {2, 9}
     assert np.array_equal(clf.classes, [2, 9])
+
+
+def _fitted_arrays(clf):
+    """Every array a fitted classifier holds, an MLP's weights and biases included."""
+    if isinstance(clf, MlpClassifier):
+        return clf.net.weights + clf.net.biases
+    return [v for v in vars(clf).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_any_layout_of_features_fits_and_scores_alike(kind):
+    # the linear fits step class-major arrays, and keep their bits only from a
+    # C-ordered z; F-ordered and column-strided features must fit the same model
+    rng = make_rng(64, 97)
+    y = rng.permutation(np.arange(300) % 4)
+    z = rng.standard_normal((300, 15)) + 1.5 * rng.standard_normal((4, 15))[y]
+    query = rng.standard_normal((40, 15))
+
+    def layouts(a):
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return a, np.asfortranarray(a), wide[:, ::2]
+
+    want = fit(kind, z, y, seed=3)
+    scores = want.decision_scores(query)
+    for features in layouts(z):
+        got = fit(kind, features, y, seed=3)
+        for a, b in zip(_fitted_arrays(got), _fitted_arrays(want), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for q in layouts(query):
+            assert got.decision_scores(q).tobytes() == scores.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

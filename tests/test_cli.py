@@ -291,6 +291,21 @@ def test_datasize_subcommand(tmp_path, capsys):
     assert "fraction=0.5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command, n_jobs", [("loso", 6), ("table3", 30), ("datasize", 12)])
+def test_fold_progress_on_stderr_in_job_order(tmp_path, capfd, command, n_jobs, jobs):
+    # 3 subjects; loso runs 2 variants, table3 its 10 rows, datasize 2 fractions x 2 variants.
+    # capfd, since pool workers would write to the process's own stderr
+    cfg = write_config(tmp_path, epochs=1, fractions=[0.5, 1.0])
+    cfg_obj = json.loads(cfg.read_text())
+    cfg_obj["synthetic"]["trials_per_cell"] = 4
+    cfg.write_text(json.dumps(cfg_obj), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--jobs", str(jobs)]) == 0
+    out, err = capfd.readouterr()
+    assert err == "".join(f"fold {i}/{n_jobs}\n" for i in range(1, n_jobs + 1))
+    assert "fold " not in out
+
+
 def test_defaults_without_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--seed", "1"]) == 0

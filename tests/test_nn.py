@@ -522,6 +522,24 @@ def test_softmax_matches_broadcast_form_bitwise(width):
         _assert_same_bits(softmax(special), reference_softmax(special))
 
 
+@pytest.mark.parametrize("width", range(1, 21))
+def test_softmax_of_class_major_logits_matches_row_major_bitwise(width):
+    # the linear fits pass F-ordered logits; from 8 columns up the row sum must
+    # still be numpy's pairwise sum of C-ordered rows
+    rng = make_rng(54, width)
+    finite = rng.standard_normal((300, width)) * 10.0 ** rng.integers(-3, 4, (300, 1))
+    for logits in (finite, _special_rows(width, rng)):
+        wide = np.zeros((logits.shape[0], 2 * width))
+        wide[:, ::2] = logits
+        with np.errstate(invalid="ignore"):
+            want = softmax(logits)
+            got = softmax(np.asfortranarray(logits))
+            strided = softmax(wide[:, ::2])
+        assert got.flags.f_contiguous
+        _assert_same_bits(got, want)
+        _assert_same_bits(strided, want)
+
+
 @pytest.mark.parametrize("row", [[np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [np.inf, np.inf]])
 def test_softmax_raises_the_broadcast_forms_error(row):
     logits = np.array([[0.0] * len(row), row])
