@@ -1,11 +1,14 @@
 """Experiment orchestration: LOSO evaluation, parameter tables, size curves, reports.
 
-Every run is a list of independent fold jobs executed inline or in a process
-pool; job seeds derive from the master seed and the job's grid position, and
-outputs are written in fixed job order, so the emitted tree is byte-identical
-for any worker count. A fold whose extractor or classifier fails (an
-overflow in a classifier included) is recorded as failed and the run
-continues; the caller decides the exit status from the failure count.
+The loso, table3 and datasize runners hand `_run_grid` their rows and get each
+row's fold results back. Each (row, split plan) pair is an independent fold
+job, run inline or on a process pool of at most one worker per job. Job seeds
+derive from the master seed, the row index and the held-out subject, and
+outputs are written in job order, so the tree is byte-identical for any worker
+count. A fold whose extractor or classifier fails (an overflow in a classifier
+included) is recorded as failed and the run continues; the caller decides the
+exit status from the failure count. The sweep runs no fold jobs: each of its
+two stages trains as one stack of networks in this process.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -253,33 +257,31 @@ def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainL
 
 def _execute(dataset: Dataset, jobs: list[_FoldJob],
              n_workers: int) -> list[tuple[list[FoldResult], TrainLog | None]]:
-    """Every job's fold results in job order, inline or on a pool of n_workers.
+    """Every job's fold results in job order, inline or on a pool of at most one worker per job.
 
     Prints `fold i/N` on stderr as each job's results arrive, in job order.
     """
-    if n_workers <= 1:
-        return _with_progress(map(_run_fold, repeat(dataset), jobs), len(jobs))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return _with_progress(pool.map(_run_fold, repeat(dataset), jobs), len(jobs))
+    n_workers = min(n_workers, len(jobs))
+    with ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
+        outs = (pool.map if pool else map)(_run_fold, repeat(dataset), jobs)
+        done = []
+        for i, out in enumerate(outs, 1):
+            done.append(out)
+            print(f"fold {i}/{len(jobs)}", file=sys.stderr, flush=True)
+        return done
 
 
-def _with_progress(outs, total: int) -> list:
-    done = []
-    for i, out in enumerate(outs, 1):
-        done.append(out)
-        print(f"fold {i}/{total}", file=sys.stderr, flush=True)
-    return done
+def _run_grid(config: ExperimentConfig, dataset: Dataset, name: str, rows,
+              kinds: tuple[str, ...]) -> list[list[FoldResult]]:
+    """Run one fold job per (row, plan) and return each row's results in plan order.
 
-
-def _grid(config: ExperimentConfig, rows, plans: list[SplitPlan],
-          kinds: tuple[str, ...]) -> list[_FoldJob]:
-    """One fold job per (row, plan); a row is (index, subdir, variant, hyper overrides).
-
-    Extractor and classifier seeds derive from the master seed, the row index
-    and the held-out subject, so equal rows get equal seeds in every runner.
+    A row is (index, subdir, variant, hyper overrides, plans). Extractor and
+    classifier seeds derive from the master seed, the row index and the
+    held-out subject, so equal rows get equal seeds in every runner. Each row
+    writes <out>/<name>/<subdir>/<kind>/folds.csv and a training log per fold.
     """
     jobs = []
-    for index, subdir, variant, overrides in rows:
+    for index, subdir, variant, overrides, plans in rows:
         for plan in plans:
             subj = plan.test_subject
             jobs.append(_FoldJob(
@@ -287,25 +289,17 @@ def _grid(config: ExperimentConfig, rows, plans: list[SplitPlan],
                 replace(config.hyper(variant, job_seed(config.seed, index, subj)), **overrides),
                 plan, kinds,
                 tuple(job_seed(config.seed, index, subj, ci) for ci in range(len(kinds)))))
-    return jobs
-
-
-def _run_jobs(config: ExperimentConfig, dataset: Dataset, jobs: list[_FoldJob],
-              root: Path) -> list[FoldResult]:
-    """Execute the jobs and write their folds.csv files and training logs under root.
-
-    Returns every job's results, flattened in job order.
-    """
-    outs = _execute(dataset, jobs, config.jobs)
-    buckets: dict[tuple[str, str], list[tuple]] = {}
-    for job, (results, log) in zip(jobs, outs):
-        for result in results:
-            buckets.setdefault((job.subdir, result.classifier), []).append(astuple(result))
+    root = Path(config.out) / name
+    by_subdir: dict[str, list[FoldResult]] = {subdir: [] for _, subdir, *_ in rows}
+    for job, (results, log) in zip(jobs, _execute(dataset, jobs, config.jobs)):
+        by_subdir[job.subdir] += results
         if log is not None:
             log.to_csv(root / job.subdir / f"trainlog_fold{job.plan.test_subject}.csv")
-    for (subdir, kind), rows in buckets.items():
-        write_csv(root / subdir / kind / "folds.csv", FOLD_HEADER, rows)
-    return [r for results, _ in outs for r in results]
+    for subdir, results in by_subdir.items():
+        for kind in kinds:
+            write_csv(root / subdir / kind / "folds.csv", FOLD_HEADER,
+                      [astuple(r) for r in results if r.classifier == kind])
+    return list(by_subdir.values())
 
 
 def summarize(results: list[FoldResult]) -> list[SummaryRow]:
@@ -314,26 +308,19 @@ def summarize(results: list[FoldResult]) -> list[SummaryRow]:
     Quartiles use midpoint (linear) interpolation. Failed folds are excluded
     from the statistics and surfaced in the failed count.
     """
-    done: dict[tuple[str, str], list[float]] = {}  # keys in first-seen order
-    failed: dict[tuple[str, str], int] = {}
+    groups: dict[tuple[str, str], list[FoldResult]] = {}  # keys in first-seen order
     for r in results:
-        key = (r.variant, r.classifier)
-        done.setdefault(key, [])
-        failed.setdefault(key, 0)
-        if r.status == "done":
-            done[key].append(r.test_acc)
-        else:
-            failed[key] += 1
+        groups.setdefault((r.variant, r.classifier), []).append(r)
     rows = []
-    for key in done:
-        accs = np.array(done[key])
+    for (variant, kind), group in groups.items():
+        accs = np.array([r.test_acc for r in group if r.status == "done"])
         if accs.size:
             q1, med, q3 = np.percentile(accs, [25, 50, 75])
             stats = (float(accs.mean()), float(med), float(q1), float(q3),
                      float(accs.min()), float(accs.max()))
         else:
             stats = (float("nan"),) * 6
-        rows.append(SummaryRow(key[0], key[1], *stats, accs.size, failed[key]))
+        rows.append(SummaryRow(variant, kind, *stats, accs.size, len(group) - accs.size))
     return rows
 
 
@@ -349,11 +336,11 @@ def run_loso(config: ExperimentConfig) -> tuple[list[FoldResult], list[SummaryRo
     """
     dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
-    rows = [(vi, variant, variant, {}) for vi, variant in enumerate(config.variants)]
-    root = Path(config.out) / "loso"
-    results = _run_jobs(config, dataset, _grid(config, rows, plans, config.classifiers), root)
+    rows = [(vi, variant, variant, {}, plans) for vi, variant in enumerate(config.variants)]
+    results = [r for row in _run_grid(config, dataset, "loso", rows, config.classifiers)
+               for r in row]
     summary = summarize(results)
-    write_csv(root / "summary.csv", SUMMARY_HEADER, map(astuple, summary))
+    write_csv(Path(config.out) / "loso" / "summary.csv", SUMMARY_HEADER, map(astuple, summary))
     return results, summary
 
 
@@ -382,27 +369,25 @@ def run_table3(config: ExperimentConfig) -> tuple[list[FoldResult], list[Table3R
     """
     dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
-    rows = [(ri, f"row{ri:02d}_{variant}", variant, {"lambda_a": lambda_a, "lambda_n": lambda_n})
+    rows = [(ri, f"row{ri:02d}_{variant}", variant,
+             {"lambda_a": lambda_a, "lambda_n": lambda_n}, plans)
             for ri, (variant, lambda_a, lambda_n) in enumerate(TABLE3_ROWS)]
-    jobs = _grid(config, rows, plans, ("mlp",))
-    root = Path(config.out) / "table3"
-    results = _run_jobs(config, dataset, jobs, root)
+    per_row = _run_grid(config, dataset, "table3", rows, ("mlp",))
     chance = 1.0 / dataset.n_subjects
-    n_folds = len(plans)  # one mlp result per fold job
     table = []
-    for ri, (variant, lambda_a, lambda_n) in enumerate(TABLE3_ROWS):
-        fold_results = results[ri * n_folds: (ri + 1) * n_folds]
-        done = [r for r in fold_results if r.status == "done"]
+    for (variant, lambda_a, lambda_n), results in zip(TABLE3_ROWS, per_row):
+        (r_n,) = {r.r_n for r in results}  # one extractor config per row
+        done = [r for r in results if r.status == "done"]
         if done:
             task = float(np.mean([r.test_acc for r in done]))
             adv = float(np.mean([r.adversary_acc for r in done]))
             nui = float(np.mean([r.nuisance_acc for r in done]))
         else:
             task = adv = nui = float("nan")
-        table.append(Table3Row(variant, lambda_a, lambda_n, jobs[ri * n_folds].hyper.r_n,
-                               task, adv, nui, chance, len(done), len(fold_results) - len(done)))
-    write_csv(root / "table3.csv", TABLE3_HEADER, map(astuple, table))
-    return results, table
+        table.append(Table3Row(variant, lambda_a, lambda_n, r_n, task, adv, nui, chance,
+                               len(done), len(results) - len(done)))
+    write_csv(Path(config.out) / "table3" / "table3.csv", TABLE3_HEADER, map(astuple, table))
+    return [r for results in per_row for r in results], table
 
 
 @dataclass
@@ -428,27 +413,22 @@ def run_datasize(config: ExperimentConfig) -> tuple[list[CurveRow], dict[float, 
     """
     dataset = load_dataset(config)
     plans = loso_splits(dataset, config.val_fraction, seed=config.seed)
-    jobs: list[_FoldJob] = []
+    grid = []  # (fraction, row)
     for fi, fraction in enumerate(config.fractions):
         sub_plans = [SplitPlan(p.test_subject,
                                subsample_trials(dataset, p.train_ids, fraction,
                                                 seed=job_seed(config.seed, 7, fi, p.test_subject)),
                                p.val_ids, p.test_ids)
                      for p in plans]
-        rows = [(vi, f"frac{fraction}/{variant}", variant, {})
-                for vi, variant in enumerate(config.variants)]
-        jobs += _grid(config, rows, sub_plans, config.classifiers)
-    root = Path(config.out) / "datasize"
-    results = _run_jobs(config, dataset, jobs, root)
-    block = len(results) // len(config.fractions)  # every fraction runs the same grid
-    curve: list[CurveRow] = []
-    by_fraction: dict[float, list[FoldResult]] = {}
-    for fi, fraction in enumerate(config.fractions):
-        by_fraction[fraction] = results[fi * block: (fi + 1) * block]
-        for s in summarize(by_fraction[fraction]):
-            curve.append(CurveRow(fraction, s.variant, s.classifier, s.mean,
-                                  s.folds, s.failed))
-    write_csv(root / "curve.csv", CURVE_HEADER, map(astuple, curve))
+        grid += [(fraction, (vi, f"frac{fraction}/{variant}", variant, {}, sub_plans))
+                 for vi, variant in enumerate(config.variants)]
+    per_row = _run_grid(config, dataset, "datasize", [row for _, row in grid], config.classifiers)
+    by_fraction: dict[float, list[FoldResult]] = {fraction: [] for fraction in config.fractions}
+    for (fraction, _), results in zip(grid, per_row):
+        by_fraction[fraction] += results
+    curve = [CurveRow(fraction, s.variant, s.classifier, s.mean, s.folds, s.failed)
+             for fraction, results in by_fraction.items() for s in summarize(results)]
+    write_csv(Path(config.out) / "datasize" / "curve.csv", CURVE_HEADER, map(astuple, curve))
     return curve, by_fraction
 
 

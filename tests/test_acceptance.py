@@ -8,6 +8,7 @@ reported as skipped inside the still-passing synthetic half.
 """
 
 import filecmp
+import functools
 import os
 import time
 
@@ -68,8 +69,12 @@ def standard_spec(seed, **overrides):
     return SyntheticSpec(**base)
 
 
+@functools.cache
 def probe_run(lambda_a, lambda_n, seed):
-    """Train DA-cAE on a 90% split and report head probes on the held-out 10%."""
+    """Train DA-cAE on a 90% split and report head probes on the held-out 10%.
+
+    Cached: criterion 4's two loops both ask for (0.0, 0.005, seed), which trains once.
+    """
     ds, _, _ = generate_synthetic(standard_spec(seed))
     train_ids, val_ids = holdout_split(ds, 0.1, seed)
     ds = normalize(ds, train_ids)

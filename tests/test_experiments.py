@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,11 @@ from dacae import (
     summarize,
 )
 from dacae.experiments import TABLE3_ROWS, _parse_folds_csv
+
+
+# four trials per cell, so a fraction of 0.5 leaves every cell two trials
+FOUR_TRIALS = SyntheticSpec(n_subjects=3, n_classes=2, n_channels=4, samples_per_cell=12,
+                            trials_per_cell=4, seed=1)
 
 
 def tiny_config(out, **kw):
@@ -124,13 +130,11 @@ def test_run_loso_layout_and_accounting(tmp_path):
     assert all(s.folds == 3 and s.failed == 0 for s in summary)
 
 
-@pytest.mark.parametrize("runner", [run_loso, run_table3, run_datasize],
+@pytest.mark.parametrize("runner", [run_loso, run_table3, run_datasize, run_sweep],
                          ids=lambda f: f.__name__)
 def test_runners_byte_identical_across_worker_counts(tmp_path, runner):
-    spec = SyntheticSpec(n_subjects=3, n_classes=2, n_channels=4, samples_per_cell=12,
-                         trials_per_cell=4, seed=1)
     for out, jobs in (("one", 1), ("two", 2)):
-        runner(tiny_config(tmp_path / out, synthetic=spec, seed=1, jobs=jobs,
+        runner(tiny_config(tmp_path / out, synthetic=FOUR_TRIALS, seed=1, jobs=jobs,
                            fractions=(0.5, 1.0)))
     a_root, b_root = tmp_path / "one", tmp_path / "two"
     a_files = sorted(p.relative_to(a_root) for p in a_root.rglob("*") if p.is_file())
@@ -138,6 +142,34 @@ def test_runners_byte_identical_across_worker_counts(tmp_path, runner):
     assert a_files == b_files
     for rel in a_files:
         assert filecmp.cmp(a_root / rel, b_root / rel, shallow=False), rel
+
+
+def test_pool_has_at_most_one_worker_per_job(tmp_path, monkeypatch):
+    import dacae.experiments as experiments
+    sizes = []
+
+    class StubPool:  # records its size and runs inline, so no process starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", StubPool)
+    run_loso(tiny_config(tmp_path / "five", variants=("AE",), jobs=5))  # 3 fold jobs
+    assert sizes == [3]
+    run_loso(tiny_config(tmp_path / "two", variants=("AE",), jobs=2))
+    assert sizes == [3, 2]
+    monkeypatch.setattr(experiments, "_run_fold", lambda dataset, job: (job, None))
+    assert experiments._execute(None, ["only"], 4) == [("only", None)]  # one job runs inline
+    assert experiments._execute(None, ["a", "b"], 1) == [("a", None), ("b", None)]
+    assert sizes == [3, 2]
 
 
 def test_run_loso_rerun_byte_identical(tmp_path):
@@ -207,6 +239,23 @@ def test_run_table3_rows_and_chance(tmp_path):
     assert len(csv_path.read_text().splitlines()) == 11
 
 
+def test_table3_rows_match_their_own_folds_csv(tmp_path):
+    _, table = run_table3(tiny_config(tmp_path / "out", synthetic=FOUR_TRIALS, seed=1))
+    root = tmp_path / "out" / "table3"
+    assert len({t.task_acc for t in table}) > 1  # rows differ, so a mix-up would show
+    for ri, (row, (variant, lambda_a, lambda_n)) in enumerate(zip(table, TABLE3_ROWS)):
+        (path,) = root.glob(f"row{ri:02d}_{variant}/mlp/folds.csv")
+        folds = _parse_folds_csv(path)
+        done = [r for r in folds if r.status == "done"]
+        (written,) = {(r.variant, r.lambda_a, r.lambda_n, r.r_n) for r in folds}
+        assert (row.variant, row.lambda_a, row.lambda_n, row.r_n) == written
+        assert written[:3] == (variant, lambda_a, lambda_n)
+        assert row.task_acc == np.mean([r.test_acc for r in done])
+        assert row.adversary_acc == np.mean([r.adversary_acc for r in done])
+        assert row.nuisance_acc == np.mean([r.nuisance_acc for r in done])
+        assert (row.folds, row.failed) == (len(done), len(folds) - len(done))
+
+
 # -- datasize ----------------------------------------------------------------------------
 
 def test_run_datasize_full_fraction_reproduces_loso(tmp_path):
@@ -224,6 +273,25 @@ def test_run_datasize_full_fraction_reproduces_loso(tmp_path):
     assert fracs == {0.5, 1.0}
     assert (tmp_path / "out" / "datasize" / "curve.csv").is_file()
     assert (tmp_path / "out" / "datasize" / "frac1.0" / "AE" / "lda" / "folds.csv").is_file()
+
+
+def test_datasize_curve_matches_each_fractions_folds_csv(tmp_path):
+    cfg = tiny_config(tmp_path / "out", synthetic=FOUR_TRIALS, seed=1, classifiers=("lda", "knn"),
+                      fractions=(0.5, 1.0))
+    curve, by_fraction = run_datasize(cfg)
+    root = tmp_path / "out" / "datasize"
+    means = {}
+    for fraction in cfg.fractions:
+        files = [r for path in sorted((root / f"frac{fraction}").rglob("folds.csv"))
+                 for r in _parse_folds_csv(path)]
+        assert sorted(map(astuple, by_fraction[fraction])) == sorted(map(astuple, files))
+        expected = {(s.variant, s.classifier): (s.mean, s.folds, s.failed)
+                    for s in summarize(files)}
+        got = {(c.variant, c.classifier): (c.mean_acc, c.folds, c.failed)
+               for c in curve if c.fraction == fraction}
+        assert got == expected
+        means[fraction] = [m for m, _, _ in got.values()]
+    assert means[0.5] != means[1.0]  # fractions differ, so a mix-up would show
 
 
 def test_run_datasize_rejects_unsplittable_cells(tmp_path):
