@@ -236,7 +236,7 @@ class TreeClassifier(_Fitted):
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
         z = _check_features(z, self.dim)
-        return np.vstack([self.counts[self._leaf(row)] for row in z])
+        return self.counts[np.fromiter(map(self._leaf, z), dtype=np.intp, count=len(z))]
 
 
 def _train_lda(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,5 +382,8 @@ def accuracy(fitted: _Fitted, z: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.intp)
     if y.size == 0:
         raise ValueError("empty evaluation set")
-    return float(np.mean(fitted.predict(z) == y))
+    predicted = fitted.predict(z)
+    if y.shape != predicted.shape:
+        raise ValueError("labels must be one per feature row")
+    return float(np.mean(predicted == y))
 

@@ -201,12 +201,13 @@ class SplitPlan:
     test_ids: np.ndarray
 
 
-def _val_trials(trials: np.ndarray, val_fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Seeded validation share of the given trials: round(n * fraction), kept in [1, n - 1]."""
+def _draw_trials(trials: np.ndarray, fraction: float, rng: np.random.Generator,
+                 spare: int) -> np.ndarray:
+    """Seeded share of the given trials: round(n * fraction) of them, ties rounding half
+    up, kept in [1, n - spare], taken from the front of one rng.permutation(n)."""
     perm = rng.permutation(trials.size)
-    n_val = int(math.floor(trials.size * val_fraction + 0.5))
-    n_val = min(max(n_val, 1), trials.size - 1)
-    return trials[perm[:n_val]]
+    n_draw = min(max(int(math.floor(trials.size * fraction + 0.5)), 1), trials.size - spare)
+    return trials[perm[:n_draw]]
 
 
 def loso_splits(dataset: Dataset, val_fraction: float = 0.1, seed: int = 0) -> list[SplitPlan]:
@@ -224,8 +225,8 @@ def loso_splits(dataset: Dataset, val_fraction: float = 0.1, seed: int = 0) -> l
     plans = []
     for fold, subj in enumerate(subjects):
         test_mask = dataset.s == subj
-        val_trials = _val_trials(np.unique(dataset.trial[~test_mask]), val_fraction,
-                                 make_rng(seed, 100, fold))
+        val_trials = _draw_trials(np.unique(dataset.trial[~test_mask]), val_fraction,
+                                  make_rng(seed, 100, fold), spare=1)
         val_mask = np.isin(dataset.trial, val_trials) & ~test_mask
         train_mask = ~test_mask & ~val_mask
         plans.append(SplitPlan(int(subj), np.flatnonzero(train_mask),
@@ -240,7 +241,8 @@ def holdout_split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[np.
     trials = np.unique(dataset.trial)
     if trials.size < 2:
         raise ConfigError("need at least 2 trials to split")
-    val_mask = np.isin(dataset.trial, _val_trials(trials, val_fraction, make_rng(seed, 600)))
+    val_trials = _draw_trials(trials, val_fraction, make_rng(seed, 600), spare=1)
+    val_mask = np.isin(dataset.trial, val_trials)
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
@@ -256,10 +258,8 @@ def subsample_trials(dataset: Dataset, ids: np.ndarray, fraction: float, seed: i
         raise ConfigError(f"training fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
         return ids
-    trials = np.unique(dataset.trial[ids])
-    rng = make_rng(seed, 200)
-    n_keep = max(1, int(math.floor(trials.size * fraction + 0.5)))
-    out = ids[np.isin(dataset.trial[ids], trials[rng.permutation(trials.size)[:n_keep]])]
+    kept = _draw_trials(np.unique(dataset.trial[ids]), fraction, make_rng(seed, 200), spare=0)
+    out = ids[np.isin(dataset.trial[ids], kept)]
     before = {(int(a), int(b)) for a, b in zip(dataset.s[ids], dataset.y[ids])}
     after = {(int(a), int(b)) for a, b in zip(dataset.s[out], dataset.y[out])}
     missing = sorted(before - after)

@@ -1,12 +1,12 @@
 """Minimal dense-network engine: ReLU networks, losses, SGD, grad checking.
 
 Everything is float64 numpy on (n, features) batches. A network is its weight and
-bias arrays, with ReLU after every layer but the last; the forward pass caches
-each layer's input, so the matching backward pass can return exact analytic
-gradients and read each hidden ReLU's mask off the next layer's input. ce_step,
-the one-call cross-entropy update of the heads and the MLP classifier, runs the
-same arithmetic on the bare arrays. A central finite-difference checker is the
-independent oracle for those gradients.
+bias arrays, with ReLU after every layer but the last. The arithmetic is written
+once, as kernels on the bare arrays: _forward, _ce_in_place and _backward, which
+reads each hidden ReLU's mask off the next layer's input. Mlp.forward,
+Mlp.backward and softmax_cross_entropy check their input and call one kernel;
+ce_step, the update of the heads and the MLP classifier, chains all three. A
+central finite-difference checker is the independent oracle for the gradients.
 
 A network's arrays may carry a leading replica axis: R networks of one shape,
 with (R, out, in) weights and (R, out) biases, run as one stack. Every primitive
@@ -16,10 +16,10 @@ step checks every replica's gradient before it updates any. Each replica's
 arithmetic is that of its own 2-D network, bit for bit, and a 2-D network runs
 the same lines with no replica axis.
 
-The training step's reductions call the ufuncs' reduce directly (np.add.reduce
-for .sum(), np.maximum.reduce for .max(), _all for .all()): the same arithmetic,
-without the methods' Python wrappers, which cost more than the work on a
-minibatch's small arrays.
+The kernels call the ufuncs' reduce directly (np.add.reduce for .sum(),
+np.maximum.reduce for .max(), _all for .all()): the same arithmetic, without the
+methods' Python wrappers, which cost more than the work on a minibatch's small
+arrays.
 """
 
 from __future__ import annotations
@@ -113,16 +113,8 @@ class Mlp:
         a = np.asarray(x, dtype=np.float64)
         if not 2 <= a.ndim <= self.weights[0].ndim or a.shape[-1] != self.in_dim:
             raise ValueError(f"input shape {a.shape} is not (n, {self.in_dim})")
-        last = len(self.weights) - 1
-        cache = [a]
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.swapaxes(-1, -2)
-            a += b[..., None, :]
-            if k < last:
-                np.maximum(a, 0.0, out=a)  # ReLU in place: a is this layer's own array
-                cache.append(a)
-        self._cache = cache
-        return a
+        self._cache, out = _forward(self.weights, self.biases, a)
+        return out
 
     def backward(self, upstream_grad: np.ndarray) -> MlpGrads:
         """Gradients of the cached forward pass; upstream_grad is dLoss/dOutput, shaped
@@ -132,17 +124,48 @@ class Mlp:
         g = np.asarray(upstream_grad, dtype=np.float64)
         if not 2 <= g.ndim <= self.weights[0].ndim or g.shape[-1] != self.out_dim:
             raise ValueError(f"upstream grad shape {g.shape} is not (n, {self.out_dim})")
-        cache = self._cache
-        last = len(self.weights) - 1
-        w_grads, b_grads = [], []  # last layer first
-        for k in range(last, -1, -1):
-            if k < last:
-                # relu(z) > 0 exactly where z > 0 (NaN included); g is our own g @ w here
-                g *= cache[k + 1] > 0
-            w_grads.append(g.swapaxes(-1, -2) @ cache[k])
-            b_grads.append(np.add.reduce(g, axis=-2))
-            g = g @ self.weights[k]
-        return MlpGrads(w_grads[::-1], b_grads[::-1], g)
+        if g.ndim < self.weights[0].ndim:  # one upstream gradient shared by every replica
+            g = np.broadcast_to(g, self.weights[0].shape[:-2] + g.shape)
+        _, w_grads, b_grads, g = _backward(self.weights, self._cache, g)
+        return MlpGrads(w_grads, b_grads, g @ self.weights[0])
+
+
+def _forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
+             ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's input and the network's output on x; x is left unchanged."""
+    last = len(weights) - 1
+    a, inputs = x, [x]
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        a = a @ w.swapaxes(-1, -2)
+        a += b[..., None, :]
+        if k < last:
+            np.maximum(a, 0.0, out=a)  # ReLU in place: a is this layer's own array
+            inputs.append(a)
+    return inputs, a
+
+
+def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
+              ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Given each layer's input and g, the loss's gradient at the output (left unchanged):
+    one flat gradient vector per replica, last layer first, the weight and bias
+    gradients as views of it, and the gradient at layer 0's output."""
+    last = len(weights) - 1
+    size = sum(w.shape[-2] * (w.shape[-1] + 1) for w in weights)  # weights and bias
+    flat = np.empty(weights[0].shape[:-2] + (size,))
+    w_grads, b_grads = [None] * len(weights), [None] * len(weights)
+    start = 0
+    for k in range(last, -1, -1):
+        w = weights[k]
+        if k < last:
+            g = g @ weights[k + 1]
+            g *= inputs[k + 1] > 0  # relu(z) > 0 exactly where z > 0 (NaN included)
+        split = start + w.shape[-2] * w.shape[-1]
+        # views: each replica's run of flat is contiguous
+        w_grads[k] = np.matmul(g.swapaxes(-1, -2), inputs[k],
+                               out=flat[..., start:split].reshape(w.shape))
+        start = split + w.shape[-2]
+        b_grads[k] = np.add.reduce(g, axis=-2, out=flat[..., split:start])
+    return flat, w_grads, b_grads, g
 
 
 def build_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
@@ -235,16 +258,24 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float | np.ndarr
         raise ValueError("empty batch")
     if t.min() < 0 or t.max() >= k:
         raise ValueError("target class out of range")
+    grad = lg.copy(order="K")  # lg's own layout, which decides how a wide row sums
+    return _per_replica(_ce_in_place(grad, t)), grad
+
+
+def _ce_in_place(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mean softmax cross-entropy of logits against targets, one per replica, as
+    np.mean's bits; leaves its gradient w.r.t. the logits, 1/n included, in logits."""
+    n = logits.shape[-2]
     rows = np.arange(n)
-    shifted = lg - np.maximum.reduce(lg, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    norm = np.add.reduce(e, axis=-1, keepdims=True)
-    # np.mean's bits, one loss per replica
-    loss = np.add.reduce(np.log(norm[..., 0]) - shifted[..., rows, t], axis=-1) / n
-    grad = np.divide(e, norm, out=e)
-    grad[..., rows, t] -= 1.0
-    grad /= n
-    return _per_replica(loss), grad
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    picked = logits[..., rows, targets]
+    np.exp(logits, out=logits)
+    norm = np.add.reduce(logits, axis=-1, keepdims=True)
+    loss = np.add.reduce(np.log(norm[..., 0]) - picked, axis=-1) / n
+    logits /= norm
+    logits[..., rows, targets] -= 1.0
+    logits /= n
+    return loss
 
 
 def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
@@ -289,62 +320,20 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig
             ) -> float | np.ndarray:
     """One SGD step on the mean softmax cross-entropy of net(x); returns the pre-step loss.
 
-    Runs on net.weights and net.biases directly, without Mlp.forward: it does
-    the arithmetic of forward, softmax_cross_entropy, backward and sgd_step bit
-    for bit, but skips the input gradient, and a non-finite gradient in any
-    replica raises TrainingDiverged before any parameter changes. It drops the
-    forward cache, which no longer matches the weights and could hold a large
-    batch (an epoch's probe code) alive. x must be a nonempty (n, net.in_dim)
-    float64 batch, or (R, n, net.in_dim) for a stack, and targets n class ids
-    in [0, net.out_dim): callers check them once per fit, not here.
+    A non-finite gradient in any replica raises TrainingDiverged before any
+    parameter changes. The step drops net's forward cache, which could hold a
+    large batch alive. x must be a nonempty (n, net.in_dim) float64 batch, or
+    (R, n, net.in_dim) for a stack, and targets n class ids in [0, net.out_dim):
+    callers check them once per fit, not here.
     """
     net._cache = None
-    weights, biases = net.weights, net.biases
-    last = len(weights) - 1
-    inputs = [x]  # each layer's input; a hidden ReLU's mask is read off the next one
-    a = x
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        a = a @ w.swapaxes(-1, -2)
-        a += b[..., None, :]
-        if k < last:
-            np.maximum(a, 0.0, out=a)
-            inputs.append(a)
-
-    # softmax cross-entropy of the logits a, in place
-    n = a.shape[-2]
-    rows = np.arange(n)
-    a -= np.maximum.reduce(a, axis=-1, keepdims=True)
-    picked = a[..., rows, targets]
-    np.exp(a, out=a)
-    norm = np.add.reduce(a, axis=-1, keepdims=True)
-    loss = np.add.reduce(np.log(norm[..., 0]) - picked, axis=-1) / n
-    a /= norm
-    a[..., rows, targets] -= 1.0
-    a /= n
-
-    # backward into views of one gradient vector per replica, checked and scaled once
-    sizes = [w.shape[-2] * (w.shape[-1] + 1) for w in weights]  # weights and bias
-    grads = np.empty(weights[0].shape[:-2] + (sum(sizes),))
-    params, views, start = [], [], 0
-    g = a
-    for k in range(last, -1, -1):
-        w, b = weights[k], biases[k]
-        if k < last:
-            g *= inputs[k + 1] > 0
-        split = start + sizes[k] - b.shape[-1]
-        dw = grads[..., start:split].reshape(w.shape)  # a view: each replica's run is contiguous
-        db = grads[..., split: start + sizes[k]]
-        start += sizes[k]
-        np.matmul(g.swapaxes(-1, -2), inputs[k], out=dw)
-        np.add.reduce(g, axis=-2, out=db)
-        params += (w, b)
-        views += (dw, db)
-        if k:
-            g = g @ w
-    if not _all(np.isfinite(grads)):
+    inputs, logits = _forward(net.weights, net.biases, x)
+    loss = _ce_in_place(logits, targets)
+    flat, w_grads, b_grads, _ = _backward(net.weights, inputs, logits)
+    if not _all(np.isfinite(flat)):
         raise TrainingDiverged("non-finite gradient in sgd_step")
-    grads *= sgd.learning_rate
-    for param, step in zip(params, views):
+    flat *= sgd.learning_rate
+    for param, step in zip(net.weights + net.biases, w_grads + b_grads):
         param -= step
     return _per_replica(loss)
 

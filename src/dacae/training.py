@@ -4,7 +4,8 @@ Each mini-batch applies three sub-updates in a fixed order: the adversary head
 descends its own cross-entropy, then the nuisance head, then the
 encoder-decoder pair descends the joint objective with both heads frozen.
 Gradients of the joint step flow through the heads into the encoder without
-touching head weights.
+touching head weights. The heads' ce_step and the joint step's Mlp primitives run
+one set of dacae.nn kernels, the same that train the MLP classifier.
 
 Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
 and each epoch encodes the training set once for its probes and its LDA readout.

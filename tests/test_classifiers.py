@@ -546,6 +546,15 @@ def test_single_row_rejected(kind):
         clf.predict(z[0])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_query_rows_score_and_predict_nothing(kind):
+    z, y = two_blobs(8)
+    clf = fit(kind, z, y, seed=0)
+    assert clf.decision_scores(np.empty((0, 3))).shape == (0, clf.classes.size)
+    predicted = clf.predict(np.empty((0, 3)))
+    assert predicted.shape == (0,) and predicted.dtype == clf.classes.dtype
+
+
 def test_accuracy_monte_carlo_chance():
     rng = make_rng(21, 98)
     z = rng.standard_normal((2000, 2))
@@ -561,3 +570,13 @@ def test_accuracy_empty_raises():
     clf = fit("lda", z, y)
     with pytest.raises(ValueError):
         accuracy(clf, np.empty((0, 3)), np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("labels", [[1], np.zeros((5, 1), dtype=int), np.zeros(6, dtype=int)],
+                         ids=["one-label", "column", "one-too-many"])
+def test_accuracy_rejects_labels_not_one_per_row(labels):
+    # numpy would broadcast these against the 5 predictions and return a mean anyway
+    z, y = two_blobs(9)
+    clf = fit("lda", z, y)
+    with pytest.raises(ValueError, match="^labels must be one per feature row$"):
+        accuracy(clf, z[:5], labels)

@@ -14,6 +14,7 @@ from dacae import (
     accuracy,
     fit,
     generate_synthetic,
+    holdout_split,
     ingest,
     load_csv,
     load_synthetic_sidecar,
@@ -278,6 +279,23 @@ def test_subsample_bad_fraction_raises():
     ds = _toy_dataset()
     with pytest.raises(ConfigError):
         subsample_trials(ds, np.arange(len(ds)), 0.0, seed=0)
+
+
+@pytest.mark.parametrize("fraction, n_val, n_kept", [
+    (0.01, 1, 1), (0.0625, 1, 1), (0.125, 1, 1), (0.1875, 2, 2), (0.5, 4, 4),
+    (0.9, 7, 7), (0.99, 7, 8)])
+def test_trial_draws_round_half_up_within_their_bounds(fraction, n_val, n_kept):
+    # 8 trials: round(8 * fraction), ties up, is kept in [1, 7] for validation
+    # (one trial must be left to train on) and in [1, 8] for a training subsample
+    ds, _, _ = generate_synthetic(SyntheticSpec(n_subjects=2, n_classes=1, samples_per_cell=8,
+                                                trials_per_cell=8, seed=4))
+    plan = loso_splits(ds, fraction, seed=4)[0]  # subject 1's 8 trials are split
+    assert np.unique(ds.trial[plan.val_ids]).size == n_val
+    ds = ds.subset(plan.test_ids)  # subject 0's 8 trials
+    _, val_ids = holdout_split(ds, fraction, seed=4)
+    assert np.unique(ds.trial[val_ids]).size == n_val
+    kept = subsample_trials(ds, np.arange(len(ds)), fraction, seed=4)
+    assert np.unique(ds.trial[kept]).size == n_kept
 
 
 # -- synthetic generator ---------------------------------------------------------

@@ -382,6 +382,21 @@ def reference_train_step(params, x, s, config):
     return recon + config.lambda_n * nui_ce - config.lambda_a * adv_ce
 
 
+@pytest.mark.parametrize("width", [3, 8, 12])
+def test_softmax_cross_entropy_matches_reference_in_any_layout(width):
+    # numpy's row sum depends on the layout from 8 columns up; the loss keeps the
+    # logits' own layout, as the reference's out-of-place arithmetic does
+    rng = make_rng(37, width)
+    logits = rng.standard_normal((40, width)) * 4.0
+    t = rng.integers(0, width, size=40)
+    wide = np.zeros((40, 2 * width))
+    wide[:, ::2] = logits
+    for lg in (logits, np.asfortranarray(logits), wide[:, ::2]):
+        loss, grad = softmax_cross_entropy(lg, t)
+        want_loss, want_grad = reference_softmax_ce(lg, t)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+
 def _assert_same_arrays(net, ref):
     for a, b in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
         assert np.array_equal(a, b)
@@ -462,6 +477,15 @@ def test_forward_and_backward_leave_their_inputs_unchanged(dims):
         for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
                         [*want[0], *want[1], want[2]], strict=True):
             assert np.array_equal(a, b, equal_nan=True)
+    # each call's gradients live in buffers of their own, which a later call leaves alone
+    for a in [*first.weights, *first.biases, first.wrt_input]:
+        for b in [*again.weights, *again.biases, again.wrt_input]:
+            assert not np.shares_memory(a, b)
+    # the cross-entropy works on its own copy of the logits, in either layout
+    for logits in (out, np.asfortranarray(out)):
+        before = logits.copy()
+        softmax_cross_entropy(logits, np.arange(9) % 3)
+        assert np.array_equal(logits, before, equal_nan=True)
 
 
 # -- column-wise softmax -------------------------------------------------------
@@ -640,3 +664,19 @@ def test_stack_layers_share_one_replica_axis():
         _stack([build_mlp([4, 2], make_rng(65))] * 2).forward(np.zeros((2, 5, 3, 4)))
     with pytest.raises(ValueError, match=r"input shape \(2, 5, 4\)"):
         build_mlp([4, 2], make_rng(65)).forward(np.zeros((2, 5, 4)))
+
+
+def test_stack_backward_shares_a_2d_upstream_grad_across_replicas():
+    nets = [build_mlp([4, 6, 3], make_rng(66, r)) for r in range(2)]
+    stack = _stack([copy_mlp(net) for net in nets])
+    x = make_rng(67).standard_normal((5, 4))
+    upstream = make_rng(68).standard_normal((5, 3))
+    stack.forward(x)
+    grads = stack.backward(upstream)
+    for r, net in enumerate(nets):
+        net.forward(x)
+        grads_r = net.backward(upstream)
+        for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
+                        [*grads_r.weights, *grads_r.biases, grads_r.wrt_input], strict=True):
+            _assert_same_bits(a[r], b)
+    sgd_step(stack, grads, SgdConfig())  # every gradient has its parameter's shape
