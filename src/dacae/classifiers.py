@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import ConfigError, Mlp, SgdConfig, build_mlp, ce_step, make_rng, minibatches, softmax
+from .nn import (ConfigError, Mlp, SgdConfig, _ids, build_mlp, ce_step, make_rng, minibatches,
+                 softmax)
 
 _MLP_SGD = SgdConfig(learning_rate=0.05, batch_size=32, epochs=150)
 
@@ -91,7 +92,7 @@ class KnnClassifier(_Fitted):
 
     def __init__(self, z: np.ndarray, y: np.ndarray, k: int = 5):
         self.z = np.asarray(z, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.intp)
+        self.y = _ids(y, "labels")
         self.k = min(k, self.z.shape[0])
         self.classes = np.unique(self.y)
 
@@ -362,7 +363,7 @@ def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError(f"features must be (n, d), got shape {z.shape}")
-    y = np.asarray(y, dtype=np.intp)
+    y = _ids(y, "labels")
     if z.shape[0] == 0:
         raise ConfigError("empty feature list")
     if y.shape != (z.shape[0],):
@@ -379,7 +380,7 @@ def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
 
 def accuracy(fitted: _Fitted, z: np.ndarray, y: np.ndarray) -> float:
     """Fraction of exact label matches."""
-    y = np.asarray(y, dtype=np.intp)
+    y = _ids(y, "labels")
     if y.size == 0:
         raise ValueError("empty evaluation set")
     predicted = fitted.predict(z)

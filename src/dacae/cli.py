@@ -55,8 +55,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synthetic.csv"
     save_synthetic(path, dataset, spec, templates, offsets)
-    print(f"wrote {path} ({len(dataset)} samples, {dataset.n_subjects} subjects, "
-          f"{dataset.n_classes} classes) and {path}.factors.json")
+    print(f"wrote {path} ({len(dataset)} samples, {spec.n_subjects} subjects, "
+          f"{spec.n_classes} classes) and {path}.factors.json")
     return 0
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .nn import ConfigError, make_rng
+from .nn import ConfigError, _ids, make_rng
 
 RELAX_LABEL = 0
 CSV_HEADER = ["subject", "trial", "label", "t"]
@@ -30,33 +30,32 @@ class IngestionError(ValueError):
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention sample collection with its cardinalities."""
+    """Immutable-by-convention sample collection: its rows, and the subject count."""
 
     x: np.ndarray          # (n, C) float64
-    y: np.ndarray          # (n,) intp, task labels in [0, L)
+    y: np.ndarray          # (n,) intp, task labels >= 0
     s: np.ndarray          # (n,) intp, subject ids in [0, S)
     trial: np.ndarray      # (n,) intp, globally unique trial ids
     t: np.ndarray          # (n,) float64, seconds on the 1 Hz grid
-    n_classes: int
     n_subjects: int
-    normalization: tuple[np.ndarray, np.ndarray] | None = None  # per-channel (mean, std)
+    # per-channel (mean, std); keyword-only, so no stale positional count lands in it
+    normalization: tuple[np.ndarray, np.ndarray] | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=np.float64)
         if self.x.ndim != 2:
             raise ValueError("x must be (n, channels)")
         n = self.x.shape[0]
-        for name in ("y", "s", "trial"):
-            arr = np.asarray(getattr(self, name), dtype=np.intp)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-            setattr(self, name, arr)
+        self.y, self.s, self.trial = (_ids(getattr(self, k), k) for k in ("y", "s", "trial"))
         self.t = np.asarray(self.t, dtype=np.float64)
+        for name in ("y", "s", "trial", "t"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},)")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("non-finite channel values")
         if not np.all(np.isfinite(self.t)):
             raise ValueError("non-finite time values")
-        if n and (self.y.min() < 0 or self.y.max() >= self.n_classes):
+        if n and self.y.min() < 0:
             raise ValueError("task label out of range")
         if n and (self.s.min() < 0 or self.s.max() >= self.n_subjects):
             raise ValueError("subject id out of range")
@@ -74,9 +73,17 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, ids: np.ndarray) -> "Dataset":
-        ids = np.asarray(ids, dtype=np.intp)
-        return Dataset(self.x[ids], self.y[ids], self.s[ids], self.trial[ids],
-                       self.t[ids], self.n_classes, self.n_subjects, self.normalization)
+        ids = _row_ids(ids, len(self))
+        return Dataset(self.x[ids], self.y[ids], self.s[ids], self.trial[ids], self.t[ids],
+                       self.n_subjects, normalization=self.normalization)
+
+
+def _row_ids(ids, n: int) -> np.ndarray:
+    """ids as a 1-D intp array of row numbers in [0, n)."""
+    ids = _ids(ids, "row ids")
+    if ids.ndim != 1 or (ids.size and (ids.min() < 0 or ids.max() >= n)):
+        raise ValueError(f"row ids must be one list of rows in [0, {n})")
+    return ids
 
 
 # -- raw ingestion -------------------------------------------------------------
@@ -116,44 +123,50 @@ def resample_channel(times: np.ndarray, values: np.ndarray, grid: np.ndarray) ->
     return out
 
 
-def _subject_gap(present: set[int], n_subjects: int) -> str | None:
-    """The error naming the lowest id below n_subjects that no row carries, if any."""
+def _subject_gap(present: set[int]) -> str | None:
+    """The error naming the lowest id below the largest that no row carries, if any."""
     missing = next(i for i in range(len(present) + 1) if i not in present)
-    if missing < n_subjects:
+    if missing < max(present):
         return f"subject id {missing} is missing; ids must run 0..S-1"
     return None
 
 
-def ingest(trials: list[RawTrial], channel_map: list[str], n_classes: int = 4,
-           n_subjects: int | None = None) -> Dataset:
+def ingest(trials: list[RawTrial], channel_map: list[str]) -> Dataset:
     """Build a dataset from raw recordings.
 
     channel_map fixes the channel order of the output matrix. Trials must all
     carry a label; a subject's relaxation trials beyond the first are dropped
     so each subject contributes exactly one trial per class. Raw trial numbers
     may repeat across subjects, so kept trials get fresh globally unique ids.
-    Without n_subjects, the subject ids must run 0..S-1, as in load_csv.
+    Subjects, raw trial numbers and labels must be whole numbers, and the
+    subject ids must run 0..S-1, as in load_csv.
     """
     if not trials:
         raise IngestionError("no trials to ingest")
-    kept: list[RawTrial] = []
-    seen_relax: set[int] = set()
-    for tr in sorted(trials, key=lambda tr: (tr.subject, tr.trial)):
+    for tr in trials:
         if tr.label is None:
             raise IngestionError(f"unlabeled trial {tr.trial} of subject {tr.subject}")
-        if tr.label == RELAX_LABEL:
-            if tr.subject in seen_relax:
+    try:  # whole-number ids, checked before they order the trials
+        subject = _ids([tr.subject for tr in trials], "subject ids")
+        number = _ids([tr.trial for tr in trials], "trial numbers")
+        label = _ids([tr.label for tr in trials], "labels")
+    except ValueError as err:
+        raise IngestionError(str(err)) from err
+    kept: list[int] = []
+    seen_relax: set[int] = set()
+    for i in np.lexsort((number, subject)).tolist():  # by subject, then trial number
+        if label[i] == RELAX_LABEL:
+            if subject[i] in seen_relax:
                 continue
-            seen_relax.add(tr.subject)
-        kept.append(tr)
-    if n_subjects is None:
-        present = {tr.subject for tr in kept}
-        n_subjects = max(present) + 1
-        if gap := _subject_gap(present, n_subjects):
-            raise IngestionError(gap)
+            seen_relax.add(subject[i])
+        kept.append(i)
+    present = set(subject.tolist())
+    if gap := _subject_gap(present):
+        raise IngestionError(gap)
 
     xs, ys, ss, trs, ts = [], [], [], [], []
-    for uid, tr in enumerate(kept):
+    for uid, i in enumerate(kept):
+        tr = trials[i]
         for name in channel_map:
             if name not in tr.channels:
                 raise IngestionError(
@@ -164,13 +177,13 @@ def ingest(trials: list[RawTrial], channel_map: list[str], n_classes: int = 4,
         grid = start + np.arange(n_seconds, dtype=np.float64)
         cols = [resample_channel(*tr.channels[name], grid) for name in channel_map]
         xs.append(np.column_stack(cols))
-        ys.append(np.full(n_seconds, tr.label, dtype=np.intp))
-        ss.append(np.full(n_seconds, tr.subject, dtype=np.intp))
+        ys.append(np.full(n_seconds, label[i]))
+        ss.append(np.full(n_seconds, subject[i]))
         trs.append(np.full(n_seconds, uid, dtype=np.intp))
         ts.append(grid - start)
 
     return Dataset(np.concatenate(xs), np.concatenate(ys), np.concatenate(ss),
-                   np.concatenate(trs), np.concatenate(ts), n_classes, n_subjects)
+                   np.concatenate(trs), np.concatenate(ts), max(present) + 1)
 
 
 # -- normalization -------------------------------------------------------------
@@ -181,14 +194,14 @@ def normalize(dataset: Dataset, train_ids: np.ndarray) -> Dataset:
     Channels that are constant on the training rows are centered but not
     scaled (std is kept at 1) to avoid dividing by zero.
     """
-    train_ids = np.asarray(train_ids, dtype=np.intp)
+    train_ids = _row_ids(train_ids, len(dataset))
     if train_ids.size == 0:
         raise ConfigError("empty training set for normalization")
     mean = dataset.x[train_ids].mean(axis=0)
     std = dataset.x[train_ids].std(axis=0)
     std = np.where(std > 1e-12, std, 1.0)
     return Dataset((dataset.x - mean) / std, dataset.y, dataset.s, dataset.trial,
-                   dataset.t, dataset.n_classes, dataset.n_subjects, (mean, std))
+                   dataset.t, dataset.n_subjects, normalization=(mean, std))
 
 
 # -- splits --------------------------------------------------------------------
@@ -253,7 +266,7 @@ def subsample_trials(dataset: Dataset, ids: np.ndarray, fraction: float, seed: i
     fraction of 1.0 returns ids unchanged. Raises if any (subject, class)
     cell present in ids would vanish.
     """
-    ids = np.asarray(ids, dtype=np.intp)
+    ids = _row_ids(ids, len(dataset))
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"training fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
@@ -335,7 +348,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray, np.nda
                 trial[lo:hi] = cell * spec.trials_per_cell + j
                 t[lo:hi] = np.arange(hi - lo, dtype=np.float64)
             row += k
-    dataset = Dataset(x, y, s, trial, t, spec.n_classes, spec.n_subjects)
+    dataset = Dataset(x, y, s, trial, t, spec.n_subjects)
     return dataset, T, U
 
 
@@ -367,12 +380,12 @@ def save_csv(path: str | Path, dataset: Dataset) -> None:
 def load_csv(path: str | Path) -> Dataset:
     """Read the interchange CSV back into a dataset.
 
-    The class and subject counts are one past the largest label and subject id.
-    Subject ids must be contiguous, 0..S-1, since every head and the decoder's
-    condition are S wide. Raises IngestionError naming the file (and the line,
-    for a malformed row) when the file is not UTF-8 CSV, a row has the wrong
-    width, a cell does not parse, the subject ids skip one (naming the first
-    missing id), or the rows do not form a valid dataset.
+    The subject count S is one past the largest subject id, and the ids must be
+    contiguous, 0..S-1, since every head and the decoder's condition are S wide.
+    Raises IngestionError naming the file (and the line, for a malformed row)
+    when the file is not UTF-8 CSV, a row has the wrong width, a cell does not
+    parse, the subject ids skip one (naming the first missing id), or the rows
+    do not form a valid dataset.
     """
     x, y, s, trial, t = [], [], [], [], []
     try:
@@ -401,11 +414,11 @@ def load_csv(path: str | Path) -> Dataset:
     n = len(y)
     try:
         dataset = Dataset(np.array(x, dtype=np.float64).reshape(n, n_channels), y, s, trial, t,
-                          max(y) + 1 if n else 1, max(s) + 1 if n else 1)
-    except (ValueError, OverflowError) as err:
+                          max(s) + 1 if n else 1)
+    except ValueError as err:
         raise IngestionError(f"{path}: {err}") from err
     # the dataset has checked that every id is in [0, n_subjects)
-    if n and (gap := _subject_gap(set(s), dataset.n_subjects)):
+    if n and (gap := _subject_gap(set(s))):
         raise IngestionError(f"{path}: {gap}")
     return dataset
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, build_mlp, make_rng,
+from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _ids, build_mlp, make_rng,
                  mse_loss, softmax_cross_entropy)
 
 VARIANTS = ("AE", "cAE", "A-cAE", "D-cAE", "DA-cAE")
@@ -136,7 +136,7 @@ def encode(params: DacaeParams, x: np.ndarray) -> np.ndarray:
 
 
 def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
-    s = np.asarray(s, dtype=np.intp)
+    s = _ids(s, "subject ids")
     if s.ndim != 1:
         raise ValueError(f"subject ids must be (n,), got shape {s.shape}")
     if s.size and (s.min() < 0 or s.max() >= n_subjects):

@@ -238,6 +238,38 @@ def _per_replica(loss: np.ndarray) -> np.ndarray | float:
     return loss if loss.ndim else float(loss)
 
 
+def _ids(values, name: str) -> np.ndarray:
+    """values (labels, subject, trial or row ids) as an intp array; an intp array comes
+    back as it is. Raises ValueError for a boolean, a non-number, or a value that is not
+    a whole number in intp's range, where a plain cast would truncate or overflow. A
+    float id must be below 2**53 in magnitude: past that, a list that mixes an int with
+    a float may already have rounded the int."""
+    a = np.asarray(values)  # an int past 64 bits makes an object array, which fails below
+    if a.dtype == np.intp:
+        return a
+    if a.dtype.kind == "f":
+        ok = _all((a == np.floor(a)) & (np.abs(a) < 2.0**53))  # NaN and +-inf fail
+    else:  # an unsigned 64-bit id may exceed intp
+        ok = a.dtype.kind in "iu" and (np.can_cast(a.dtype, np.intp)
+                                      or a.max(initial=0) <= np.iinfo(np.intp).max)
+    if not ok:
+        raise ValueError(f"{name} must be whole numbers in the int64 range (floats below "
+                         f"2**53), got {a.dtype} values {a.ravel()[:4]}")
+    return a.astype(np.intp)
+
+
+def _targets(targets, n: int, k: int) -> np.ndarray:
+    """targets as n class ids in [0, k), for logits of n rows and k classes."""
+    t = _ids(targets, "targets")
+    if t.shape != (n,):
+        raise ValueError(f"targets of shape {t.shape} for {n} logit rows")
+    if n == 0:
+        raise ValueError("empty batch")
+    if t.min() < 0 or t.max() >= k:
+        raise ValueError("target class out of range")
+    return t
+
+
 def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy of softmax((n, k) logits) against n integer class targets.
 
@@ -251,13 +283,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float | np.ndarr
     n, k = lg.shape[-2:]
     if k == 0:
         raise ValueError("empty logits")
-    t = np.asarray(targets, dtype=np.intp)
-    if t.shape != (n,):
-        raise ValueError(f"targets of shape {t.shape} for {n} logit rows")
-    if n == 0:
-        raise ValueError("empty batch")
-    if t.min() < 0 or t.max() >= k:
-        raise ValueError("target class out of range")
+    t = _targets(targets, n, k)
     grad = lg.copy(order="K")  # lg's own layout, which decides how a wide row sums
     return _per_replica(_ce_in_place(grad, t)), grad
 

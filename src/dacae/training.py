@@ -31,8 +31,8 @@ from . import classifiers
 from .data import Dataset, write_csv
 from .model import (DacaeParams, HyperConfig, LossParts, dacae_loss, decoder_input, encode,
                     init_params)
-from .nn import ConfigError, Mlp, TrainingDiverged, _all, ce_step, make_rng, minibatches, \
-    mse_loss, sgd_step, softmax_cross_entropy
+from .nn import ConfigError, Mlp, TrainingDiverged, _all, _targets, ce_step, make_rng, \
+    minibatches, mse_loss, sgd_step, softmax_cross_entropy
 
 LOSS_CEILING = 1e6
 
@@ -72,11 +72,7 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     # (1) + (2): heads fit the current code; encoder sees no update here.
     # ce_step trusts its targets, so s is checked here, once for both heads
     z = params.encoder.forward(x)
-    s = np.asarray(s, dtype=np.intp)
-    if s.shape != (z.shape[-2],):
-        raise ValueError(f"targets of shape {s.shape} for {z.shape[-2]} logit rows")
-    if s.min() < 0 or s.max() >= params.n_subjects:
-        raise ValueError("target class out of range")
+    s = _targets(s, z.shape[-2], params.n_subjects)
     z_a, z_n = z[..., : params.d_a], z[..., params.d_a:]
     adv_ce = ce_step(params.adversary, z_a, s, sgd)
     nui_ce = ce_step(params.nuisance, z_n, s, sgd)

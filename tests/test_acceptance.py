@@ -9,8 +9,10 @@ reported as skipped inside the still-passing synthetic half.
 
 import filecmp
 import functools
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -320,12 +322,19 @@ def convergence_clauses(dataset, seed, lambda_a, lambda_n, sgd):
     return ratio, log.rows[0].nuisance_ce, log.rows[-1].nuisance_ce
 
 
+def seed_convergence(seed):
+    """Criterion 6's clauses on seed's own dataset; runs in a pool worker."""
+    sgd = SgdConfig(learning_rate=0.15, batch_size=16, epochs=50, seed=seed)
+    return convergence_clauses(generate_synthetic(standard_spec(seed))[0], seed, 0.5, 0.01, sgd)
+
+
 def test_criterion_6_convergence():
+    # each seed draws its own dataset and trains alone, so the five run two at a time;
+    # spawned workers import this module afresh rather than fork a threaded process
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        clauses = list(pool.map(seed_convergence, range(5)))
     ratios = []
-    for seed in range(5):
-        sgd = SgdConfig(learning_rate=0.15, batch_size=16, epochs=50, seed=seed)
-        ratio, first_ce, last_ce = convergence_clauses(
-            generate_synthetic(standard_spec(seed))[0], seed, 0.5, 0.01, sgd)
+    for seed, (ratio, first_ce, last_ce) in enumerate(clauses):
         ratios.append(ratio)
         assert last_ce <= first_ce, (seed, first_ce, last_ce)
     print(f"criterion 6: plateau ratios {[round(r, 4) for r in ratios]} (< 0.1), "

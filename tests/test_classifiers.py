@@ -41,6 +41,23 @@ def test_fit_rejects_empty_and_mismatched():
         fit("lda", np.zeros((3, 2)), np.array([0, 1]))
 
 
+def test_fit_rejects_labels_that_are_not_whole_numbers():
+    # a cast to intp would truncate them to y and fit classes [0 1]
+    z, y = two_blobs(9)
+    with pytest.raises(ValueError, match="^labels must be whole numbers"):
+        fit("lda", z, y + 0.9)
+    with pytest.raises(ValueError, match="^labels must be whole numbers"):
+        KnnClassifier(z, y + 0.9)
+
+
+def test_accuracy_rejects_labels_that_are_not_whole_numbers():
+    # a cast to intp would truncate them to y and score the fit against them
+    z, y = two_blobs(9)
+    clf = fit("lda", z, y)
+    with pytest.raises(ValueError, match="^labels must be whole numbers"):
+        accuracy(clf, z, y + 0.7)
+
+
 # -- kNN -------------------------------------------------------------------------
 
 def brute_force_knn(train_z, train_y, query, k):

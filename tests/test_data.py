@@ -38,8 +38,7 @@ def _toy_dataset(n_subjects=3, n_classes=2, per_trial=5):
                 rows.append((float(s), float(y), s, y, tr, float(t)))
     x = np.array([[r[0], r[1]] for r in rows])
     return Dataset(x, [r[3] for r in rows], [r[2] for r in rows],
-                   [r[4] for r in rows], [r[5] for r in rows],
-                   n_classes, n_subjects)
+                   [r[4] for r in rows], [r[5] for r in rows], n_subjects)
 
 
 # -- resampling ----------------------------------------------------------------
@@ -98,7 +97,7 @@ def test_ingest_excludes_extra_relaxation_trials():
 
 def test_ingest_remaps_trial_ids_globally_unique():
     trials = [_raw_trial(0, 0, 1), _raw_trial(1, 0, 2)]
-    ds = ingest(trials, ["hr", "eda"], n_subjects=2)
+    ds = ingest(trials, ["hr", "eda"])
     assert len({tr for tr, _, _ in trial_table(ds)}) == 2
 
 
@@ -106,9 +105,21 @@ def test_ingest_rejects_a_gap_in_subject_ids():
     trials = [_raw_trial(subject, k, label) for subject in (0, 1, 50000)
               for k, label in enumerate((1, 2))]
     with pytest.raises(IngestionError, match=r"^subject id 2 is missing; ids must run 0\.\.S-1$"):
-        ingest(trials, ["hr", "eda"], n_classes=3)
-    ds = ingest(trials[:4], ["hr", "eda"], n_classes=3)
+        ingest(trials, ["hr", "eda"])
+    ds = ingest(trials[:4], ["hr", "eda"])
     assert ds.n_subjects == 2
+
+
+def test_ingest_rejects_a_label_that_is_not_a_whole_number():
+    # np.full(..., dtype=np.intp) would store label 1
+    trials = [_raw_trial(0, 0, 1.5), _raw_trial(0, 1, 2)]
+    with pytest.raises(IngestionError, match="^labels must be whole numbers"):
+        ingest(trials, ["hr", "eda"])
+
+
+def test_ingest_rejects_an_id_past_int64():
+    with pytest.raises(IngestionError, match="^subject ids must be whole numbers"):
+        ingest([_raw_trial(0, 0, 1), _raw_trial(2**63, 0, 1)], ["hr", "eda"])
 
 
 def test_ingest_missing_channel_raises():
@@ -130,7 +141,7 @@ def test_ingest_empty_raises():
 def test_ingest_channel_order_follows_map():
     tr = RawTrial(0, 0, 1, {"a": (np.arange(2.0), np.array([1.0, 1.0])),
                             "b": (np.arange(2.0), np.array([9.0, 9.0]))})
-    ds = ingest([tr], ["b", "a"], n_subjects=1)
+    ds = ingest([tr], ["b", "a"])
     assert np.allclose(ds.x[0], [9.0, 1.0])
 
 
@@ -138,31 +149,75 @@ def test_ingest_channel_order_follows_map():
 
 def test_dataset_rejects_conflicting_trial_ids():
     with pytest.raises(ValueError, match="trial id"):
-        Dataset(np.zeros((2, 1)), [0, 1], [0, 0], [5, 5], [0.0, 0.0], 2, 1)
+        Dataset(np.zeros((2, 1)), [0, 1], [0, 0], [5, 5], [0.0, 0.0], 1)
     # trials 7 and 3 both conflict; 7's conflicting row comes first, so 7 is named
     trial = [3, 7, 7, 3, 1]
     label = [0, 0, 1, 1, 0]
     with pytest.raises(ValueError, match="^trial id 7 is shared"):
-        Dataset(np.zeros((5, 1)), label, [0] * 5, trial, [0.0] * 5, 2, 1)
+        Dataset(np.zeros((5, 1)), label, [0] * 5, trial, [0.0] * 5, 1)
 
 
 def test_dataset_rejects_out_of_range_labels():
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((1, 1)), [3], [0], [0], [0.0], 2, 1)
+    with pytest.raises(ValueError, match="^task label out of range$"):
+        Dataset(np.zeros((1, 1)), [-1], [0], [0], [0.0], 1)
+
+
+def test_dataset_rejects_labels_that_are_not_whole_numbers():
+    # a cast to intp would store [0 1]
+    with pytest.raises(ValueError, match="^y must be whole numbers"):
+        Dataset(np.zeros((2, 1)), [0.7, 1.2], [0, 0], [0, 1], [0.0, 0.0], 1)
+
+
+@pytest.mark.parametrize("name", ["s", "trial"])
+def test_dataset_turns_an_overflowing_id_into_a_value_error(name):
+    ids = {"y": [0, 1], "s": [0, 0], "trial": [0, 1]}
+    ids[name] = [0, 2**63]
+    with pytest.raises(ValueError, match=f"^{name} must be whole numbers"):
+        Dataset(np.zeros((2, 1)), ids["y"], ids["s"], ids["trial"], [0.0, 0.0], 1)
+
+
+@pytest.mark.parametrize("t", [[0.0], np.zeros((4, 1))], ids=["one-value", "column"])
+def test_dataset_checks_the_shape_of_t(t):
+    # once accepted, these failed later: subset and save_csv with IndexError or TypeError
+    with pytest.raises(ValueError, match=r"^t must have shape \(4,\)$"):
+        Dataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 2, 3], t, 2)
+
+
+def test_dataset_rejects_a_stale_positional_class_count():
+    # (x, y, s, trial, t, n_classes, n_subjects) would bind the counts to the wrong fields
+    with pytest.raises(TypeError):
+        Dataset(np.zeros((2, 1)), [0, 1], [0, 0], [0, 1], [0.0, 0.0], 2, 1)
+
+
+def test_subset_rejects_row_ids_that_are_not_whole_numbers():
+    # a cast to intp would return rows 0 and 1
+    with pytest.raises(ValueError, match="^row ids must be whole numbers"):
+        _toy_dataset().subset([0.5, 1.9])
+
+
+@pytest.mark.parametrize("ids", [[-1], [30], [[0, 1]], 0],
+                         ids=["negative", "past-end", "2d", "scalar"])
+def test_row_ids_must_be_one_list_of_rows(ids):
+    # numpy would wrap -1 to the last row, and raise IndexError on 30
+    ds = _toy_dataset()  # 30 rows
+    for call in (ds.subset, lambda i: normalize(ds, i),
+                 lambda i: subsample_trials(ds, i, 0.5, seed=0)):
+        with pytest.raises(ValueError, match=r"^row ids must be one list of rows in \[0, 30\)$"):
+            call(ids)
 
 
 def test_dataset_subset_preserves_metadata():
     ds = _toy_dataset()
     sub = ds.subset(np.array([0, 6, 12]))
     assert len(sub) == 3
-    assert sub.n_classes == ds.n_classes and sub.n_subjects == ds.n_subjects
+    assert sub.n_subjects == ds.n_subjects
 
 
 # -- normalization --------------------------------------------------------------
 
 def test_normalize_zscore_hand_example():
     x = np.array([[3.0], [7.0], [9.0]])
-    ds = Dataset(x, [0, 0, 0], [0, 0, 0], [0, 0, 0], [0.0, 1.0, 2.0], 1, 1)
+    ds = Dataset(x, [0, 0, 0], [0, 0, 0], [0, 0, 0], [0.0, 1.0, 2.0], 1)
     out = normalize(ds, np.array([0, 1]))
     assert out.x[2, 0] == pytest.approx(2.0, abs=1e-12)
     mean, std = out.normalization
@@ -171,14 +226,14 @@ def test_normalize_zscore_hand_example():
 
 def test_normalize_identity_on_standardized_channel():
     x = np.array([[-1.0], [1.0]])
-    ds = Dataset(x, [0, 0], [0, 0], [0, 1], [0.0, 0.0], 1, 1)
+    ds = Dataset(x, [0, 0], [0, 0], [0, 1], [0.0, 0.0], 1)
     out = normalize(ds, np.array([0, 1]))
     assert np.allclose(out.x, x)
 
 
 def test_normalize_constant_channel_centered_not_scaled():
     x = np.full((4, 1), 6.0)
-    ds = Dataset(x, [0] * 4, [0] * 4, [0, 0, 1, 1], [0.0] * 4, 1, 1)
+    ds = Dataset(x, [0] * 4, [0] * 4, [0, 0, 1, 1], [0.0] * 4, 1)
     out = normalize(ds, np.array([0, 1]))
     assert np.allclose(out.x, 0.0)
 

@@ -104,6 +104,8 @@ def test_one_hot_subjects():
     with pytest.raises(ValueError):
         one_hot_subjects([4], 4)
     assert one_hot_subjects(np.zeros(0, dtype=int), 4).shape == (0, 4)
+    with pytest.raises(ValueError, match="^subject ids must be whole numbers"):
+        one_hot_subjects([2.5, 0.0], 4)  # a cast to intp would set column 2
 
 
 @pytest.mark.parametrize("s", [[0, -1], [3, 0]], ids=["negative", "not-below-count"])

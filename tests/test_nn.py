@@ -22,7 +22,7 @@ from dacae import (
     softmax_cross_entropy,
     train_step,
 )
-from dacae.nn import _row_max, _row_sum, ce_step, minibatches
+from dacae.nn import _ids, _row_max, _row_sum, ce_step, minibatches
 from helpers import copy_mlp, copy_params
 
 
@@ -291,6 +291,28 @@ def test_training_bit_identical_across_runs():
 def test_softmax_cross_entropy_rejects_out_of_range_targets(targets):
     with pytest.raises(ValueError, match="^target class out of range$"):
         softmax_cross_entropy(np.zeros((2, 3)), np.array(targets))
+
+
+def test_softmax_cross_entropy_rejects_targets_that_are_not_whole_numbers():
+    # a cast to intp would truncate them to [0, 2] and return a loss
+    with pytest.raises(ValueError, match="^targets must be whole numbers"):
+        softmax_cross_entropy(np.zeros((2, 3)), [0.5, 2.7])
+
+
+def test_ids_pass_an_intp_array_through_and_convert_only_whole_numbers():
+    ids = np.arange(4)
+    assert _ids(ids, "ids") is ids  # no copy on the per-step path
+    for whole in ([0.0, 3.0, -2.0], [2.0**53 - 1], np.array([0, 3], dtype=np.uint8),
+                  np.array([0, 2**63 - 1], dtype=np.uint64), np.array([1, 2], dtype=np.float32),
+                  [], [[1, 2]]):
+        out = _ids(whole, "ids")
+        assert out.dtype == np.intp and out.tolist() == np.asarray(whole).tolist()
+    for bad in ([0.5], [np.nan], [np.inf], [-np.inf], [True, False], [2**63],
+                np.array([2**63], dtype=np.uint64), [2**64], [-1, 2**63], [2.0**63],
+                [0.0, 2**53 + 1],  # the list's float64 array rounds the int to 2**53
+                ["1"], [None], [1j]):
+        with pytest.raises(ValueError, match="^ids"):
+            _ids(bad, "ids")
 
 
 def test_losses_reject_an_empty_batch():

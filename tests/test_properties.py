@@ -1,21 +1,29 @@
-"""Property tests: a config or interchange CSV that one mutation made invalid exits 1.
+"""Property tests: a config or interchange CSV that one mutation made invalid exits 1,
+and the library's entry points take any id array without a crash or a silent cast.
 
-Each case runs `dacae loso` in-process on a mutated copy of a small valid input
+Each CLI case runs `dacae loso` in-process on a mutated copy of a small valid input
 and checks for exit code 1, a `configuration error:` line on stderr, no
 traceback and no output tree. Every mutation makes the input invalid, and
 none asks for more workers, epochs or rows than the valid input.
+
+Each library case hands one entry point a valid input with one id array (labels,
+subjects, trials, rows or targets) given an edge value or an edge shape; see
+"library entry points" below.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dacae import SyntheticSpec, generate_synthetic, save_csv
+from dacae import (KINDS, Dataset, RawTrial, SyntheticSpec, accuracy, fit, generate_synthetic,
+                   ingest, load_csv, normalize, save_csv, softmax_cross_entropy)
 from dacae.cli import main
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -213,3 +221,191 @@ def bad_csvs(draw):
 @given(bad_csvs())
 def test_mutated_csv_exits_1(data):
     _run(CSV_CONFIG, data)
+
+
+# -- library entry points ----------------------------------------------------------------
+#
+# Each call runs under np.errstate(all="raise") with warnings as errors. It must return a
+# valid object that holds exactly the ids it was given, or raise ValueError (which
+# ConfigError and IngestionError are): never IndexError, TypeError, OverflowError,
+# FloatingPointError or a warning.
+
+LIB_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+EDGE_IDS = st.one_of(
+    st.integers(-3, 6),  # negatives, and values past the largest id
+    st.sampled_from([2**63 - 1, 2**63, 2**64, -2**63 - 1]),
+    st.floats(),  # fractions, NaN, +-inf, magnitudes past 2**63
+    st.sampled_from([0.5, 2.0, -0.0, 2.0**63, float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+)
+EDGE_DTYPES = st.sampled_from([np.float64, np.float32, np.uint64, np.int8, bool])
+
+
+@st.composite
+def edge_ids(draw, base, shapes=True):
+    """base, a list of whole-number ids, with one edge value, dtype or shape, emptied,
+    with a gap opened above a cut, or all set to 0; without shapes, a list as long."""
+    ids = list(base)
+    mutation = draw(st.sampled_from(["value", "dtype", "gap", "single"]
+                                    + (["shape", "empty"] if shapes else [])))
+    if mutation == "value":
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(EDGE_IDS)
+    elif mutation == "dtype":
+        ids = np.asarray(ids).astype(draw(EDGE_DTYPES))
+        return ids if shapes else ids.tolist()
+    elif mutation == "gap":
+        cut = draw(st.integers(0, max(ids)))
+        ids = [v + draw(st.integers(1, 3)) if v >= cut else v for v in ids]
+    elif mutation == "single":
+        ids = [0] * len(ids)
+    elif mutation == "shape":
+        a = np.asarray(ids)
+        return draw(st.sampled_from([a[:, None], a[None], a[:-1], np.append(a, a[:1]), a[0]]))
+    else:
+        return draw(st.sampled_from([[], np.empty(0), np.empty((0, 1), dtype=np.intp)]))
+    return ids
+
+
+def _call(fn, *args):
+    """fn(*args), or None when it raises ValueError; any other exception propagates."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except ValueError:
+            return None
+
+
+def _same(stored: np.ndarray, given) -> bool:
+    """stored is an intp array holding exactly the given ids, in the given shape."""
+    given = np.asarray(given)
+    return (stored.dtype == np.intp and stored.shape == given.shape
+            and stored.tolist() == given.tolist())
+
+
+DS, _, _ = generate_synthetic(SyntheticSpec(n_subjects=2, n_classes=2, n_channels=2,
+                                            samples_per_cell=2, trials_per_cell=2))
+COLUMNS = {"y": DS.y.tolist(), "s": DS.s.tolist(), "trial": DS.trial.tolist(),
+           "t": DS.t.astype(int).tolist()}
+
+
+@LIB_SETTINGS
+@given(st.sampled_from(sorted(COLUMNS)).flatmap(
+    lambda name: st.tuples(st.just(name), edge_ids(COLUMNS[name]))))
+@example(("y", [0.7, 1.2] + COLUMNS["y"][2:]))  # was stored as [0 1 ...]
+@example(("trial", [2**63] + COLUMNS["trial"][1:]))  # raised OverflowError
+@example(("t", [0.0]))  # was accepted; subset and save_csv failed later
+@example(("t", np.zeros((8, 1))))
+def test_dataset_holds_exactly_the_ids_given(case):
+    name, given = case
+    columns = {**COLUMNS, name: given}
+    ds = _call(Dataset, DS.x, columns["y"], columns["s"], columns["trial"], columns["t"],
+               DS.n_subjects)
+    if ds is not None:
+        for col in ("y", "s", "trial"):
+            assert _same(getattr(ds, col), columns[col]), col
+        assert ds.t.shape == (len(ds),) and ds.y.min() >= 0 and ds.s.max() < ds.n_subjects
+
+
+def _raw_trials(subjects, numbers, labels) -> list[RawTrial]:
+    times = np.arange(2.0)
+    return [RawTrial(s, k, y, {"hr": (times, times + y)}) for s, k, y in
+            zip(subjects, numbers, labels)]
+
+
+# subject 0 has two relaxation trials, of which ingest keeps the first
+RAW = {"subject": [0, 0, 0, 1, 1], "trial": [0, 1, 2, 0, 1], "label": [0, 0, 1, 0, 2]}
+
+
+@LIB_SETTINGS
+@given(st.sampled_from(sorted(RAW)).flatmap(
+    lambda name: st.tuples(st.just(name), edge_ids(RAW[name], shapes=False))))
+@example(("label", [0, 0, 1.5, 0, 2]))  # was stored as label 1
+def test_ingest_holds_exactly_the_ids_given(case):
+    name, given = case
+    columns = {**RAW, name: given}
+    ds = _call(ingest, _raw_trials(columns["subject"], columns["trial"], columns["label"]),
+               ["hr"])
+    if ds is not None:
+        assert set(ds.s.tolist()) == set(columns["subject"])
+        assert set(ds.y.tolist()) <= set(columns["label"])
+        assert ds.n_subjects == max(columns["subject"]) + 1
+
+
+@LIB_SETTINGS
+@given(st.integers(0, 2).flatmap(
+    lambda col: st.tuples(st.just(col), edge_ids([int(r[col]) for r in ROWS[1:]],
+                                                 shapes=False))))
+@example((1, [2**63] + [int(r[1]) for r in ROWS[2:]]))
+def test_load_csv_holds_exactly_the_ids_given(case):
+    column, given = case
+    rows = [list(row) for row in ROWS]
+    for row, value in zip(rows[1:], given):
+        row[column] = str(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(_encode(rows))
+        ds = _call(load_csv, path)
+    if ds is not None:
+        assert _same((ds.s, ds.trial, ds.y)[column], given)
+
+
+ROW_IDS = [0, 3, 5, 6]
+
+
+@LIB_SETTINGS
+@given(edge_ids(ROW_IDS))
+@example([0.5, 1.9])  # was rows 0 and 1
+@example([-1])  # was the last row
+def test_subset_and_normalize_take_exactly_the_rows_given(ids):
+    sub = _call(DS.subset, ids)
+    if sub is not None:
+        assert sub.trial.tolist() == [DS.trial[int(i)] for i in np.asarray(ids).tolist()]
+    normed = _call(normalize, DS, ids)
+    if normed is not None:
+        mean, std = normed.normalization
+        assert np.array_equal(mean, DS.x[np.asarray(ids, dtype=np.intp)].mean(axis=0))
+        assert np.all(np.isfinite(normed.x)) and np.all(std > 0)
+
+
+Z = DS.x
+LABELS = DS.y.tolist()
+
+
+@LIB_SETTINGS
+@given(st.sampled_from(KINDS), edge_ids(LABELS))
+@example("lda", (DS.y + 0.9).tolist())  # was fit to classes [0 1]
+def test_fit_learns_exactly_the_labels_given(kind, labels):
+    clf = _call(fit, kind, Z, labels)
+    if clf is not None:
+        assert _same(clf.classes, np.unique(labels))
+        assert set(clf.predict(Z).tolist()) <= set(np.asarray(labels).tolist())
+
+
+FITTED = {kind: fit(kind, Z, LABELS) for kind in KINDS}
+
+
+@LIB_SETTINGS
+@given(st.sampled_from(KINDS), edge_ids(LABELS))
+@example("lda", (DS.y + 0.7).tolist())  # was scored as the true labels
+def test_accuracy_scores_exactly_the_labels_given(kind, labels):
+    acc = _call(accuracy, FITTED[kind], Z, labels)
+    if acc is not None:
+        predicted = FITTED[kind].predict(Z).tolist()
+        assert acc == np.mean([p == y for p, y in zip(predicted, np.asarray(labels).tolist())])
+
+
+LOGITS = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+
+
+@LIB_SETTINGS
+@given(edge_ids([0, 2, 1, 2]))
+@example([0.5, 2.7, 1, 2])  # was a loss against [0 2 1 2]
+def test_softmax_cross_entropy_takes_exactly_the_targets_given(targets):
+    out = _call(softmax_cross_entropy, LOGITS, targets)
+    if out is not None:
+        loss, grad = out
+        given = np.asarray(targets)
+        assert given.shape == (4,) and given.tolist() == given.astype(np.intp).tolist()
+        assert np.isfinite(loss) and grad.shape == LOGITS.shape

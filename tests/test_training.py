@@ -201,6 +201,21 @@ def test_train_step_rejects_out_of_range_subject(variant, bad):
             assert np.array_equal(a, b)
 
 
+def test_train_step_checks_subjects_as_softmax_cross_entropy_checks_targets():
+    # one check serves both: same order, same messages, and no float id truncated
+    config = small_config()
+    x, s = _batch()
+    cases = {"float": (s + 0.5, "^targets must be whole numbers"),
+             "short": (s[:-1], r"^targets of shape \(11,\) for 12 logit rows$"),
+             "range": (s + 3, "^target class out of range$")}
+    for bad, message in cases.values():
+        params = init_params(4, 3, config, seed=0)
+        with pytest.raises(ValueError, match=message):
+            train_step(params, x, bad, config)
+        with pytest.raises(ValueError, match=message):
+            softmax_cross_entropy(np.zeros((12, 3)), bad)
+
+
 def test_fit_feature_extractor_single_subject_raises():
     ds = small_dataset()
     solo = ds.subset(np.flatnonzero(ds.s == 0))
