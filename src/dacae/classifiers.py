@@ -6,7 +6,8 @@ expose predict() returning integer labels, decision_scores() returning one
 score row per input (argmax of which is the prediction, ties resolving to the
 lowest label), and fit deterministically for a given seed.
 
-Features are (n, d) batches; a 1-D array raises ValueError. Classifiers train
+Features are (n, d) batches; a 1-D array raises ValueError, as does a NaN or an
+infinity passed to fit or predict (decision_scores takes them). Classifiers train
 on whatever label subset is present; scores are reported over the sorted
 unique training labels.
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, _ids, build_mlp, ce_step, make_rng, minibatches,
-                 softmax)
+from .nn import (ConfigError, Mlp, SgdConfig, _all, _ids, build_mlp, ce_step, make_rng,
+                 minibatches, softmax)
 
 _MLP_SGD = SgdConfig(learning_rate=0.05, batch_size=32, epochs=150)
 
@@ -46,6 +47,13 @@ def _check_features(z: np.ndarray, dim: int) -> np.ndarray:
     return z
 
 
+def _finite(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if not _all(np.isfinite(z)):
+        raise ValueError("non-finite features")
+    return z
+
+
 class _Fitted:
     kind: str = ""
     classes: np.ndarray  # sorted unique training labels
@@ -54,7 +62,7 @@ class _Fitted:
         raise NotImplementedError
 
     def predict(self, z: np.ndarray) -> np.ndarray:
-        scores = self.decision_scores(z)
+        scores = self.decision_scores(_finite(z))
         return self.classes[np.argmax(scores, axis=1)]
 
 
@@ -73,8 +81,8 @@ class MlpClassifier(_Fitted):
         rng = make_rng(seed, 400)  # initialises the weights, then shuffles
         net = build_mlp([z.shape[1], 15, classes.size], rng)
         for _ in range(_MLP_SGD.epochs):
-            for idx in minibatches(rng, z.shape[0], _MLP_SGD.batch_size):
-                ce_step(net, z[idx], targets[idx], _MLP_SGD)
+            for zb, tb in minibatches(rng, _MLP_SGD.batch_size, z, targets):
+                ce_step(net, zb, tb, _MLP_SGD)
         return cls(net, classes)
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
@@ -360,7 +368,7 @@ class LinearClassifier(_Fitted):
 
 def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
     """Train one classifier kind on features z (n, d) and integer labels y (n,)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = _finite(z)
     if z.ndim != 2:
         raise ValueError(f"features must be (n, d), got shape {z.shape}")
     y = _ids(y, "labels")

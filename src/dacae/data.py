@@ -42,12 +42,12 @@ class Dataset:
     normalization: tuple[np.ndarray, np.ndarray] | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=np.float64)
+        self.x = _reals(self.x, "x")
         if self.x.ndim != 2:
             raise ValueError("x must be (n, channels)")
         n = self.x.shape[0]
         self.y, self.s, self.trial = (_ids(getattr(self, k), k) for k in ("y", "s", "trial"))
-        self.t = np.asarray(self.t, dtype=np.float64)
+        self.t = _reals(self.t, "t")
         for name in ("y", "s", "trial", "t"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
@@ -76,6 +76,18 @@ class Dataset:
         ids = _row_ids(ids, len(self))
         return Dataset(self.x[ids], self.y[ids], self.s[ids], self.trial[ids], self.t[ids],
                        self.n_subjects, normalization=self.normalization)
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """values as a float64 array. Raises ValueError for complex or non-numeric values,
+    where a plain cast would drop an imaginary part or raise a bare TypeError."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real numbers, got {a.dtype} values")
+    try:
+        return a.astype(np.float64, copy=False)
+    except TypeError as err:  # e.g. an object array holding a complex or None
+        raise ValueError(f"{name} must be real numbers: {err}") from None
 
 
 def _row_ids(ids, n: int) -> np.ndarray:

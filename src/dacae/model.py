@@ -141,6 +141,11 @@ def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
         raise ValueError(f"subject ids must be (n,), got shape {s.shape}")
     if s.size and (s.min() < 0 or s.max() >= n_subjects):
         raise ValueError(f"subject index out of range [0, {n_subjects})")
+    return _one_hot(s, n_subjects)
+
+
+def _one_hot(s: np.ndarray, n_subjects: int) -> np.ndarray:
+    """one_hot_subjects of ids already checked to be (n,) intp values in [0, n_subjects)."""
     out = np.zeros((s.shape[0], n_subjects))
     out[np.arange(s.shape[0]), s] = 1.0
     return out
@@ -151,10 +156,16 @@ def decoder_input(z: np.ndarray, s, n_subjects: int, conditioned: bool) -> np.nd
 
     A stack's (R, n, d) code gets the same condition in every replica.
     """
+    return _decoder_input(z, one_hot_subjects(s, n_subjects) if conditioned else 0.0,
+                          n_subjects)
+
+
+def _decoder_input(z: np.ndarray, condition, n_subjects: int) -> np.ndarray:
+    """The code z with condition, an (n, n_subjects) array or 0.0, in its last columns."""
     d = z.shape[-1]
     out = np.empty(z.shape[:-1] + (d + n_subjects,))
     out[..., :d] = z
-    out[..., d:] = one_hot_subjects(s, n_subjects) if conditioned else 0.0
+    out[..., d:] = condition
     return out
 
 

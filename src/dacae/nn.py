@@ -3,10 +3,11 @@
 Everything is float64 numpy on (n, features) batches. A network is its weight and
 bias arrays, with ReLU after every layer but the last. The arithmetic is written
 once, as kernels on the bare arrays: _forward, _ce_in_place and _backward, which
-reads each hidden ReLU's mask off the next layer's input. Mlp.forward,
-Mlp.backward and softmax_cross_entropy check their input and call one kernel;
-ce_step, the update of the heads and the MLP classifier, chains all three. A
-central finite-difference checker is the independent oracle for the gradients.
+reads each hidden ReLU's mask off the next layer's input, and _input_grad, its
+chain to the input alone. Mlp.forward, Mlp.backward and softmax_cross_entropy
+check their input and call one kernel; ce_step, the update of the heads and the
+MLP classifier, chains three. A central finite-difference checker is the
+independent oracle for the gradients.
 
 A network's arrays may carry a leading replica axis: R networks of one shape,
 with (R, out, in) weights and (R, out) biases, run as one stack. Every primitive
@@ -19,7 +20,11 @@ the same lines with no replica axis.
 The kernels call the ufuncs' reduce directly (np.add.reduce for .sum(),
 np.maximum.reduce for .max(), _all for .all()): the same arithmetic, without the
 methods' Python wrappers, which cost more than the work on a minibatch's small
-arrays.
+arrays. The row max and sum over the class axis (_row_max, _row_sum) go further
+below 8 classes: numpy reduces a short last axis with one inner loop per row, so
+there they run one ufunc call per class column, with the same bits. From 8
+classes up numpy's own row reduce is kept: its lanes and pairwise sums give bits
+a column chain would not, and at 20 classes the chain is slower.
 """
 
 from __future__ import annotations
@@ -168,6 +173,16 @@ def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
     return flat, w_grads, b_grads, g
 
 
+def _input_grad(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
+                ) -> np.ndarray:
+    """The loss's gradient at the network's input, given each layer's input and g, its
+    gradient at the output: _backward's chain, with no weight or bias gradient."""
+    for k in range(len(weights) - 1, 0, -1):
+        g = g @ weights[k]
+        g *= inputs[k] > 0
+    return g @ weights[0]
+
+
 def build_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
     """Mlp with layer sizes dims[0] -> ... -> dims[-1], zero biases and Glorot-uniform
     weights in +-sqrt(6/(fan_in+fan_out)), drawn from rng one layer at a time."""
@@ -182,34 +197,39 @@ def build_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """np.max(a, axis=1) as one np.maximum per column. numpy reduces a short last axis
-    row by row; a max never rounds, so the chain gives the same values for any width.
-    Only signs may differ: a NaN's, and from 8 columns up, where numpy's max runs in
-    8 lanes, a zero max's. softmax's output depends on neither."""
-    m = a[:, 0].copy()
-    for col in a.T[1:]:
-        np.maximum(m, col, out=m)
+    """np.maximum.reduce(a, axis=-1) over the class axis of a (..., k) array, any layout.
+    From 2 to 7 classes it runs one np.maximum per column, where numpy would run one
+    inner loop per row; a max never rounds, so only a NaN's sign may differ. From 8 up
+    it is numpy's own reduce, whose 8 lanes may give a zero max either sign."""
+    k = a.shape[-1]
+    if k == 1 or k >= 8:
+        return np.maximum.reduce(a, axis=-1)
+    m = np.maximum(a[..., 0], a[..., 1])
+    for j in range(2, k):
+        np.maximum(m, a[..., j], out=m)
     return m
 
 
 def _row_sum(e: np.ndarray) -> np.ndarray:
-    """e.sum(axis=1) of a C-ordered exp output, in any layout. Below 8 columns numpy adds
-    each row left to right from +0.0, which a chain of column adds repeats bit for bit
-    (only a row of -0.0 alone, which exp never returns, would differ); from 8 up it sums
-    each contiguous row pairwise, so it sums a C-ordered copy (on an F-ordered array it
-    would add the columns in sequence)."""
-    if e.shape[1] >= 8:
-        return np.ascontiguousarray(e).sum(axis=1)
-    s = e[:, 0].copy()
-    for col in e.T[1:]:
-        s += col
+    """np.add.reduce(e, axis=-1) of a (..., k) exp output, bit for bit, in e's own layout.
+    Below 8 classes numpy adds each row left to right from +0.0, which one add per
+    column repeats (only a row of -0.0 alone, which exp never returns, would differ);
+    from 8 up it is numpy's own reduce, which sums a contiguous row pairwise and the
+    columns of an F-ordered array in sequence."""
+    k = e.shape[-1]
+    if k == 1 or k >= 8:
+        return np.add.reduce(e, axis=-1)
+    s = e[..., 0] + e[..., 1]
+    for j in range(2, k):
+        s += e[..., j]
     return s
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax of (n, k) logits, k >= 1: exp(x - row max) / row sum.
 
-    Every step runs once per column, never once per row, and gives the bits of the
+    Every elementwise step runs once per column, never once per row, as do the row
+    max and sum below 8 classes (see _row_max), and the result has the bits of the
     broadcast form e = np.exp(x - x.max(axis=1, keepdims=True)); e / e.sum(axis=1,
     keepdims=True) on C-ordered logits. Logits in any layout give those bits, and
     class-major (F-ordered) logits give an F-ordered output, each column contiguous.
@@ -222,7 +242,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     for src, dst in zip(lg.T, e.T):
         np.subtract(src, m, out=dst)
     np.exp(e, out=e)
-    s = _row_sum(e)
+    s = _row_sum(e if lg.shape[1] < 8 else np.ascontiguousarray(e))  # C-ordered rows' sum
     for col in e.T:
         col /= s
     return e
@@ -293,12 +313,12 @@ def _ce_in_place(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     np.mean's bits; leaves its gradient w.r.t. the logits, 1/n included, in logits."""
     n = logits.shape[-2]
     rows = np.arange(n)
-    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logits -= _row_max(logits)[..., None]
     picked = logits[..., rows, targets]
     np.exp(logits, out=logits)
-    norm = np.add.reduce(logits, axis=-1, keepdims=True)
-    loss = np.add.reduce(np.log(norm[..., 0]) - picked, axis=-1) / n
-    logits /= norm
+    norm = _row_sum(logits)
+    loss = np.add.reduce(np.log(norm) - picked, axis=-1) / n
+    logits /= norm[..., None]
     logits[..., rows, targets] -= 1.0
     logits /= n
     return loss
@@ -364,11 +384,21 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig
     return _per_replica(loss)
 
 
-def minibatches(rng: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:
-    """One pass over rng.permutation(n) in batches of batch_size; a short batch comes last."""
+def minibatches(rng: np.random.Generator, batch_size: int, *columns: np.ndarray
+                ) -> Iterator[tuple[np.ndarray, ...]]:
+    """One pass over the rows of columns (arrays of n rows each) in the order of
+    rng.permutation(n), in batches of batch_size; a short batch comes last.
+
+    Each column is gathered once per pass, and every batch is a tuple of contiguous
+    slices of those gathers, with the values of column[order[start: stop]]. A batch
+    keeps its pass's gather alive, so a caller drops the last one before it
+    allocates much else.
+    """
+    n = len(columns[0])
     order = rng.permutation(n)
+    gathered = [c[order] for c in columns]
     for start in range(0, n, batch_size):
-        yield order[start: start + batch_size]
+        yield tuple(c[start: start + batch_size] for c in gathered)
 
 
 @dataclass

@@ -4,8 +4,11 @@ Each mini-batch applies three sub-updates in a fixed order: the adversary head
 descends its own cross-entropy, then the nuisance head, then the
 encoder-decoder pair descends the joint objective with both heads frozen.
 Gradients of the joint step flow through the heads into the encoder without
-touching head weights. The heads' ce_step and the joint step's Mlp primitives run
-one set of dacae.nn kernels, the same that train the MLP classifier.
+touching head weights. The heads' ce_step, the heads' term in the encoder
+gradient and the joint step's Mlp primitives run one set of dacae.nn kernels, the
+same that train the MLP classifier; the head term runs them on the bare arrays
+(_forward, _ce_in_place, _input_grad), since it needs neither a forward cache nor
+the heads' weight gradients.
 
 Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
 and each epoch encodes the training set once for its probes and its LDA readout.
@@ -29,10 +32,10 @@ import numpy as np
 
 from . import classifiers
 from .data import Dataset, write_csv
-from .model import (DacaeParams, HyperConfig, LossParts, dacae_loss, decoder_input, encode,
-                    init_params)
-from .nn import ConfigError, Mlp, TrainingDiverged, _all, _targets, ce_step, make_rng, \
-    minibatches, mse_loss, sgd_step, softmax_cross_entropy
+from .model import (DacaeParams, HyperConfig, LossParts, _decoder_input, _one_hot, dacae_loss,
+                    encode, init_params)
+from .nn import ConfigError, Mlp, TrainingDiverged, _all, _ce_in_place, _forward, _input_grad, \
+    _targets, ce_step, make_rng, minibatches, mse_loss, sgd_step
 
 LOSS_CEILING = 1e6
 
@@ -79,8 +82,8 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
 
     # (3): encoder-decoder joint step against the freshly updated heads; the head
     # updates leave the encoder and its forward cache as (1) left them, so z is reused
-    x_hat = params.decoder.forward(
-        decoder_input(z, s, params.n_subjects, configs[0].conditioned))
+    condition = _one_hot(s, params.n_subjects) if configs[0].conditioned else 0.0
+    x_hat = params.decoder.forward(_decoder_input(z, condition, params.n_subjects))
     recon, recon_grad = mse_loss(x_hat, x)
     dec_grads = params.decoder.backward(recon_grad)
     dz = dec_grads.wrt_input[..., : params.latent_dim].copy()
@@ -103,14 +106,17 @@ def _head_term(dz: np.ndarray, combine, weight: np.ndarray, head: Mlp, code: np.
     """dz = combine(dz, weight * d CE(head(code), s) / d code), in place, in each replica
     whose weight (one per replica) is not 0.
 
-    A replica at 0 is skipped by mask, not multiplied by 0, so its dz keeps the
-    bits, signed zeros included, of a run that never consults the head.
+    The term has the bits of head.backward(grad).wrt_input after head.forward(code)
+    and softmax_cross_entropy; s is train_step's checked subject ids. A replica at 0
+    is skipped by mask, not multiplied by 0, so its dz keeps the bits, signed zeros
+    included, of a run that never consults the head.
     """
     on = np.count_nonzero(weight)
     if not on:
         return
-    _, grad = softmax_cross_entropy(head.forward(code), s)
-    term = head.backward(grad).wrt_input
+    inputs, grad = _forward(head.weights, head.biases, code)
+    _ce_in_place(grad, s)
+    term = _input_grad(head.weights, inputs, grad)
     term *= weight[..., None, None]
     # a full mask is left out: numpy's masked loop costs several times the plain one
     mask = True if on == weight.size else (weight != 0.0)[..., None, None]
@@ -207,11 +213,16 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[Hyper
     shuffle_rng = make_rng(first.sgd.seed, 500)
     logs = [TrainLog([]) for _ in configs]
     for epoch in range(first.sgd.epochs):
-        for batch, ids in enumerate(minibatches(shuffle_rng, len(dataset), first.sgd.batch_size)):
+        batches = minibatches(shuffle_rng, first.sgd.batch_size, dataset.x, dataset.s)
+        for batch, (x, s) in enumerate(batches):
             try:
-                train_step(params, dataset.x[ids], dataset.s[ids], configs)
+                train_step(params, x, s, configs)
             except TrainingDiverged as err:
                 raise TrainingDiverged(f"epoch {epoch}, batch {batch}: {err}") from err
+        # the last batch, in x, s and the encoder's forward cache, is a view of the
+        # pass's gather; dropping it frees that gather before the evaluation allocates
+        del x, s
+        params.encoder._cache = None
         # one replica at a time, so evaluation needs no more memory than a solo fit's
         for r, (c, log) in enumerate(zip(configs, logs)):
             replica = params if single else _replica(params, r)

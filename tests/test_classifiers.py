@@ -545,6 +545,21 @@ def test_any_layout_of_features_fits_and_scores_alike(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_non_finite_features_are_rejected_in_fit_and_predict(kind):
+    # each kind used to fit such rows and predict [0 0 0 0], or diverge (mlp)
+    z, y = two_blobs(4)
+    clf = fit(kind, z, y, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        z_bad = z[:4].copy()
+        z_bad[1, 2] = bad
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="^non-finite features$"):
+                fit(kind, z_bad, y[:4], seed=0)
+            with pytest.raises(ValueError, match="^non-finite features$"):
+                clf.predict(z_bad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_feature_dim_mismatch_raises(kind):
     z, y = two_blobs(8)
     clf = fit(kind, z, y, seed=0)

@@ -1,5 +1,7 @@
 """Data pipeline: resampling, ingestion, normalization, splits, synthetic data."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,22 @@ def test_dataset_checks_the_shape_of_t(t):
     # once accepted, these failed later: subset and save_csv with IndexError or TypeError
     with pytest.raises(ValueError, match=r"^t must have shape \(4,\)$"):
         Dataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 2, 3], t, 2)
+
+
+def test_dataset_rejects_complex_times():
+    # a plain float cast raised a bare TypeError here
+    with pytest.raises(ValueError, match="^t must be real numbers, got complex128 values$"):
+        Dataset(np.zeros((1, 1)), [0], [0], [0], [0.5 + 1j], 1)
+
+
+@pytest.mark.parametrize("x", [np.zeros((2, 1)) + 1j, np.array([[1j], [0.0]], dtype=object)],
+                         ids=["complex", "object-complex"])
+def test_dataset_rejects_complex_features(x):
+    # a plain float cast kept the real part after a ComplexWarning, or raised a TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^x must be real numbers"):
+            Dataset(x, [0, 1], [0, 0], [0, 1], [0.0, 0.0], 1)
 
 
 def test_dataset_rejects_a_stale_positional_class_count():

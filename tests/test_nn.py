@@ -22,7 +22,7 @@ from dacae import (
     softmax_cross_entropy,
     train_step,
 )
-from dacae.nn import _ids, _row_max, _row_sum, ce_step, minibatches
+from dacae.nn import _ce_in_place, _ids, _row_max, _row_sum, ce_step, minibatches
 from helpers import copy_mlp, copy_params
 
 
@@ -237,10 +237,14 @@ def test_softmax_grad_rows_sum_to_zero(seed):
 def test_minibatches_cover_each_index_once_per_pass_in_permutation_order(n, batch_size):
     rng, replay = make_rng(5, 500), make_rng(5, 500)
     full, short = divmod(n, batch_size)
+    x = make_rng(6).standard_normal((n, 3))
     for _ in range(2):
-        batches = list(minibatches(rng, n, batch_size))
-        assert np.array_equal(np.concatenate(batches), replay.permutation(n))
-        assert [b.size for b in batches] == [batch_size] * full + ([short] if short else [])
+        batches = list(minibatches(rng, batch_size, np.arange(n), x))
+        order = replay.permutation(n)
+        assert np.array_equal(np.concatenate([ids for ids, _ in batches]), order)
+        assert [ids.size for ids, _ in batches] == [batch_size] * full + ([short] if short else [])
+        for ids, rows in batches:  # every column's batch holds the same rows
+            assert rows.flags.c_contiguous and np.array_equal(rows, x[ids])
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -437,7 +441,7 @@ def test_ce_step_matches_reference_primitives_bitwise(dims, batch):
     batches = make_rng(31, 9)
     steps = 0
     while steps < 200:
-        for idx in minibatches(batches, len(y), batch):
+        for (idx,) in minibatches(batches, batch, np.arange(len(y))):
             assert ce_step(net, x[idx], y[idx], sgd) == reference_ce_step(ref, x[idx], y[idx], 0.05)
             steps += 1
     _assert_same_arrays(net, ref)
@@ -594,6 +598,65 @@ def test_softmax_raises_the_broadcast_forms_error(row):
             reference_softmax(logits)
         with pytest.raises(FloatingPointError, match=f"^{want.value}$"):
             softmax(logits)
+
+
+def _class_axis_layouts(a):
+    """a (C-ordered, 2-D or with a leading replica axis) as C-, F-ordered and strided arrays."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    return {"C": a, "F": np.asfortranarray(a), "strided": wide[..., ::2]}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "R-n-k"])
+@pytest.mark.parametrize("width", range(1, 21))
+def test_class_axis_helpers_match_numpys_reduce_in_every_layout(width, stacked):
+    # the column chains below 8 classes and numpy's reduce from 8 up, on the axis
+    # softmax and _ce_in_place reduce, for every layout that reaches them
+    rng = make_rng(55, width, stacked)
+    a = _special_rows(width, rng)
+    if stacked:
+        a = a[: 500].reshape(5, 100, width)
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = np.exp(a - 300.0 * rng.standard_normal(a.shape))  # 0, +inf, NaN and between
+    for name, layout in _class_axis_layouts(a).items():
+        got, want = _row_max(layout), np.maximum.reduce(layout, axis=-1)
+        assert got.shape == want.shape, name
+        _assert_same_bits(got, want)
+    # then finite values of one magnitude, whose sum's bits show the order of the adds
+    for values in (e, np.exp(rng.standard_normal(a.shape))):
+        for name, layout in _class_axis_layouts(values).items():
+            got, want = _row_sum(layout), np.add.reduce(layout, axis=-1)
+            assert got.shape == want.shape, name
+            _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_ce_in_place_of_a_stack_matches_each_replicas_reference_bitwise(width):
+    rng = make_rng(56, width)
+    finite = rng.standard_normal((5, 64, width)) * 10.0 ** rng.integers(-3, 4, (5, 64, 1))
+    special = _special_rows(width, rng)[:500].reshape(5, 100, width)
+    for logits in (finite, special):
+        t = rng.integers(0, width, size=logits.shape[1])
+        grad = logits.copy()
+        with np.errstate(invalid="ignore"):
+            loss = _ce_in_place(grad, t)
+            for r in range(len(logits)):
+                want_loss, want_grad = reference_softmax_ce(logits[r], t)
+                _assert_same_bits(loss[r:r + 1], np.array([want_loss]))
+                _assert_same_bits(grad[r], want_grad)
+
+
+@pytest.mark.parametrize("row", [[np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [np.inf, np.inf],
+                                 [np.inf] + [1.0] * 9],
+                         ids=["inf", "all-neg-inf", "two-inf", "wide"])
+def test_ce_in_place_raises_the_reference_error(row):
+    logits = np.array([[0.0] * len(row), row])
+    t = np.array([0, 1])
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError) as want:
+            reference_softmax_ce(logits, t)
+        with pytest.raises(FloatingPointError, match=f"^{want.value}$"):
+            _ce_in_place(logits.copy(), t)
 
 
 @pytest.mark.parametrize("shape", [(), (4,), (2, 0), (0, 0), (2, 3, 4)])

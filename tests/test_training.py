@@ -32,8 +32,8 @@ from dacae import (
 )
 import dacae.model
 import dacae.training
-from dacae.nn import minibatches
-from dacae.training import LAMBDA_A_GRID, LAMBDA_N_GRID, _pick
+from dacae.nn import Mlp, build_mlp, minibatches
+from dacae.training import LAMBDA_A_GRID, LAMBDA_N_GRID, _head_term, _pick
 from helpers import copy_params
 
 
@@ -253,6 +253,34 @@ def test_fit_feature_extractor_divergence_names_position():
         fit_feature_extractor(ds, config)
 
 
+@pytest.mark.parametrize("dims", [[4, 6], [4, 7, 6]], ids=["linear", "two-layer"])
+@pytest.mark.parametrize("weights", [[0.3], [0.2, 0.0, 0.5, -0.0, 1.0]], ids=["2d", "R5"])
+@pytest.mark.parametrize("combine", [np.subtract, np.add], ids=["adversary", "nuisance"])
+def test_head_term_equals_the_mlp_input_gradient_bitwise(dims, weights, combine):
+    # _head_term runs the bare kernels; each replica's term must be what
+    # head.forward, softmax_cross_entropy and head.backward(...).wrt_input give
+    rng = make_rng(71, len(dims), len(weights))
+    heads = [build_mlp(dims, make_rng(72, r)) for r in range(len(weights))]
+    code = rng.standard_normal((len(weights), 64, dims[0])) * 3.0
+    s = rng.integers(0, dims[-1], size=64)
+    dz = rng.standard_normal(code.shape)
+    dz[:, :3] = -0.0  # signed zeros, which a replica whose weight is 0 keeps
+    want = dz.copy()
+    for r, (head, weight) in enumerate(zip(heads, weights)):
+        if weight != 0.0:
+            _, grad = softmax_cross_entropy(head.forward(code[r]), s)
+            want[r] = combine(dz[r], weight * head.backward(grad).wrt_input)
+    if len(weights) == 1:
+        head, code, dz, want = heads[0], code[0], dz[0], want[0]
+        weight = np.array(weights[0])[()]
+    else:
+        head = Mlp([np.stack(ws) for ws in zip(*(h.weights for h in heads))],
+                   [np.stack(bs) for bs in zip(*(h.biases for h in heads))])
+        weight = np.array(weights)
+    _head_term(dz, combine, weight, head, code, s)
+    assert dz.tobytes() == want.tobytes()
+
+
 def solo_fit(dataset, config, val=None):
     """One run on 2-D networks, one train_step per batch: the fit as it stood before
     runs were stacked, kept as the reference a stack's replicas must equal."""
@@ -260,7 +288,7 @@ def solo_fit(dataset, config, val=None):
     shuffle_rng = make_rng(config.sgd.seed, 500)
     rows = []
     for epoch in range(config.sgd.epochs):
-        for ids in minibatches(shuffle_rng, len(dataset), config.sgd.batch_size):
+        for (ids,) in minibatches(shuffle_rng, config.sgd.batch_size, np.arange(len(dataset))):
             train_step(params, dataset.x[ids], dataset.s[ids], config)
         total, parts = dacae_loss(params, dataset.x, dataset.s, config)
         z = encode(params, dataset.x)
