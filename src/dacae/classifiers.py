@@ -7,17 +7,17 @@ score row per input (argmax of which is the prediction, ties resolving to the
 lowest label), and fit deterministically for a given seed.
 
 Features are (n, d) batches; a 1-D array raises ValueError, as does a NaN or an
-infinity passed to fit or predict (decision_scores takes them). Classifiers train
-on whatever label subset is present; scores are reported over the sorted
-unique training labels.
+infinity passed to fit, predict or decision_scores, and so do features large
+enough to overflow a classifier's scores. Classifiers train on whatever label
+subset is present; scores are reported over the sorted unique training labels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, _all, _ids, build_mlp, ce_step, make_rng,
-                 minibatches, softmax)
+from .nn import (ConfigError, Mlp, SgdConfig, _all, _ids, _one_hot, build_mlp, ce_step,
+                 make_rng, minibatches, softmax)
 
 _MLP_SGD = SgdConfig(learning_rate=0.05, batch_size=32, epochs=150)
 
@@ -41,7 +41,6 @@ def canonical_kind(kind: str) -> str:
 
 
 def _check_features(z: np.ndarray, dim: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != dim:
         raise ValueError(f"features of shape {z.shape} are not (n, {dim})")
     return z
@@ -59,11 +58,21 @@ class _Fitted:
     classes: np.ndarray  # sorted unique training labels
 
     def decision_scores(self, z: np.ndarray) -> np.ndarray:
+        """The finite (n, n_classes) scores of features z; raises ValueError for a NaN
+        or an infinity in z, and for scores that overflow (finite features near the
+        float limit), where the arithmetic would otherwise warn or raise mid-way."""
+        z = _finite(z)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            scores = self._scores(z)
+        if not _all(np.isfinite(scores)):
+            raise ValueError("non-finite scores: features too large")
+        return scores
+
+    def _scores(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def predict(self, z: np.ndarray) -> np.ndarray:
-        scores = self.decision_scores(_finite(z))
-        return self.classes[np.argmax(scores, axis=1)]
+        return self.classes[np.argmax(self.decision_scores(z), axis=1)]
 
 
 class MlpClassifier(_Fitted):
@@ -80,12 +89,13 @@ class MlpClassifier(_Fitted):
         classes, targets = np.unique(y, return_inverse=True)
         rng = make_rng(seed, 400)  # initialises the weights, then shuffles
         net = build_mlp([z.shape[1], 15, classes.size], rng)
+        onehot = _one_hot(targets, classes.size)
         for _ in range(_MLP_SGD.epochs):
-            for zb, tb in minibatches(rng, _MLP_SGD.batch_size, z, targets):
-                ce_step(net, zb, tb, _MLP_SGD)
+            for zb, tb, ob in minibatches(rng, _MLP_SGD.batch_size, z, targets, onehot):
+                ce_step(net, zb, tb, _MLP_SGD, ob)
         return cls(net, classes)
 
-    def decision_scores(self, z: np.ndarray) -> np.ndarray:
+    def _scores(self, z: np.ndarray) -> np.ndarray:
         return self.net.forward(z)  # rejects all but (n, net.in_dim) input
 
 
@@ -104,7 +114,7 @@ class KnnClassifier(_Fitted):
         self.k = min(k, self.z.shape[0])
         self.classes = np.unique(self.y)
 
-    def decision_scores(self, z: np.ndarray) -> np.ndarray:
+    def _scores(self, z: np.ndarray) -> np.ndarray:
         z = _check_features(z, self.z.shape[1])
         onehot = np.eye(self.classes.size)[np.searchsorted(self.classes, self.y)]
         votes = np.empty((z.shape[0], self.classes.size))
@@ -243,7 +253,7 @@ class TreeClassifier(_Fitted):
                 else self.right[node]
         return node
 
-    def decision_scores(self, z: np.ndarray) -> np.ndarray:
+    def _scores(self, z: np.ndarray) -> np.ndarray:
         z = _check_features(z, self.dim)
         return self.counts[np.fromiter(map(self._leaf, z), dtype=np.intp, count=len(z))]
 
@@ -362,7 +372,7 @@ class LinearClassifier(_Fitted):
         self.intercept = intercept  # (n_classes,)
         self.classes = classes
 
-    def decision_scores(self, z: np.ndarray) -> np.ndarray:
+    def _scores(self, z: np.ndarray) -> np.ndarray:
         return _check_features(z, self.coef.shape[1]) @ self.coef.T + self.intercept
 
 

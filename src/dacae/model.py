@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _ids, build_mlp, make_rng,
-                 mse_loss, softmax_cross_entropy)
+from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _ids, _one_hot, build_mlp,
+                 make_rng, mse_loss, softmax_cross_entropy)
 
 VARIANTS = ("AE", "cAE", "A-cAE", "D-cAE", "DA-cAE")
 
@@ -142,13 +142,6 @@ def one_hot_subjects(s, n_subjects: int) -> np.ndarray:
     if s.size and (s.min() < 0 or s.max() >= n_subjects):
         raise ValueError(f"subject index out of range [0, {n_subjects})")
     return _one_hot(s, n_subjects)
-
-
-def _one_hot(s: np.ndarray, n_subjects: int) -> np.ndarray:
-    """one_hot_subjects of ids already checked to be (n,) intp values in [0, n_subjects)."""
-    out = np.zeros((s.shape[0], n_subjects))
-    out[np.arange(s.shape[0]), s] = 1.0
-    return out
 
 
 def decoder_input(z: np.ndarray, s, n_subjects: int, conditioned: bool) -> np.ndarray:

@@ -9,6 +9,15 @@ check their input and call one kernel; ce_step, the update of the heads and the
 MLP classifier, chains three. A central finite-difference checker is the
 independent oracle for the gradients.
 
+ce_step runs at batch 32-64, where per-call allocations and reshapes cost more
+than the arithmetic. So every Mlp keeps a private step cache (_step_cache): the
+views _forward reads, one flat gradient buffer with each layer's gradients as
+views of it, and the update's (parameter, step) pairs, rebuilt whenever
+net.weights + net.biases stop holding the same array objects. _ce_in_place
+subtracts the targets' one-hot rows, which its callers build once per pass or
+batch: x - 0.0 is x for every float, so the bits are those of subtracting 1.0 at
+each target alone.
+
 A network's arrays may carry a leading replica axis: R networks of one shape,
 with (R, out, in) weights and (R, out) biases, run as one stack. Every primitive
 broadcasts over that axis. An input is either shared, (n, in), or one per
@@ -30,6 +39,7 @@ a column chain would not, and at 20 classes the chain is slower.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -103,6 +113,11 @@ class Mlp:
         self.weights = weights
         self.biases = biases
         self._cache: list[np.ndarray] | None = None  # each layer's input
+        self._steps: _StepCache | None = None  # see _step_cache
+
+    def __getstate__(self) -> dict:
+        # a copy's views would no longer view its own arrays: the copy builds its own
+        return {**self.__dict__, "_steps": None}
 
     @property
     def in_dim(self) -> int:
@@ -118,7 +133,7 @@ class Mlp:
         a = np.asarray(x, dtype=np.float64)
         if not 2 <= a.ndim <= self.weights[0].ndim or a.shape[-1] != self.in_dim:
             raise ValueError(f"input shape {a.shape} is not (n, {self.in_dim})")
-        self._cache, out = _forward(self.weights, self.biases, a)
+        self._cache, out = _forward(*_views(self.weights, self.biases), a)
         return out
 
     def backward(self, upstream_grad: np.ndarray) -> MlpGrads:
@@ -131,46 +146,106 @@ class Mlp:
             raise ValueError(f"upstream grad shape {g.shape} is not (n, {self.out_dim})")
         if g.ndim < self.weights[0].ndim:  # one upstream gradient shared by every replica
             g = np.broadcast_to(g, self.weights[0].shape[:-2] + g.shape)
-        _, w_grads, b_grads, g = _backward(self.weights, self._cache, g)
+        _, w_grads, b_grads = _grad_buffer(self.weights)  # a new one: the grads escape
+        g = _backward(self.weights, self._cache, g, w_grads, b_grads)
         return MlpGrads(w_grads, b_grads, g @ self.weights[0])
 
 
-def _forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
+def _matmul(weights: list[np.ndarray]):
+    """np.matmul for a stack; np.dot, which runs the same BLAS product on 2-D arrays
+    with less per-call overhead, for a 2-D network, whose every operand is 2-D."""
+    return np.dot if weights[0].ndim == 2 else np.matmul
+
+
+def _views(weights: list[np.ndarray], biases: list[np.ndarray]
+           ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """What _forward reads: each weight transposed, (in, out), and each bias as a row."""
+    return [w.swapaxes(-1, -2) for w in weights], [b[..., None, :] for b in biases]
+
+
+def _forward(w_t: list[np.ndarray], b_rows: list[np.ndarray], x: np.ndarray
              ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input and the network's output on x; x is left unchanged."""
-    last = len(weights) - 1
+    """Each layer's input and the network's output on x, given _views of its arrays;
+    x is left unchanged."""
+    last = len(w_t) - 1
+    mm = _matmul(w_t)
     a, inputs = x, [x]
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        a = a @ w.swapaxes(-1, -2)
-        a += b[..., None, :]
+    for k, (w, b) in enumerate(zip(w_t, b_rows)):
+        a = mm(a, w)
+        a += b
         if k < last:
             np.maximum(a, 0.0, out=a)  # ReLU in place: a is this layer's own array
             inputs.append(a)
     return inputs, a
 
 
-def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
-              ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Given each layer's input and g, the loss's gradient at the output (left unchanged):
-    one flat gradient vector per replica, last layer first, the weight and bias
-    gradients as views of it, and the gradient at layer 0's output."""
-    last = len(weights) - 1
-    size = sum(w.shape[-2] * (w.shape[-1] + 1) for w in weights)  # weights and bias
+def _grad_buffer(weights: list[np.ndarray]
+                 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One flat gradient vector per replica, last layer first, each layer's weight
+    gradient then its bias gradient, and those gradients as views of it."""
+    size = sum(w.shape[-2] * (w.shape[-1] + 1) for w in weights)
     flat = np.empty(weights[0].shape[:-2] + (size,))
     w_grads, b_grads = [None] * len(weights), [None] * len(weights)
     start = 0
-    for k in range(last, -1, -1):
+    for k in range(len(weights) - 1, -1, -1):
         w = weights[k]
-        if k < last:
-            g = g @ weights[k + 1]
-            g *= inputs[k + 1] > 0  # relu(z) > 0 exactly where z > 0 (NaN included)
         split = start + w.shape[-2] * w.shape[-1]
         # views: each replica's run of flat is contiguous
-        w_grads[k] = np.matmul(g.swapaxes(-1, -2), inputs[k],
-                               out=flat[..., start:split].reshape(w.shape))
+        w_grads[k] = flat[..., start:split].reshape(w.shape)
         start = split + w.shape[-2]
-        b_grads[k] = np.add.reduce(g, axis=-2, out=flat[..., split:start])
-    return flat, w_grads, b_grads, g
+        b_grads[k] = flat[..., split:start]
+    return flat, w_grads, b_grads
+
+
+def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray,
+              w_grads: list[np.ndarray], b_grads: list[np.ndarray]) -> np.ndarray:
+    """Given each layer's input and g, the loss's gradient at the output (left unchanged),
+    writes each layer's weight and bias gradients into w_grads and b_grads (arrays of
+    the parameters' shapes) and returns the gradient at layer 0's output."""
+    last = len(weights) - 1
+    mm = _matmul(weights)
+    for k in range(last, -1, -1):
+        if k < last:
+            g = mm(g, weights[k + 1])
+            g *= inputs[k + 1] > 0  # relu(z) > 0 exactly where z > 0 (NaN included)
+        mm(g.swapaxes(-1, -2), inputs[k], out=w_grads[k])
+        np.add.reduce(g, axis=-2, out=b_grads[k])
+    return g
+
+
+class _StepCache:
+    """A network's arrays for its SGD steps, for net.weights + net.biases as they were
+    when it was built (params): the _views of them, a flat gradient buffer (one per
+    stack) from _grad_buffer with its layer views, a mask buffer of its shape, and
+    the (parameter, step) pairs of the update."""
+
+    def __init__(self, net: Mlp):
+        self.params = net.weights + net.biases
+        self.w_t, self.b_rows = _views(net.weights, net.biases)
+        self.flat, self.w_grads, self.b_grads = _grad_buffer(net.weights)
+        self.finite = np.empty(self.flat.shape, dtype=bool)
+        self.pairs = list(zip(self.params, self.w_grads + self.b_grads))
+
+    def update(self, lr: float) -> None:
+        """param -= lr * grad for every parameter, with the gradients in flat; raises
+        TrainingDiverged, before any parameter changes, if one is not finite."""
+        if np.count_nonzero(np.isfinite(self.flat, out=self.finite)) != self.flat.size:
+            raise TrainingDiverged("non-finite gradient in sgd_step")
+        np.multiply(self.flat, lr, out=self.flat)
+        for param, step in self.pairs:
+            np.subtract(param, step, out=param)
+
+
+def _step_cache(net: Mlp) -> _StepCache:
+    """net's step cache, rebuilt when net.weights + net.biases no longer holds the array
+    objects it was built for (by identity and count: an array replaced by another, or
+    a list replaced, even with equal values)."""
+    cache = net._steps
+    params = net.weights + net.biases
+    if cache is None or len(cache.params) != len(params) or not all(
+            map(is_, cache.params, params)):
+        cache = net._steps = _StepCache(net)
+    return cache
 
 
 def _input_grad(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
@@ -305,21 +380,29 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[float | np.ndarr
         raise ValueError("empty logits")
     t = _targets(targets, n, k)
     grad = lg.copy(order="K")  # lg's own layout, which decides how a wide row sums
-    return _per_replica(_ce_in_place(grad, t)), grad
+    return _per_replica(_ce_in_place(grad, t, _one_hot(t, k))), grad
 
 
-def _ce_in_place(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _one_hot(ids: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) float rows, 1.0 at each of n ids already checked to be in [0, k), else 0.0."""
+    out = np.zeros((ids.shape[0], k))
+    out[np.arange(ids.shape[0]), ids] = 1.0
+    return out
+
+
+def _ce_in_place(logits: np.ndarray, targets: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     """Mean softmax cross-entropy of logits against targets, one per replica, as
-    np.mean's bits; leaves its gradient w.r.t. the logits, 1/n included, in logits."""
+    np.mean's bits; leaves its gradient w.r.t. the logits, 1/n included, in logits.
+    onehot is _one_hot(targets, k): subtracting it has the bits of subtracting 1.0 at
+    each row's target alone."""
     n = logits.shape[-2]
-    rows = np.arange(n)
     logits -= _row_max(logits)[..., None]
-    picked = logits[..., rows, targets]
+    picked = logits[..., np.arange(n), targets]
     np.exp(logits, out=logits)
     norm = _row_sum(logits)
     loss = np.add.reduce(np.log(norm) - picked, axis=-1) / n
     logits /= norm[..., None]
-    logits[..., rows, targets] -= 1.0
+    logits -= onehot
     logits /= n
     return loss
 
@@ -362,25 +445,30 @@ def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
     return net
 
 
-def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig
-            ) -> float | np.ndarray:
+def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig,
+            onehot: np.ndarray | None = None) -> float | np.ndarray:
     """One SGD step on the mean softmax cross-entropy of net(x); returns the pre-step loss.
 
     A non-finite gradient in any replica raises TrainingDiverged before any
     parameter changes. The step drops net's forward cache, which could hold a
     large batch alive. x must be a nonempty (n, net.in_dim) float64 batch, or
     (R, n, net.in_dim) for a stack, and targets n class ids in [0, net.out_dim):
-    callers check them once per fit, not here.
+    callers check them once per fit, not here. onehot, their (n, net.out_dim)
+    one-hot rows, is built here when not given; a training loop builds it once per
+    pass or per batch and passes it.
+
+    The step runs on net's step cache (see _step_cache): its gradients go into the
+    cache's flat buffer, which is checked once, scaled and subtracted, so nothing
+    of the network's size is allocated per step.
     """
     net._cache = None
-    inputs, logits = _forward(net.weights, net.biases, x)
-    loss = _ce_in_place(logits, targets)
-    flat, w_grads, b_grads, _ = _backward(net.weights, inputs, logits)
-    if not _all(np.isfinite(flat)):
-        raise TrainingDiverged("non-finite gradient in sgd_step")
-    flat *= sgd.learning_rate
-    for param, step in zip(net.weights + net.biases, w_grads + b_grads):
-        param -= step
+    cache = _step_cache(net)
+    inputs, logits = _forward(cache.w_t, cache.b_rows, x)
+    if onehot is None:
+        onehot = _one_hot(targets, logits.shape[-1])
+    loss = _ce_in_place(logits, targets, onehot)
+    _backward(net.weights, inputs, logits, cache.w_grads, cache.b_grads)
+    cache.update(sgd.learning_rate)
     return _per_replica(loss)
 
 

@@ -8,7 +8,11 @@ touching head weights. The heads' ce_step, the heads' term in the encoder
 gradient and the joint step's Mlp primitives run one set of dacae.nn kernels, the
 same that train the MLP classifier; the head term runs them on the bare arrays
 (_forward, _ce_in_place, _input_grad), since it needs neither a forward cache nor
-the heads' weight gradients.
+the heads' weight gradients. The subject one-hot is built once per batch and
+serves the decoder's condition, both heads' steps and both head terms. The
+encoder's backward writes into its step cache's gradient buffer (see
+dacae.nn._step_cache), with no input gradient; the decoder keeps Mlp.backward
+and sgd_step, since its input gradient is the encoder's upstream gradient.
 
 Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
 and each epoch encodes the training set once for its probes and its LDA readout.
@@ -32,10 +36,11 @@ import numpy as np
 
 from . import classifiers
 from .data import Dataset, write_csv
-from .model import (DacaeParams, HyperConfig, LossParts, _decoder_input, _one_hot, dacae_loss,
-                    encode, init_params)
-from .nn import ConfigError, Mlp, TrainingDiverged, _all, _ce_in_place, _forward, _input_grad, \
-    _targets, ce_step, make_rng, minibatches, mse_loss, sgd_step
+from .model import DacaeParams, HyperConfig, LossParts, _decoder_input, dacae_loss, encode, \
+    init_params
+from .nn import ConfigError, Mlp, TrainingDiverged, _all, _backward, _ce_in_place, _forward, \
+    _input_grad, _one_hot, _step_cache, _targets, ce_step, make_rng, minibatches, mse_loss, \
+    sgd_step
 
 LOSS_CEILING = 1e6
 
@@ -76,21 +81,24 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     # ce_step trusts its targets, so s is checked here, once for both heads
     z = params.encoder.forward(x)
     s = _targets(s, z.shape[-2], params.n_subjects)
+    onehot = _one_hot(s, params.n_subjects)
     z_a, z_n = z[..., : params.d_a], z[..., params.d_a:]
-    adv_ce = ce_step(params.adversary, z_a, s, sgd)
-    nui_ce = ce_step(params.nuisance, z_n, s, sgd)
+    adv_ce = ce_step(params.adversary, z_a, s, sgd, onehot)
+    nui_ce = ce_step(params.nuisance, z_n, s, sgd, onehot)
 
     # (3): encoder-decoder joint step against the freshly updated heads; the head
     # updates leave the encoder and its forward cache as (1) left them, so z is reused
-    condition = _one_hot(s, params.n_subjects) if configs[0].conditioned else 0.0
+    condition = onehot if configs[0].conditioned else 0.0
     x_hat = params.decoder.forward(_decoder_input(z, condition, params.n_subjects))
     recon, recon_grad = mse_loss(x_hat, x)
     dec_grads = params.decoder.backward(recon_grad)
     dz = dec_grads.wrt_input[..., : params.latent_dim].copy()
-    _head_term(dz[..., : params.d_a], np.subtract, lambda_a, params.adversary, z_a, s)
-    _head_term(dz[..., params.d_a:], np.add, lambda_n, params.nuisance, z_n, s)
-    enc_grads = params.encoder.backward(dz)
-    sgd_step(params.encoder, enc_grads, sgd)
+    _head_term(dz[..., : params.d_a], np.subtract, lambda_a, params.adversary, z_a, s, onehot)
+    _head_term(dz[..., params.d_a:], np.add, lambda_n, params.nuisance, z_n, s, onehot)
+    encoder = _step_cache(params.encoder)
+    _backward(params.encoder.weights, params.encoder._cache, dz, encoder.w_grads,
+              encoder.b_grads)
+    encoder.update(sgd.learning_rate)
     sgd_step(params.decoder, dec_grads, sgd)
 
     total = recon + lambda_n * nui_ce - lambda_a * adv_ce
@@ -102,20 +110,21 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
 
 
 def _head_term(dz: np.ndarray, combine, weight: np.ndarray, head: Mlp, code: np.ndarray,
-               s: np.ndarray) -> None:
+               s: np.ndarray, onehot: np.ndarray) -> None:
     """dz = combine(dz, weight * d CE(head(code), s) / d code), in place, in each replica
     whose weight (one per replica) is not 0.
 
     The term has the bits of head.backward(grad).wrt_input after head.forward(code)
-    and softmax_cross_entropy; s is train_step's checked subject ids. A replica at 0
-    is skipped by mask, not multiplied by 0, so its dz keeps the bits, signed zeros
-    included, of a run that never consults the head.
+    and softmax_cross_entropy; s is train_step's checked subject ids and onehot their
+    one-hot rows. A replica at 0 is skipped by mask, not multiplied by 0, so its dz
+    keeps the bits, signed zeros included, of a run that never consults the head.
     """
     on = np.count_nonzero(weight)
     if not on:
         return
-    inputs, grad = _forward(head.weights, head.biases, code)
-    _ce_in_place(grad, s)
+    cache = _step_cache(head)
+    inputs, grad = _forward(cache.w_t, cache.b_rows, code)
+    _ce_in_place(grad, s, onehot)
     term = _input_grad(head.weights, inputs, grad)
     term *= weight[..., None, None]
     # a full mask is left out: numpy's masked loop costs several times the plain one

@@ -11,7 +11,7 @@ from dacae import (KINDS, ConfigError, SgdConfig, accuracy, build_mlp, canonical
                    make_rng, sgd_step, softmax_cross_entropy)
 from dacae import classifiers
 from dacae.classifiers import (KnnClassifier, MlpClassifier, TreeClassifier,
-                               _col_sum, _squared_distances, _train_logreg, best_split)
+                               _col_sum, _nearest, _squared_distances, _train_logreg, best_split)
 from helpers import gini_impurity
 
 
@@ -141,11 +141,20 @@ def test_knn_blocks_match_the_per_query_loop_bitwise(dim):
     train_z[[7, 150]] = np.nan  # NaN distances sort last
     train_z[9] = 1e200          # an infinite distance sorts before them
     queries[4] = np.nan         # every distance NaN: the lowest indices win
+    finite = np.delete(np.arange(len(queries)), 4)
+    onehot = np.eye(4)[train_y]  # train_y holds all four labels
     with np.errstate(over="ignore", invalid="ignore"):
         for k in (1, 5, 17, 299, 300):
             clf = KnnClassifier(train_z, train_y, k=k)
             want = per_query_knn_votes(train_z, train_y, queries, k)
-            assert np.array_equal(clf.decision_scores(queries), want), k
+            # decision_scores rejects the NaN query, so it meets the blocks' kernels
+            # alone, block by block as decision_scores runs them
+            assert np.array_equal(clf.decision_scores(queries[finite]), want[finite]), k
+            with pytest.raises(ValueError, match="^non-finite features$"):
+                clf.decision_scores(queries)
+            votes = [_nearest(_squared_distances(queries[start: start + 8], train_z), k) @ onehot
+                     for start in range(0, len(queries), 8)]
+            assert np.array_equal(np.vstack(votes), want), k
         for start in range(0, len(queries), 8):  # 33 queries: the last block is short
             block = _squared_distances(queries[start: start + 8], train_z)
             for i, d2 in enumerate(block):

@@ -194,7 +194,7 @@ def test_non_finite_fold_fails_alone(tmp_path, capsys):
             ("0", "failed"), ("1", "failed"), ("2", "done")]
         for rows in (lda, mlp):
             assert rows[0]["error"] == rows[1]["error"] == "ValueError: non-finite channel values"
-        assert lda[2]["error"] == "FloatingPointError: overflow encountered in matmul"
+        assert lda[2]["error"] == "ValueError: non-finite scores: features too large"
         assert lda[2]["test_acc"] == "nan"
         assert mlp[2]["error"] == ""
 

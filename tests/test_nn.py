@@ -1,5 +1,7 @@
 """Dense-network engine: layers, losses, SGD, RNG, gradient checking."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from dacae import (
     softmax_cross_entropy,
     train_step,
 )
-from dacae.nn import _ce_in_place, _ids, _row_max, _row_sum, ce_step, minibatches
+from dacae.nn import _ce_in_place, _ids, _row_max, _row_sum, _step_cache, ce_step, minibatches
 from helpers import copy_mlp, copy_params
 
 
@@ -468,6 +470,96 @@ def test_ce_step_drops_the_forward_cache():
         net.backward(np.zeros((8, 3)))
 
 
+# -- the step cache ------------------------------------------------------------
+# ce_step keeps its views and gradient buffers on the network (nn._step_cache);
+# they must follow the arrays the network holds and belong to that network alone.
+
+def _assert_same_params(net, ref):
+    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_step_cache_follows_replaced_arrays():
+    rng = make_rng(81)
+    x = rng.standard_normal((32, 5)) * 2.0
+    t = rng.integers(0, 3, size=32)
+    net = build_mlp([5, 7, 3], make_rng(82))
+    ref = copy_mlp(net)
+    sgd = SgdConfig(learning_rate=0.1)
+
+    def step():
+        assert ce_step(net, x, t, sgd) == reference_ce_step(ref, x, t, 0.1)
+        _assert_same_params(net, ref)
+
+    step()
+    first = net._steps
+    step()
+    assert net._steps is first  # the same array objects: the cache is kept
+    # one weight replaced by an equal copy: the step must move the copy, not the old array
+    old = net.weights[1]
+    kept = old.copy()
+    net.weights[1] = old.copy()
+    step()
+    assert net._steps is not first and old.tobytes() == kept.tobytes()
+    # a bias replaced in place of the list's item, then both whole lists
+    net.biases[0] = net.biases[0].copy()
+    step()
+    net.weights, net.biases = [w.copy() for w in net.weights], list(net.biases)
+    step()
+    # fewer layers: the count differs, so the cache is rebuilt for the new shapes
+    small = build_mlp([5, 3], make_rng(83))
+    net.weights, net.biases = small.weights, small.biases
+    ref = copy_mlp(small)
+    step()
+    # a deep copy steps its own arrays: its views are not left pointing at the copied ones
+    twin, twin_ref = copy.deepcopy(net), copy_mlp(net)
+    before = copy_mlp(net)
+    for _ in range(2):
+        assert ce_step(twin, x, t, sgd) == reference_ce_step(twin_ref, x, t, 0.1)
+        _assert_same_params(twin, twin_ref)
+    _assert_same_params(net, before)
+
+
+def test_step_caches_never_share_a_buffer():
+    rng = make_rng(84)
+    nets = [build_mlp([5, 6, 3], make_rng(85, r)) for r in range(3)]
+    stack = _stack([copy_mlp(net) for net in nets])
+    # replicas as the training loop's _replica makes them: 2-D views of the stack's arrays
+    views = [Mlp([w[r] for w in stack.weights], [b[r] for b in stack.biases]) for r in range(3)]
+    x = rng.standard_normal((3, 16, 5))
+    t = rng.integers(0, 3, size=16)
+    sgd = SgdConfig(learning_rate=0.1)
+    ce_step(stack, x, t, sgd)
+    for net, x_r in zip(nets, x):
+        ce_step(net, x_r, t, sgd)
+    for r in range(3):
+        _assert_replica(stack, r, nets[r])
+    caches = [_step_cache(net) for net in [stack, *nets, *views]]
+    buffers = [b for cache in caches for b in (cache.flat, cache.finite)]
+    for i, a in enumerate(buffers):
+        for b in buffers[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("replicas", [None, 3], ids=["2d", "R3"])
+def test_ce_step_alternating_full_and_short_batches_matches_reference(replicas):
+    nets = [build_mlp([6, 8, 4], make_rng(86, r)) for r in range(replicas or 1)]
+    refs = [copy_mlp(net) for net in nets]
+    net = nets[0] if replicas is None else _stack(nets)
+    rng = make_rng(87)
+    sgd = SgdConfig(learning_rate=0.05)
+    for n in [32, 5, 32, 1, 32, 31] * 4:
+        x = rng.standard_normal((replicas or 1, n, 6)) * 2.0
+        t = rng.integers(0, 4, size=n)
+        loss = ce_step(net, x[0] if replicas is None else x, t, sgd, np.eye(4)[t])
+        want = [reference_ce_step(ref, x_r, t, 0.05) for ref, x_r in zip(refs, x)]
+        assert np.atleast_1d(loss).tolist() == want
+    if replicas is None:
+        _assert_same_params(net, refs[0])
+    for r, ref in enumerate(refs if replicas else []):
+        _assert_replica(net, r, ref)
+
+
 def test_train_step_matches_reference_primitives_bitwise():
     config = HyperConfig(lambda_a=0.2, lambda_n=0.5, latent_dim=6, variant="DA-cAE",
                          sgd=SgdConfig(learning_rate=0.1, batch_size=64))
@@ -639,11 +731,47 @@ def test_ce_in_place_of_a_stack_matches_each_replicas_reference_bitwise(width):
         t = rng.integers(0, width, size=logits.shape[1])
         grad = logits.copy()
         with np.errstate(invalid="ignore"):
-            loss = _ce_in_place(grad, t)
+            loss = _ce_in_place(grad, t, np.eye(width)[t])
             for r in range(len(logits)):
                 want_loss, want_grad = reference_softmax_ce(logits[r], t)
                 _assert_same_bits(loss[r:r + 1], np.array([want_loss]))
                 _assert_same_bits(grad[r], want_grad)
+
+
+def indexed_ce_in_place(logits, targets):
+    """_ce_in_place as it stood before the one-hot: 1.0 subtracted at each target by index."""
+    n = logits.shape[-2]
+    rows = np.arange(n)
+    logits -= _row_max(logits)[..., None]
+    picked = logits[..., rows, targets]
+    np.exp(logits, out=logits)
+    norm = _row_sum(logits)
+    loss = np.add.reduce(np.log(norm) - picked, axis=-1) / n
+    logits /= norm[..., None]
+    logits[..., rows, targets] -= 1.0
+    logits /= n
+    return loss
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "R5"])
+@pytest.mark.parametrize("width", range(1, 21))
+def test_ce_in_place_with_the_one_hot_matches_the_indexed_form_bitwise(width, stacked):
+    rng = make_rng(57, width, stacked)
+    finite = rng.standard_normal((500, width)) * 10.0 ** rng.integers(-3, 4, (500, 1))
+    special = _special_rows(width, rng)[:500]
+    # the identity the one-hot rests on: x - 0.0 is x, bit for bit, signed zeros included
+    values = np.append(special, [-0.0, 0.0, -np.nan, np.nan])
+    assert (values - 0.0).tobytes() == values.tobytes()
+    for logits in (finite, special):
+        if stacked:
+            logits = logits.reshape(5, 100, width)
+        t = rng.integers(0, width, size=logits.shape[-2])
+        got, want = logits.copy(), logits.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            got_loss = _ce_in_place(got, t, np.eye(width)[t])
+            want_loss = indexed_ce_in_place(want, t)
+        assert got.tobytes() == want.tobytes()
+        assert np.asarray(got_loss).tobytes() == np.asarray(want_loss).tobytes()
 
 
 @pytest.mark.parametrize("row", [[np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [np.inf, np.inf],
@@ -656,7 +784,7 @@ def test_ce_in_place_raises_the_reference_error(row):
         with pytest.raises(FloatingPointError) as want:
             reference_softmax_ce(logits, t)
         with pytest.raises(FloatingPointError, match=f"^{want.value}$"):
-            _ce_in_place(logits.copy(), t)
+            _ce_in_place(logits.copy(), t, np.eye(len(row))[t])
 
 
 @pytest.mark.parametrize("shape", [(), (4,), (2, 0), (0, 0), (2, 3, 4)])

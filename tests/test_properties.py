@@ -8,7 +8,8 @@ none asks for more workers, epochs or rows than the valid input.
 
 Each library case hands one entry point a valid input with one id array (labels,
 subjects, trials, rows or targets) given an edge value or an edge shape; see
-"library entry points" below.
+"library entry points" below. The classifiers' predict, decision_scores and
+accuracy also take features with edge values; see "edge feature values".
 """
 
 import contextlib
@@ -394,6 +395,53 @@ def test_accuracy_scores_exactly_the_labels_given(kind, labels):
     if acc is not None:
         predicted = FITTED[kind].predict(Z).tolist()
         assert acc == np.mean([p == y for p, y in zip(predicted, np.asarray(labels).tolist())])
+
+
+# -- edge feature values ------------------------------------------------------------------
+#
+# predict, decision_scores and accuracy take features holding NaN, +-inf, values at the
+# float limit, signed zeros, a constant column or no rows at all. Each call returns a valid
+# answer (finite scores, labels the classifier was fit to, an accuracy in [0, 1]) or raises
+# ValueError: always for a NaN or an infinity, never for features of ordinary size.
+
+EDGE_VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, -0.0, 0.0]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def edge_features(draw):
+    n, d = draw(st.integers(0, 5)), Z.shape[1]
+    z = np.array([draw(EDGE_VALUES) for _ in range(n * d)]).reshape(n, d)
+    if n and draw(st.booleans()):
+        z[:, draw(st.integers(0, d - 1))] = draw(EDGE_VALUES)  # a constant column
+    return z
+
+
+@LIB_SETTINGS
+@given(st.sampled_from(KINDS), edge_features())
+@example("knn", np.array([[np.nan, 0.0]]))  # decision_scores gave votes for it
+@example("knn", np.array([[1e308, -1e308]]))  # predict raised FloatingPointError
+@example("mlp", np.full((2, 2), -1e308))
+@example("lda", np.empty((0, 2)))
+def test_edge_features_are_scored_validly_or_rejected(kind, z):
+    clf = FITTED[kind]
+    labels = clf.classes[np.arange(len(z)) % clf.classes.size].tolist()
+    scores = _call(clf.decision_scores, z)
+    predicted = _call(clf.predict, z)
+    acc = _call(accuracy, clf, z, labels)
+    if not np.all(np.isfinite(z)):
+        assert scores is None
+    if np.all(np.abs(z) <= 1e3):  # no NaN, no infinity, nothing near the float limit
+        assert scores is not None
+    assert (scores is None) == (predicted is None)
+    assert (acc is None) == (predicted is None or len(z) == 0)
+    if scores is not None:
+        assert scores.shape == (len(z), clf.classes.size) and np.all(np.isfinite(scores))
+        assert predicted.tolist() == clf.classes[np.argmax(scores, axis=1)].tolist()
+    if acc is not None:
+        assert acc == np.mean(predicted == np.array(labels))
 
 
 LOGITS = np.linspace(-1.0, 1.0, 12).reshape(4, 3)

@@ -135,6 +135,40 @@ def test_train_step_zero_lambda_matches_plain_autoencoder_path():
             assert np.array_equal(wa, wb)
 
 
+def _assert_same_net(net, want):
+    for a, b in zip(net.weights + net.biases, want.weights + want.biases, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_joint_step_checks_and_updates_the_encoder_then_the_decoder(monkeypatch):
+    # encoder check, encoder update, decoder check, decoder update, as two sgd_steps ran them
+    config = small_config()
+    x, s = _batch(4)
+    params = init_params(4, 3, config, seed=7)
+    before = copy_params(params)
+    # a non-finite reconstruction gradient reaches both: the encoder's check raises first
+    monkeypatch.setattr(dacae.training, "mse_loss",
+                        lambda x_hat, x: (0.0, np.full(x_hat.shape, np.nan)))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
+        train_step(params, x, s, config)
+    _assert_same_net(params.encoder, before.encoder)
+    _assert_same_net(params.decoder, before.decoder)
+    monkeypatch.undo()
+    # a decoder that fails its check leaves the encoder updated and itself unchanged
+    params, want = init_params(4, 3, config, seed=7), init_params(4, 3, config, seed=7)
+    reference_step(want, x, s, config)
+
+    def failing_check(net, grads, sgd):
+        raise TrainingDiverged("non-finite gradient in sgd_step")
+
+    monkeypatch.setattr(dacae.training, "sgd_step", failing_check)
+    with pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
+        train_step(params, x, s, config)
+    _assert_same_net(params.encoder, want.encoder)
+    _assert_same_net(params.decoder, before.decoder)
+
+
 def test_train_step_adversary_ce_descends_on_its_batch():
     config = small_config(sgd=SgdConfig(learning_rate=1e-3, batch_size=16, epochs=1, seed=0))
     params = init_params(4, 3, config, seed=5)
@@ -277,7 +311,7 @@ def test_head_term_equals_the_mlp_input_gradient_bitwise(dims, weights, combine)
         head = Mlp([np.stack(ws) for ws in zip(*(h.weights for h in heads))],
                    [np.stack(bs) for bs in zip(*(h.biases for h in heads))])
         weight = np.array(weights)
-    _head_term(dz, combine, weight, head, code, s)
+    _head_term(dz, combine, weight, head, code, s, np.eye(dims[-1])[s])
     assert dz.tobytes() == want.tobytes()
 
 
