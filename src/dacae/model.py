@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _ids, _one_hot, build_mlp,
-                 make_rng, mse_loss, softmax_cross_entropy)
+from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _check_numbers, _ids, _one_hot,
+                 build_mlp, make_rng, mse_loss, softmax_cross_entropy)
 
 VARIANTS = ("AE", "cAE", "A-cAE", "D-cAE", "DA-cAE")
 
@@ -37,6 +38,8 @@ class HyperConfig:
     (AE additionally drops decoder conditioning), A-cAE zeroes the nuisance
     weight, D-cAE zeroes the adversary weight. r_n=None takes the variant's
     default nuisance ratio: 1/3 for D-cAE and DA-cAE, 0 for the others.
+    latent_dim must be an int and the loss weights and r_n numbers (a bool is
+    neither); any other value raises ConfigError, as SgdConfig's fields do.
     """
 
     lambda_a: float = 0.0
@@ -53,6 +56,9 @@ class HyperConfig:
             # the split each variant was evaluated with (no split for the
             # unregularized and adversary-only models)
             self.r_n = 1.0 / 3.0 if self.variant in ("D-cAE", "DA-cAE") else 0.0
+        _check_numbers(self, ints=("latent_dim",), floats=("lambda_a", "lambda_n", "r_n"))
+        if not isinstance(self.sgd, SgdConfig):
+            raise ConfigError(f"sgd must be an SgdConfig, got {self.sgd!r}")
         if not (0 <= self.lambda_a < math.inf and 0 <= self.lambda_n < math.inf):
             raise ConfigError("lambda_a and lambda_n must be finite and >= 0")
         if not 0.0 <= self.r_n < 1.0:
@@ -231,25 +237,40 @@ def save_checkpoint(path: str | Path, params: DacaeParams, config: HyperConfig,
 def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint. Returns (params, config, normalization).
 
-    normalization is None when the checkpoint was saved without it.
+    normalization is None when the checkpoint was saved without it. A file that
+    is not a whole checkpoint (empty or truncated, missing an array or a meta
+    key, or holding a config that HyperConfig rejects) raises ValueError naming
+    the path, with the file closed; a file that cannot be opened raises OSError.
     """
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != _CHECKPOINT_FORMAT:
-            raise ValueError(f"not a model checkpoint: {path}")
-        cfg = meta["config"]
-        config = HyperConfig(**{**cfg, "sgd": SgdConfig(**cfg["sgd"])})
-        nets = {}
-        for name, layer_meta in meta["layers"].items():
-            n = len(layer_meta)
-            if layer_meta != _layer_meta(n):
-                raise ValueError(f"checkpoint group {name!r}: not ReLU on all but the last layer")
-            nets[name] = Mlp([data[f"{name}_w{k}"] for k in range(n)],
-                             [data[f"{name}_b{k}"] for k in range(n)])
-        params = DacaeParams(**nets)
-        if any(getattr(params, k) != v for k, v in meta["dims"].items()):
-            raise ValueError(f"checkpoint dims {meta['dims']} do not match its networks")
-        normalization = None
-        if meta.get("has_normalization"):
-            normalization = (data["norm_mean"].copy(), data["norm_std"].copy())
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a lone .npy array
+                raise ValueError("not an .npz archive")
+            with data:
+                return _read_checkpoint(data)
+    except (EOFError, zipfile.BadZipFile, KeyError, TypeError, AttributeError, ValueError) as err:
+        reason = err if isinstance(err, ValueError) else f"{type(err).__name__}: {err}"
+        raise ValueError(f"bad model checkpoint {path}: {reason}") from err
+
+
+def _read_checkpoint(data):
+    meta = json.loads(bytes(data["meta"]).decode())
+    if meta.get("format") != _CHECKPOINT_FORMAT:
+        raise ValueError("not a model checkpoint")
+    cfg = meta["config"]
+    config = HyperConfig(**{**cfg, "sgd": SgdConfig(**cfg["sgd"])})
+    nets = {}
+    for name, layer_meta in meta["layers"].items():
+        n = len(layer_meta)
+        if layer_meta != _layer_meta(n):
+            raise ValueError(f"checkpoint group {name!r}: not ReLU on all but the last layer")
+        nets[name] = Mlp([data[f"{name}_w{k}"] for k in range(n)],
+                         [data[f"{name}_b{k}"] for k in range(n)])
+    params = DacaeParams(**nets)
+    if any(getattr(params, k) != v for k, v in meta["dims"].items()):
+        raise ValueError(f"checkpoint dims {meta['dims']} do not match its networks")
+    normalization = None
+    if meta.get("has_normalization"):
+        normalization = (data["norm_mean"].copy(), data["norm_std"].copy())
     return params, config, normalization

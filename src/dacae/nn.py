@@ -38,6 +38,7 @@ a column chain would not, and at 20 classes the chain is slower.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from operator import is_
 from typing import Callable, Iterator, Sequence
@@ -65,6 +66,17 @@ def job_seed(master_seed: int, *job_index: int) -> int:
     return int(state[0]) & (2**63 - 1)
 
 
+def _check_numbers(config, ints: Sequence[str], floats: Sequence[str]) -> None:
+    """Raise ConfigError unless each field named in ints holds an int and each in floats
+    a real number; a bool is neither, and an int is a real number."""
+    for names, kind, what in ((ints, numbers.Integral, "an int"),
+                              (floats, numbers.Real, "a number")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class SgdConfig:
     learning_rate: float = 0.01
@@ -73,6 +85,7 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_numbers(self, ints=("batch_size", "epochs", "seed"), floats=("learning_rate",))
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:

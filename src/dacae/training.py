@@ -15,7 +15,9 @@ dacae.nn._step_cache), with no input gradient; the decoder keeps Mlp.backward
 and sgd_step, since its input gradient is the encoder's upstream gradient.
 
 Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
-and each epoch encodes the training set once for its probes and its LDA readout.
+and each epoch encodes the training set once for its probes and its LDA readout. A fit
+whose logs nobody reads (log=False; the sweep's) skips that evaluation and checks the
+training loss once, after the last epoch.
 
 Runs that differ only in their loss weights train as one stack: their
 parameters carry a leading replica axis (see dacae.nn), every step updates all
@@ -188,8 +190,8 @@ def _epoch_row(params: DacaeParams, dataset: Dataset, config: HyperConfig,
 
 
 def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[HyperConfig],
-                          val: Dataset | None = None
-                          ) -> tuple[DacaeParams, TrainLog | list[TrainLog]]:
+                          val: Dataset | None = None, *, log: bool = True
+                          ) -> tuple[DacaeParams, TrainLog | list[TrainLog] | None]:
     """Train an extractor on the dataset with shuffled mini-batches.
 
     The conditioning width is dataset.n_subjects, so codes from subjects held
@@ -205,6 +207,15 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[Hyper
     config[r] bit for bit; a divergence in any replica stops the whole stack.
     A single config trains its 2-D networks, the one-replica case of the same
     lines.
+
+    log=False runs the same steps without the per-epoch evaluation and returns
+    (params, None), with the same parameters bit for bit. After the last epoch it
+    computes each replica's training loss (dacae_loss), as the last evaluation
+    does, so parameters that the last step left non-finite raise the same
+    TrainingDiverged. Between epochs nothing is checked: parameters that an earlier
+    epoch's last step left non-finite raise from a later step's own checks, named
+    "epoch E, batch B: ...", where the evaluation would have raised its loss error;
+    both are TrainingDiverged.
     """
     single = isinstance(config, HyperConfig)
     configs = [config] if single else list(config)
@@ -232,10 +243,15 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[Hyper
         # pass's gather; dropping it frees that gather before the evaluation allocates
         del x, s
         params.encoder._cache = None
-        # one replica at a time, so evaluation needs no more memory than a solo fit's
-        for r, (c, log) in enumerate(zip(configs, logs)):
-            replica = params if single else _replica(params, r)
-            log.rows.append(_epoch_row(replica, dataset, c, val, epoch))
+        if log:
+            # one replica at a time, so evaluation needs no more memory than a solo fit's
+            for r, (c, trainlog) in enumerate(zip(configs, logs)):
+                replica = params if single else _replica(params, r)
+                trainlog.rows.append(_epoch_row(replica, dataset, c, val, epoch))
+    if not log:  # the loss the last evaluation would compute, so a last step's divergence shows
+        for r, c in enumerate(configs):
+            dacae_loss(params if single else _replica(params, r), dataset.x, dataset.s, c)
+        return params, None
     return (params, logs[0]) if single else (params, logs)
 
 
@@ -281,9 +297,12 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
     run's extractor and classifier) all come from base, which must be the full
     DA-cAE variant. Each stage's runs train as one stack, in one
     fit_feature_extractor call, and each replica equals its solo run bit for
-    bit. Stage 2's lambda_a=0 point is stage 1's winning run, so its metrics
-    are reused rather than retrained: a sweep trains len(grid1) + len(grid2)
-    runs, less one when grid2 holds a zero, never the cross product. If a run
+    bit. The fits pass log=False: they skip the per-epoch evaluation, whose logs
+    a sweep would discard, and check each run's training loss once after its
+    last epoch, so a run that ends non-finite still raises TrainingDiverged.
+    Stage 2's lambda_a=0 point is stage 1's winning run, so its metrics are
+    reused rather than retrained: a sweep trains len(grid1) + len(grid2) runs,
+    less one when grid2 holds a zero, never the cross product. If a run
     diverges, the stage is retrained one run at a time in grid order, so the
     error raised is the first diverging run's, as a run-by-run sweep raises it.
     Selection maximizes validation task accuracy for the given classifier
@@ -310,11 +329,11 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
             return []
         configs = [replace(base, lambda_a=la, lambda_n=ln) for la, ln in points]
         try:
-            stack, _ = fit_feature_extractor(train, configs)
+            stack, _ = fit_feature_extractor(train, configs, log=False)
             fits = (_replica(stack, r) for r in range(len(configs)))
         except TrainingDiverged:
             # the stack stops at whichever replica diverges first in time
-            fits = (fit_feature_extractor(train, c)[0] for c in configs)
+            fits = (fit_feature_extractor(train, c, log=False)[0] for c in configs)
         # lazily, so each replica's networks (and their forward caches) go after its readout
         return [readout(stage, c, params) for c, params in zip(configs, fits)]
 

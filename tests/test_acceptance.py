@@ -79,7 +79,8 @@ PROBE_POINTS = ((0.1, 0.01), (0.0, 0.005), (0.01, 0.005), (0.1, 0.005), (0.5, 0.
 
 @functools.cache
 def probe_stack(seed):
-    """Train DA-cAE at every PROBE_POINTS point on a 90% split, as one stack.
+    """Train DA-cAE at every PROBE_POINTS point on a 90% split, as one stack, without
+    the per-epoch logs (log=False), which nothing here reads.
 
     Returns each point's head probes on the held-out 10%, read replica by
     replica, and the seconds the whole call took. Replica r equals a solo fit
@@ -94,7 +95,7 @@ def probe_stack(seed):
         variant="DA-cAE",
         sgd=SgdConfig(learning_rate=0.1, batch_size=32, epochs=50, seed=seed))
         for lambda_a, lambda_n in PROBE_POINTS]
-    stack, _ = fit_feature_extractor(ds.subset(train_ids), configs)
+    stack, _ = fit_feature_extractor(ds.subset(train_ids), configs, log=False)
     val = ds.subset(val_ids)
     probes = {}
     for r, point in enumerate(PROBE_POINTS):

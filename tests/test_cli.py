@@ -98,9 +98,9 @@ def test_sweep_divergence_matches_the_diverging_point_fit_alone(tmp_path, monkey
     trained = []
     real = training.fit_feature_extractor
 
-    def spy(dataset, config, val=None):
+    def spy(dataset, config, val=None, **kw):
         trained.extend([config] if isinstance(config, HyperConfig) else config)
-        return real(dataset, config, val=val)
+        return real(dataset, config, val=val, **kw)
 
     monkeypatch.setattr(training, "fit_feature_extractor", spy)
     cfg = write_config(tmp_path, sweep_classifier="lda", sweep_lambda_n=[0.01, 1000.0, 1e6],

@@ -337,9 +337,9 @@ def test_run_sweep_trains_configured_extractor(tmp_path, monkeypatch):
     seen = []
     real = training.fit_feature_extractor
 
-    def spy(dataset, config, val=None):  # counts configs trained, one run or a stack
+    def spy(dataset, config, val=None, **kw):  # counts configs trained, one run or a stack
         seen.extend([config] if isinstance(config, HyperConfig) else config)
-        return real(dataset, config, val=val)
+        return real(dataset, config, val=val, **kw)
 
     monkeypatch.setattr(training, "fit_feature_extractor", spy)
     cfg = tiny_config(tmp_path / "out", sweep_classifier="lda", latent_dim=4, r_n=0.25,

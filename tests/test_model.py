@@ -1,6 +1,9 @@
 """Autoencoder variants: latent split, joint loss, checkpointing."""
 
+import gc
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +79,35 @@ def test_config_validation():
         HyperConfig(r_n=1.0)
     with pytest.raises(ConfigError):
         HyperConfig(latent_dim=0)
+
+
+@pytest.mark.parametrize("cls, field", [
+    (SgdConfig, "batch_size"), (SgdConfig, "epochs"), (SgdConfig, "seed"),
+    (HyperConfig, "latent_dim")])
+@pytest.mark.parametrize("bad", [True, "4", None, 2.5, np.float64(4.0)],
+                         ids=["bool", "str", "none", "fraction", "np-float"])
+def test_int_config_fields_reject_other_types(cls, field, bad):
+    with pytest.raises(ConfigError, match=f"^{field} must be an int, got "):
+        cls(**{field: bad})
+
+
+@pytest.mark.parametrize("cls, field", [
+    (SgdConfig, "learning_rate"), (HyperConfig, "lambda_a"), (HyperConfig, "lambda_n"),
+    (HyperConfig, "r_n")])
+@pytest.mark.parametrize("bad", [True, "0.1", [0.1]], ids=["bool", "str", "list"])
+def test_float_config_fields_reject_other_types(cls, field, bad):
+    with pytest.raises(ConfigError, match=f"^{field} must be a number, got "):
+        cls(**{field: bad})
+
+
+def test_config_numeric_fields_take_ints_and_numpy_scalars():
+    sgd = SgdConfig(learning_rate=1, batch_size=np.int64(8), epochs=np.int32(2), seed=np.uint8(3))
+    assert sgd == SgdConfig(learning_rate=1.0, batch_size=8, epochs=2, seed=3)
+    config = HyperConfig(lambda_a=1, lambda_n=np.float64(0.5), r_n=0, latent_dim=np.int64(6),
+                         sgd=sgd)
+    assert (config.lambda_a, config.lambda_n, config.r_n, config.latent_dim) == (1, 0.5, 0, 6)
+    with pytest.raises(ConfigError, match="^sgd must be an SgdConfig, got "):
+        HyperConfig(sgd={"epochs": 2})
 
 
 def test_init_params_shapes():
@@ -297,8 +329,9 @@ def test_params_reject_inconsistent_networks(group, dims, message):
         DacaeParams(**nets)
 
 
-def _checkpoint_with_meta(tmp_path, edit):
-    """A saved DA-cAE checkpoint whose JSON meta has gone through edit(meta)."""
+def _checkpoint_with_meta(tmp_path, edit, drop=()):
+    """A saved DA-cAE checkpoint whose JSON meta has gone through edit(meta), without
+    the arrays named in drop."""
     config = HyperConfig(variant="DA-cAE")
     path = tmp_path / "model.npz"
     save_checkpoint(path, init_params(7, 6, config, seed=0), config)
@@ -307,6 +340,8 @@ def _checkpoint_with_meta(tmp_path, edit):
     meta = json.loads(bytes(arrays["meta"]).decode())
     edit(meta)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    for name in drop:
+        del arrays[name]
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     return path
@@ -342,3 +377,46 @@ def test_checkpoint_rejects_other_activations(tmp_path, group, layer, activation
 
     with pytest.raises(ValueError, match=f"checkpoint group '{group}'"):
         load_checkpoint(_checkpoint_with_meta(tmp_path, edit))
+
+
+def _empty(tmp_path):
+    path = tmp_path / "model.npz"
+    path.write_bytes(b"")
+    return path
+
+
+def _truncated(tmp_path):
+    path = _checkpoint_with_meta(tmp_path, lambda meta: None)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    return path
+
+
+def _lone_array(tmp_path):
+    path = tmp_path / "model.npy"
+    np.save(path, np.zeros(3))
+    return path
+
+
+def _edited(edit=lambda meta: None, drop=()):
+    return lambda tmp_path: _checkpoint_with_meta(tmp_path, edit, drop)
+
+
+@pytest.mark.parametrize("make", [
+    _empty, _truncated, _lone_array,
+    _edited(drop=("encoder_w0",)),
+    _edited(drop=("meta",)),
+    _edited(lambda meta: meta.pop("layers")),
+    _edited(lambda meta: meta["config"].update(latent_dimension=15)),
+    _edited(lambda meta: meta["config"].update(latent_dim="15")),
+    _edited(lambda meta: meta["config"]["sgd"].update(epochs=1.5)),
+], ids=["empty", "truncated", "lone-npy-array", "missing-array", "missing-meta",
+        "missing-layers-key", "unknown-config-field", "string-latent-dim", "fractional-epochs"])
+def test_unreadable_checkpoint_raises_value_error_naming_the_path(tmp_path, make):
+    path = make(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^bad model checkpoint {re.escape(str(path))}: "):
+            load_checkpoint(path)
+        gc.collect()  # an unclosed handle warns when it is collected
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

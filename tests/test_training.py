@@ -381,6 +381,69 @@ def test_stacked_fit_rejects_configs_that_differ_beyond_the_loss_weights():
             fit_feature_extractor(ds, [small_config(), other])
 
 
+@pytest.mark.parametrize("lambdas", [
+    [(0.1, 0.01)],
+    [(0.0, 0.2), (0.5, 0.0), (-0.0, 0.01), (0.1, 0.5)],
+], ids=["R1", "R4"])
+def test_fit_without_log_skips_evaluation_and_trains_the_same_bits(monkeypatch, lambdas):
+    ds = small_dataset(7)
+    configs = [small_config(lambda_a=la, lambda_n=ln) for la, ln in lambdas]
+    config = configs[0] if len(configs) == 1 else configs  # R=1 is a lone HyperConfig
+    want, _ = fit_feature_extractor(ds, config)
+    rows, losses = [], []
+    real_loss = dacae.training.dacae_loss
+
+    def counted_loss(params, x, s, c):
+        losses.append((c, params.encoder.weights[0].ndim, len(x)))
+        return real_loss(params, x, s, c)
+
+    monkeypatch.setattr(dacae.training, "_epoch_row", lambda *args: rows.append(args))
+    monkeypatch.setattr(dacae.training, "dacae_loss", counted_loss)
+    params, log = fit_feature_extractor(ds, config, log=False)
+    assert log is None and rows == []
+    # one loss per replica, each on its own 2-D networks and the whole training set
+    assert losses == [(c, 2, len(ds)) for c in configs]
+    for name, net in params.groups().items():
+        ref = want.groups()[name]
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), name
+
+
+@pytest.mark.parametrize("replicas", [1, 3], ids=["R1", "R3"])
+@pytest.mark.parametrize("epoch", [1, 0], ids=["last-step", "earlier-epoch"])
+def test_fit_without_log_raises_a_divergence_left_by_a_step(monkeypatch, replicas, epoch):
+    # a step that leaves a decoder weight of the last replica at inf: after the last
+    # step, both fits raise the last evaluation's loss error; after an earlier epoch,
+    # the evaluation raises it but a fit without one raises from the next step
+    ds = small_dataset(8)
+    sgd = SgdConfig(learning_rate=0.05, batch_size=16, epochs=2, seed=8)
+    configs = [small_config(lambda_a=0.1 * r, sgd=sgd) for r in range(replicas)]
+    config = configs[0] if replicas == 1 else configs
+    breaking_step = -(-len(ds) // sgd.batch_size) * (epoch + 1)
+    real_step = dacae.training.train_step
+    steps = []
+
+    def step(params, x, s, c):
+        out = real_step(params, x, s, c)
+        steps.append(None)
+        if len(steps) == breaking_step:
+            params.decoder.weights[-1].flat[-1] = np.inf  # the last replica's, in place
+        return out
+
+    monkeypatch.setattr(dacae.training, "train_step", step)
+    messages = []
+    for log in (True, False):
+        steps.clear()
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+            fit_feature_extractor(ds, config, log=log)
+        messages.append(str(info.value))
+    assert messages[0].startswith("non-finite loss: ")
+    if epoch == sgd.epochs - 1:
+        assert messages[1] == messages[0]
+    else:
+        assert messages[1].startswith("epoch 1, batch 0: ")
+
+
 def test_epoch_encodes_training_set_at_most_twice(monkeypatch):
     # the loss is a function of the parameters and encodes on its own; the probes
     # and the LDA readout share one code of the training set
@@ -508,10 +571,10 @@ def test_two_stage_sweep_reuses_stage_one_winner_for_zero_lambda_a(monkeypatch):
     seen = []
     real = dacae.training.fit_feature_extractor
 
-    def spy(dataset, config, val=None):
+    def spy(dataset, config, val=None, **kw):
         configs = [config] if isinstance(config, HyperConfig) else config
         seen.extend((c.lambda_a, c.lambda_n) for c in configs)
-        return real(dataset, config, val=val)
+        return real(dataset, config, val=val, **kw)
 
     monkeypatch.setattr(dacae.training, "fit_feature_extractor", spy)
     train, val = _sweep_dataset()
