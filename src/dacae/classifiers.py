@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, _all, _ids, _one_hot, build_mlp, ce_step,
-                 make_rng, minibatches, softmax)
+from .nn import (ConfigError, Mlp, SgdConfig, _all, _ids, _one_hot, _softmax_in_place,
+                 build_mlp, ce_step, make_rng, minibatches)
 
 _MLP_SGD = SgdConfig(learning_rate=0.05, batch_size=32, epochs=150)
 
@@ -76,7 +76,12 @@ class _Fitted:
 
 
 class MlpClassifier(_Fitted):
-    """One hidden layer of 15 ReLU units, softmax cross-entropy, minibatch SGD."""
+    """One hidden layer of 15 ReLU units, softmax cross-entropy, minibatch SGD.
+
+    Nothing reads the training loss, so its steps compute none (ce_step with targets
+    None). It stays row-major: its batches are C-ordered row slices of z, the layout
+    its products' bits depend on.
+    """
 
     kind = "mlp"
 
@@ -91,8 +96,8 @@ class MlpClassifier(_Fitted):
         net = build_mlp([z.shape[1], 15, classes.size], rng)
         onehot = _one_hot(targets, classes.size)
         for _ in range(_MLP_SGD.epochs):
-            for zb, tb, ob in minibatches(rng, _MLP_SGD.batch_size, z, targets, onehot):
-                ce_step(net, zb, tb, _MLP_SGD, ob)
+            for zb, ob in minibatches(rng, _MLP_SGD.batch_size, z, onehot):
+                ce_step(net, zb, None, _MLP_SGD, ob)
         return cls(net, classes)
 
     def _scores(self, z: np.ndarray) -> np.ndarray:
@@ -276,20 +281,6 @@ def _train_lda(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solved, intercept
 
 
-def _affine(zt: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Class-major z @ w.T + b from zt = z.T (d, n), C-ordered.
-
-    Returns an F-ordered (n, k) array: (w @ zt).T, each class's column contiguous,
-    with its bias added in place to that column. It has the bits of z @ w.T + b
-    with z C-ordered (numpy broadcasts a short last axis row by row, and a column
-    add gives the same bits).
-    """
-    out = w @ zt
-    for row, bias in zip(out, b):
-        row += bias
-    return out.T
-
-
 def _col_sum(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=0) of a C-ordered copy of an (n >= 1, k) array, bit for bit, in any layout.
 
@@ -308,25 +299,29 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
 def _train_svm(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-vs-rest hinge loss, L2 weight 1/n, 200 full-batch steps at rate 0.5 / (1 + 0.02 t).
 
-    Every (n, classes) array of an iteration is class-major (F-ordered), so each
-    step walks contiguous columns; z stays C-ordered, since the bits of
-    active.T @ z depend on its layout.
+    Class-major: the margins, then the active set, fill one C-ordered (classes, n)
+    buffer in place, one ufunc call per step operation. e @ z has the operands of the
+    row-major active.T @ z, so z stays C-ordered. The affine part is np.matmul, whose
+    overflow error names matmul, as w @ zt's did (np.dot's names dot).
     """
     z = np.ascontiguousarray(z)
     zt = np.ascontiguousarray(z.T)
     classes = np.unique(y)
     n, d = z.shape
-    targets = np.asfortranarray(np.where(y[:, None] == classes[None, :], 1.0, -1.0))  # (n, L)
+    signs = np.where(classes[:, None] == y[None, :], 1.0, -1.0)  # (classes, n)
     lam = 1.0 / n
     w = np.zeros((classes.size, d))
     b = np.zeros(classes.size)
+    e = np.empty((classes.size, n))
     for t in range(200):
         lr = 0.5 / (1.0 + 0.02 * t)
-        margins = _affine(zt, w, b)
-        margins *= targets
-        active = (margins < 1.0) * targets
-        w -= lr * (lam * w - active.T @ z / n)
-        b -= lr * (-(_col_sum(active) / n))  # active.mean(axis=0)
+        np.matmul(w, zt, out=e)
+        e += b[:, None]
+        e *= signs  # the margins
+        np.less(e, 1.0, out=e)
+        e *= signs  # the active set
+        w -= lr * (lam * w - e @ z / n)
+        b -= lr * (-(_col_sum(e.T) / n))  # active.mean(axis=0)
     return w, b
 
 
@@ -334,9 +329,9 @@ def _train_logreg(z: np.ndarray, y: np.ndarray, epochs: int = 500) -> tuple[np.n
     """Multinomial logistic regression, L2 weight 1e-4, up to `epochs` full-batch unit steps.
 
     A fit stops early once the gradient norm falls below 1e-6; fits at the default
-    fold size do not get there and run all 500 steps. The logits, the softmax and
-    its error are class-major (F-ordered); z stays C-ordered, since the bits of
-    err.T @ z depend on its layout.
+    fold size do not get there and run all 500 steps. Class-major, as _train_svm: the
+    logits, their softmax and its error fill one C-ordered (classes, n) buffer in
+    place, and e @ z has the operands of the row-major err.T @ z.
     """
     z = np.ascontiguousarray(z)
     zt = np.ascontiguousarray(z.T)
@@ -344,14 +339,16 @@ def _train_logreg(z: np.ndarray, y: np.ndarray, epochs: int = 500) -> tuple[np.n
     n, d = z.shape
     w = np.zeros((classes.size, d))
     b = np.zeros(classes.size)
-    onehot = np.zeros((n, classes.size), order="F")
-    onehot[np.arange(n), targets] = 1.0
+    onehot = np.ascontiguousarray(_one_hot(targets, classes.size).T)
+    e = np.empty((classes.size, n))
     for _ in range(epochs):
-        err = softmax(_affine(zt, w, b))
-        err -= onehot
-        err /= n
-        gw = err.T @ z + 1e-4 * w
-        gb = _col_sum(err)
+        np.matmul(w, zt, out=e)
+        e += b[:, None]
+        _softmax_in_place(e)
+        e -= onehot
+        e /= n
+        gw = e @ z + 1e-4 * w
+        gb = _col_sum(e.T)
         if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < 1e-6:
             break
         w -= gw

@@ -133,10 +133,8 @@ class ExperimentConfig:
             raise ConfigError("sweep_lambda_n and sweep_lambda_a must be >= 0")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for v in self.variants:  # validates every extractor field eagerly
-            self.hyper(v, 0)
+        for v in self.variants:  # validates every extractor field eagerly, seed included
+            self.hyper(v, self.seed)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -6,8 +6,8 @@ once, as kernels on the bare arrays: _forward, _ce_in_place and _backward, which
 reads each hidden ReLU's mask off the next layer's input, and _input_grad, its
 chain to the input alone. Mlp.forward, Mlp.backward and softmax_cross_entropy
 check their input and call one kernel; ce_step, the update of the heads and the
-MLP classifier, chains three. A central finite-difference checker is the
-independent oracle for the gradients.
+MLP classifier, chains three, and skips the loss if given no targets. A central
+finite-difference checker is the independent oracle for the gradients.
 
 ce_step runs at batch 32-64, where per-call allocations and reshapes cost more
 than the arithmetic. So every Mlp keeps a private step cache (_step_cache): the
@@ -92,6 +92,8 @@ class SgdConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -313,27 +315,28 @@ def _row_sum(e: np.ndarray) -> np.ndarray:
     return s
 
 
+def _softmax_in_place(e: np.ndarray) -> np.ndarray:
+    """Softmax down the columns of a C-ordered (k, n) array, in place; returns e. The max
+    and, below 8 classes, the sum run down e row after row, as _row_max and _row_sum;
+    from 8 up the sum is numpy's pairwise row sum of a row-major copy. So e gets the
+    bits of the (n, k) broadcast form, but for a zero max's sign, which exp hides."""
+    e -= np.maximum.reduce(e, axis=0)
+    np.exp(e, out=e)
+    e /= (np.add.reduce(e, axis=0) if e.shape[0] < 8
+          else np.add.reduce(np.ascontiguousarray(e.T), axis=1))
+    return e
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax of (n, k) logits, k >= 1: exp(x - row max) / row sum.
 
-    Every elementwise step runs once per column, never once per row, as do the row
-    max and sum below 8 classes (see _row_max), and the result has the bits of the
-    broadcast form e = np.exp(x - x.max(axis=1, keepdims=True)); e / e.sum(axis=1,
-    keepdims=True) on C-ordered logits. Logits in any layout give those bits, and
-    class-major (F-ordered) logits give an F-ordered output, each column contiguous.
+    Computed class-major (_softmax_in_place), it returns an F-ordered (n, k) array with
+    the bits of the broadcast form on C-ordered logits, whatever the logits' layout.
     """
     lg = np.asarray(logits, dtype=np.float64)
     if lg.ndim != 2 or lg.shape[1] == 0:
         raise ValueError(f"logits must be (n, k) with k >= 1, got shape {lg.shape}")
-    m = _row_max(lg)
-    e = np.empty_like(lg)
-    for src, dst in zip(lg.T, e.T):
-        np.subtract(src, m, out=dst)
-    np.exp(e, out=e)
-    s = _row_sum(e if lg.shape[1] < 8 else np.ascontiguousarray(e))  # C-ordered rows' sum
-    for col in e.T:
-        col /= s
-    return e
+    return _softmax_in_place(np.array(lg.T, order="C")).T
 
 
 def _all(a: np.ndarray) -> bool:
@@ -403,17 +406,18 @@ def _one_hot(ids: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _ce_in_place(logits: np.ndarray, targets: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+def _ce_in_place(logits: np.ndarray, targets: np.ndarray | None, onehot: np.ndarray
+                 ) -> np.ndarray | None:
     """Mean softmax cross-entropy of logits against targets, one per replica, as
     np.mean's bits; leaves its gradient w.r.t. the logits, 1/n included, in logits.
     onehot is _one_hot(targets, k): subtracting it has the bits of subtracting 1.0 at
-    each row's target alone."""
+    each row's target alone. With targets None it computes no loss and returns None."""
     n = logits.shape[-2]
     logits -= _row_max(logits)[..., None]
-    picked = logits[..., np.arange(n), targets]
+    picked = None if targets is None else logits[..., np.arange(n), targets]
     np.exp(logits, out=logits)
     norm = _row_sum(logits)
-    loss = np.add.reduce(np.log(norm) - picked, axis=-1) / n
+    loss = None if picked is None else np.add.reduce(np.log(norm) - picked, axis=-1) / n
     logits /= norm[..., None]
     logits -= onehot
     logits /= n
@@ -458,8 +462,8 @@ def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
     return net
 
 
-def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig,
-            onehot: np.ndarray | None = None) -> float | np.ndarray:
+def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray | None, sgd: SgdConfig,
+            onehot: np.ndarray | None = None) -> float | np.ndarray | None:
     """One SGD step on the mean softmax cross-entropy of net(x); returns the pre-step loss.
 
     A non-finite gradient in any replica raises TrainingDiverged before any
@@ -468,7 +472,8 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig,
     (R, n, net.in_dim) for a stack, and targets n class ids in [0, net.out_dim):
     callers check them once per fit, not here. onehot, their (n, net.out_dim)
     one-hot rows, is built here when not given; a training loop builds it once per
-    pass or per batch and passes it.
+    pass or per batch and passes it. With targets None (onehot then required) the
+    step has the same bits, but computes no loss and returns None.
 
     The step runs on net's step cache (see _step_cache): its gradients go into the
     cache's flat buffer, which is checked once, scaled and subtracted, so nothing
@@ -482,7 +487,7 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray, sgd: SgdConfig,
     loss = _ce_in_place(logits, targets, onehot)
     _backward(net.weights, inputs, logits, cache.w_grads, cache.b_grads)
     cache.update(sgd.learning_rate)
-    return _per_replica(loss)
+    return None if loss is None else _per_replica(loss)
 
 
 def minibatches(rng: np.random.Generator, batch_size: int, *columns: np.ndarray

@@ -365,7 +365,7 @@ def test_logreg_converges_on_overlapping_classes():
 
 # -- linear fits, bit for bit -------------------------------------------------------
 # The full-batch loops as written with broadcasting, kept verbatim: the fits now
-# run each (n, classes) step once per class column and must keep every bit.
+# run class-major, on (classes, n) buffers written in place, and must keep every bit.
 
 def reference_train_svm(z, y):
     classes = np.unique(y)
@@ -408,15 +408,16 @@ def _assert_linear_fits_match_reference(n_rows, n_classes):
     y = rng.permutation(np.arange(n_rows) % n_classes)
     z = rng.standard_normal((n_rows, 15)) + 1.5 * rng.standard_normal((n_classes, 15))[y]
     for kind, reference in (("svm", reference_train_svm), ("logreg", reference_train_logreg)):
-        clf = fit(kind, z, y)
+        with np.errstate(over="raise", invalid="raise"):  # as a fold's classifiers fit
+            clf = fit(kind, z, y)
         coef, intercept = reference(z, y)
         assert np.array_equal(clf.coef, coef), (kind, n_classes)
         assert np.array_equal(clf.intercept, intercept), (kind, n_classes)
         assert np.array_equal(clf.decision_scores(z), z @ coef.T + intercept), (kind, n_classes)
 
 
-@pytest.mark.parametrize("n_classes", [2, 3, 4, 7, 8, 9, 10])
-@pytest.mark.parametrize("n_rows", [60, 720, 3040])
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 7, 8, 9, 10, 16, 20])
+@pytest.mark.parametrize("n_rows", [60, 720, 2740, 3040])
 def test_linear_fits_match_broadcast_reference_bitwise(n_rows, n_classes):
     _assert_linear_fits_match_reference(n_rows, n_classes)
 
@@ -453,6 +454,15 @@ def test_linear_fit_overflow_keeps_its_message(kind, message):
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(FloatingPointError, match=f"^{message}$"):
             fit(kind, z, y)
+
+
+def test_svm_affine_overflow_names_matmul():
+    # at 1e200 the first overflow is the second step's margins, w @ z.T: np.matmul
+    # names itself there, where np.dot would name dot
+    z = make_rng(62).uniform(-1.0, 1.0, size=(720, 15)) * 1e200
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match="^overflow encountered in matmul$"):
+            fit("svm", z, np.arange(720) % 4)
 
 
 # -- MLP ----------------------------------------------------------------------------

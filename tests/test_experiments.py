@@ -63,6 +63,8 @@ def test_config_rejects_bad_values(tmp_path):
         tiny_config(tmp_path, jobs=0)
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, learning_rate=-1.0)
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        tiny_config(tmp_path, seed=-1)
 
 
 def test_config_from_json_roundtrip(tmp_path):

@@ -55,6 +55,13 @@ def test_sgd_config_rejects_bad_values():
         SgdConfig(epochs=-1)
 
 
+def test_sgd_config_rejects_a_negative_seed():
+    # SeedSequence takes no negative entropy; the config names the field instead
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        SgdConfig(seed=-1)
+    assert SgdConfig(seed=0).seed == 0
+
+
 def test_build_mlp_glorot_bounds():
     net = build_mlp([30, 20, 5], make_rng(0))
     for (fan_in, fan_out), w, b in zip([(30, 20), (20, 5)], net.weights, net.biases):
@@ -560,6 +567,52 @@ def test_ce_step_alternating_full_and_short_batches_matches_reference(replicas):
         _assert_replica(net, r, ref)
 
 
+@pytest.mark.parametrize("width", [2, 4, 8, 20])  # both branches of _row_max and _row_sum
+@pytest.mark.parametrize("replicas", [None, 3], ids=["2d", "R3"])
+def test_loss_free_ce_step_matches_the_loss_step_bitwise(replicas, width):
+    nets = [build_mlp([6, 8, width], make_rng(88, r)) for r in range(replicas or 1)]
+    net = nets[0] if replicas is None else _stack(nets)
+    ref = copy_mlp(net)
+    rng = make_rng(89, width)
+    sgd = SgdConfig(learning_rate=0.05)
+    for n in [32, 5, 32, 1, 31] * 3:
+        x = rng.standard_normal((n, 6) if replicas is None else (replicas, n, 6)) * 2.0
+        t = rng.integers(0, width, size=n)
+        onehot = np.eye(width)[t]
+        assert ce_step(net, x, None, sgd, onehot) is None
+        ce_step(ref, x, t, sgd, onehot)
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_ce_in_place_without_targets_leaves_the_same_gradient(width):
+    rng = make_rng(90, width)
+    logits = rng.standard_normal((2, 40, width)) * 4.0
+    t = rng.integers(0, width, size=40)
+    onehot = np.eye(width)[t]
+    for lg in (logits[0], logits):
+        with_loss, without = lg.copy(), lg.copy()
+        _ce_in_place(with_loss, t, onehot)
+        assert _ce_in_place(without, None, onehot) is None
+        assert without.tobytes() == with_loss.tobytes()
+
+
+@pytest.mark.parametrize("replicas", [None, 3], ids=["2d", "R3"])
+def test_loss_free_ce_step_checks_the_gradient_before_any_update(replicas):
+    nets = [build_mlp([4, 6, 3], make_rng(91, r)) for r in range(replicas or 1)]
+    net = nets[0] if replicas is None else _stack(nets)
+    before = copy_mlp(net)
+    x = make_rng(92).standard_normal((replicas or 1, 8, 4))
+    x[-1, 1, 0] = np.nan  # only the last replica's batch
+    t = np.arange(8) % 3
+    with np.errstate(all="ignore"), \
+            pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
+        ce_step(net, x[0] if replicas is None else x, None, SgdConfig(learning_rate=0.1),
+                np.eye(3)[t])
+    _assert_same_arrays(net, before)
+
+
 def test_train_step_matches_reference_primitives_bitwise():
     config = HyperConfig(lambda_a=0.2, lambda_n=0.5, latent_dim=6, variant="DA-cAE",
                          sgd=SgdConfig(learning_rate=0.1, batch_size=64))
@@ -607,8 +660,8 @@ def test_forward_and_backward_leave_their_inputs_unchanged(dims):
 
 
 # -- column-wise softmax -------------------------------------------------------
-# softmax runs each step once per class column; these pin it to numpy's own
-# row reductions and to the broadcast form on every width a head can have here.
+# softmax runs class-major, as the linear fits do; these pin it and the row
+# reductions to numpy's own and to the broadcast form on every width a head can have.
 
 def reference_softmax(logits):
     z = logits - np.max(logits, axis=-1, keepdims=True)
@@ -666,8 +719,8 @@ def test_softmax_matches_broadcast_form_bitwise(width):
 
 @pytest.mark.parametrize("width", range(1, 21))
 def test_softmax_of_class_major_logits_matches_row_major_bitwise(width):
-    # the linear fits pass F-ordered logits; from 8 columns up the row sum must
-    # still be numpy's pairwise sum of C-ordered rows
+    # from 8 columns up the row sum must be numpy's pairwise sum of C-ordered rows,
+    # whatever the logits' layout
     rng = make_rng(54, width)
     finite = rng.standard_normal((300, width)) * 10.0 ** rng.integers(-3, 4, (300, 1))
     for logits in (finite, _special_rows(width, rng)):
