@@ -10,14 +10,21 @@ Features are (n, d) batches; a 1-D array raises ValueError, as does a NaN or an
 infinity passed to fit, predict or decision_scores, and so do features large
 enough to overflow a classifier's scores. Classifiers train on whatever label
 subset is present; scores are reported over the sorted unique training labels.
+
+fit also takes a stack: R feature sets of one shape, (R, n, d), with (R, n)
+labels and R seeds, and returns R classifiers, each equal to its solo fit bit
+for bit. MLP replicas with equal class counts train as one network stack;
+every other kind fits replica by replica.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .nn import (ConfigError, Mlp, SgdConfig, _all, _ids, _one_hot, _softmax_in_place,
-                 build_mlp, ce_step, make_rng, minibatches)
+                 build_mlp, ce_step, make_rng)
 
 _MLP_SGD = SgdConfig(learning_rate=0.05, batch_size=32, epochs=150)
 
@@ -79,8 +86,15 @@ class MlpClassifier(_Fitted):
     """One hidden layer of 15 ReLU units, softmax cross-entropy, minibatch SGD.
 
     Nothing reads the training loss, so its steps compute none (ce_step with targets
-    None). It stays row-major: its batches are C-ordered row slices of z, the layout
-    its products' bits depend on.
+    None). It stays row-major: its batches are C-ordered row slices of each pass's
+    gather of z, the layout its products' bits depend on.
+
+    train fits R classifiers at once. Each replica draws its weights, then its
+    shuffles, from its own stream, make_rng(seed, 400), and gathers its own rows and
+    one-hot targets, so it equals its solo fit bit for bit. R > 1 replicas train as
+    one network stack, with (R, out, in) weights and one ce_step per batch for all of
+    them, and come back as 2-D networks over views of the stack; a lone fit trains its
+    2-D network.
     """
 
     kind = "mlp"
@@ -90,15 +104,33 @@ class MlpClassifier(_Fitted):
         self.classes = classes
 
     @classmethod
-    def train(cls, z: np.ndarray, y: np.ndarray, seed: int) -> "MlpClassifier":
-        classes, targets = np.unique(y, return_inverse=True)
-        rng = make_rng(seed, 400)  # initialises the weights, then shuffles
-        net = build_mlp([z.shape[1], 15, classes.size], rng)
-        onehot = _one_hot(targets, classes.size)
+    def train(cls, z: np.ndarray, y: np.ndarray, seeds: Sequence[int]) -> list["MlpClassifier"]:
+        """One classifier per seed, fit to features z (R, n, d) and labels y (R, n);
+        every replica's labels hold the same number of classes."""
+        fits = [np.unique(labels, return_inverse=True) for labels in y]
+        k = fits[0][0].size
+        # each replica's stream initialises its weights, then shuffles its rows
+        rngs = [make_rng(seed, 400) for seed in seeds]
+        nets = [build_mlp([z.shape[-1], 15, k], rng) for rng in rngs]
+        stacked = len(nets) > 1
+        net = Mlp([np.stack(layer) for layer in zip(*(m.weights for m in nets))],
+                  [np.stack(layer) for layer in zip(*(m.biases for m in nets))]) \
+            if stacked else nets[0]
+        z = np.ascontiguousarray(z)
+        onehot = np.stack([_one_hot(targets, k) for _, targets in fits])
+        replica, n, size = np.arange(len(rngs))[:, None], z.shape[1], _MLP_SGD.batch_size
         for _ in range(_MLP_SGD.epochs):
-            for zb, ob in minibatches(rng, _MLP_SGD.batch_size, z, onehot):
-                ce_step(net, zb, None, _MLP_SGD, ob)
-        return cls(net, classes)
+            order = replica, np.stack([rng.permutation(n) for rng in rngs])
+            zs, hot = z[order], onehot[order]  # each replica's pass, (R, n, d) and (R, n, k)
+            if not stacked:
+                zs, hot = zs[0], hot[0]
+            for start in range(0, n, size):
+                ce_step(net, zs[..., start: start + size, :], None, _MLP_SGD,
+                        hot[..., start: start + size, :])
+        if stacked:
+            nets = [Mlp([w[r] for w in net.weights], [b[r] for b in net.biases])
+                    for r in range(len(nets))]
+        return [cls(m, classes) for m, (classes, _) in zip(nets, fits)]
 
     def _scores(self, z: np.ndarray) -> np.ndarray:
         return self.net.forward(z)  # rejects all but (n, net.in_dim) input
@@ -373,9 +405,31 @@ class LinearClassifier(_Fitted):
         return _check_features(z, self.coef.shape[1]) @ self.coef.T + self.intercept
 
 
-def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
-    """Train one classifier kind on features z (n, d) and integer labels y (n,)."""
+def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int | Sequence[int] = 0
+        ) -> _Fitted | list[_Fitted]:
+    """Train one classifier kind on features z (n, d) and integer labels y (n,).
+
+    Given a stack, features z (R, n, d), labels y (R, n) and a sequence of R seeds,
+    it returns a list of R classifiers, replica r equal to fit(kind, z[r], y[r],
+    seed[r]) bit for bit. An mlp stack whose replicas hold the same number of classes
+    trains as one network stack (MlpClassifier.train); other stacks fit replica by
+    replica.
+    """
     z = _finite(z)
+    if z.ndim != 3:
+        return _fit(kind, z, y, seed)
+    y, seeds = _ids(y, "labels"), list(seed) if np.iterable(seed) else [seed]
+    if y.shape != z.shape[:2] or len(seeds) != len(z):
+        raise ValueError(f"a stack of features {z.shape} takes labels of shape {z.shape[:2]} "
+                         f"and {len(z)} seeds, got {y.shape} and {len(seeds)}")
+    if canonical_kind(kind) == "mlp" and len(z) > 1 and z.shape[1] and \
+            len({np.unique(labels).size for labels in y}) == 1:
+        return MlpClassifier.train(z, y, seeds)
+    return [_fit(kind, *replica) for replica in zip(z, y, seeds)]
+
+
+def _fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int) -> _Fitted:
+    """fit on one feature set z, already checked finite by _finite."""
     if z.ndim != 2:
         raise ValueError(f"features must be (n, d), got shape {z.shape}")
     y = _ids(y, "labels")
@@ -385,7 +439,7 @@ def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int = 0) -> _Fitted:
         raise ValueError("labels must be one per feature row")
     kind = canonical_kind(kind)
     if kind == "mlp":
-        return MlpClassifier.train(z, y, seed=seed)
+        return MlpClassifier.train(z[None], y[None], [seed])[0]
     if kind == "knn":
         return KnnClassifier(z, y)
     if kind == "tree":

@@ -250,8 +250,11 @@ def loso_splits(dataset: Dataset, val_fraction: float = 0.1, seed: int = 0) -> l
     plans = []
     for fold, subj in enumerate(subjects):
         test_mask = dataset.s == subj
-        val_trials = _draw_trials(np.unique(dataset.trial[~test_mask]), val_fraction,
-                                  make_rng(seed, 100, fold), spare=1)
+        others = np.unique(dataset.trial[~test_mask])
+        if others.size < 2:  # one trial cannot fill both a training and a validation split
+            raise ConfigError(f"holding out subject {subj} leaves {others.size} trial for "
+                              "training and validation; need at least 2")
+        val_trials = _draw_trials(others, val_fraction, make_rng(seed, 100, fold), spare=1)
         val_mask = np.isin(dataset.trial, val_trials) & ~test_mask
         train_mask = ~test_mask & ~val_mask
         plans.append(SplitPlan(int(subj), np.flatnonzero(train_mask),

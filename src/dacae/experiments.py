@@ -1,20 +1,25 @@
 """Experiment orchestration: LOSO evaluation, parameter tables, size curves, reports.
 
 The loso, table3 and datasize runners hand `_run_grid` their rows and get each
-row's fold results back. Each (row, split plan) pair is an independent fold
-job, run inline or on a process pool of at most one worker per job. Job seeds
-derive from the master seed, the row index and the held-out subject, and
-outputs are written in job order, so the tree is byte-identical for any worker
-count. A fold whose extractor or classifier fails (an overflow in a classifier
-included) is recorded as failed and the run continues; the caller decides the
-exit status from the failure count. The sweep runs no fold jobs: each of its
-two stages trains as one stack of networks in this process.
+row's fold results back. Each (row, split plan) pair is a fold job. Fold jobs
+run in groups of consecutive jobs (`_groups`), inline or on a process pool of
+at most one worker per group; within a group, each classifier kind fits the
+folds that share a code shape as one stack, so the MLP classifiers of up to 8
+folds train as one stack of networks. Job seeds derive from the master seed,
+the row index and the held-out subject, every replica of a stack equals its
+solo fit, and outputs are written in job order, so the tree is byte-identical
+for any worker count. A fold whose extractor or classifier fails (any
+exception but a ConfigError, an overflow in a classifier included) is recorded
+as failed and the run continues; the caller decides the exit status from the
+failure count. The sweep runs no fold jobs: each of its two stages trains as
+one stack of networks in this process.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -30,7 +35,7 @@ from . import classifiers
 from .data import (Dataset, SplitPlan, SyntheticSpec, generate_synthetic, holdout_split,
                    load_csv, loso_splits, normalize, subsample_trials, write_csv)
 from .model import VARIANTS, HyperConfig, encode
-from .nn import ConfigError, SgdConfig, TrainingDiverged, job_seed
+from .nn import ConfigError, SgdConfig, job_seed
 from .training import (LAMBDA_A_GRID, LAMBDA_N_GRID, SweepResult, TrainLog,
                        fit_feature_extractor, probe_accuracies, two_stage_sweep)
 
@@ -214,58 +219,125 @@ class _FoldJob:
     clf_seeds: tuple[int, ...]
 
 
-# what a fold records as failed and survives; a ConfigError (a ValueError) still ends the run
-_FOLD_ERRORS = (TrainingDiverged, ValueError, ArithmeticError)
+def _row(job: _FoldJob, kind: str, acc: float, adv: float, nui: float,
+         err: Exception | None = None) -> FoldResult:
+    h = job.hyper
+    return FoldResult(job.plan.test_subject, h.variant, kind, "failed" if err else "done",
+                      acc, adv, nui, h.lambda_a, h.lambda_n, h.r_n,
+                      f"{type(err).__name__}: {err}" if err else "")
 
 
-def _run_fold(dataset: Dataset, job: _FoldJob) -> tuple[list[FoldResult], TrainLog | None]:
-    """A failed extractor stage fails every row of the fold, a failed classifier its own row."""
-    h, nan = job.hyper, float("nan")
+def _encode_fold(dataset: Dataset, job: _FoldJob) -> tuple[tuple, TrainLog]:
+    """The fold's codes, (training codes, their labels, test codes, their labels,
+    adversary and nuisance probe accuracies), and its training log. Its normalized
+    datasets go on return."""
+    normed = normalize(dataset, job.plan.train_ids)
+    train = normed.subset(job.plan.train_ids)
+    val = normed.subset(job.plan.val_ids)
+    test = normed.subset(job.plan.test_ids)
+    params, log = fit_feature_extractor(train, job.hyper, val=val)
+    adv, nui = probe_accuracies(params, encode(params, val.x), val.s)
+    return (encode(params, train.x), train.y, encode(params, test.x), test.y, adv, nui), log
 
-    def row(kind: str, acc: float, adv: float, nui: float, err: Exception | None = None):
-        return FoldResult(job.plan.test_subject, h.variant, kind, "failed" if err else "done",
-                          acc, adv, nui, h.lambda_a, h.lambda_n, h.r_n,
-                          f"{type(err).__name__}: {err}" if err else "")
 
+def _classify(job: _FoldJob, ci: int, codes: tuple, clf=None) -> FoldResult:
+    """Row ci of a fold: its classifier, fit here unless given, scored on the test codes."""
+    z_train, y_train, z_test, y_test, adv, nui = codes
     try:
-        normed = normalize(dataset, job.plan.train_ids)
-        train = normed.subset(job.plan.train_ids)
-        val = normed.subset(job.plan.val_ids)
-        test = normed.subset(job.plan.test_ids)
-        params, log = fit_feature_extractor(train, h, val=val)
-        adv, nui = probe_accuracies(params, encode(params, val.x), val.s)
-        z_train, z_test = encode(params, train.x), encode(params, test.x)
+        with np.errstate(over="raise", invalid="raise"):
+            if clf is None:
+                clf = classifiers.fit(job.kinds[ci], z_train, y_train, seed=job.clf_seeds[ci])
+            acc = classifiers.accuracy(clf, z_test, y_test)
     except ConfigError:
         raise
-    except _FOLD_ERRORS as err:
-        return [row(kind, nan, nan, nan, err) for kind in job.kinds], None
-    results = []
-    for kind, clf_seed in zip(job.kinds, job.clf_seeds):
+    except Exception as err:  # any other failure fails this row alone
+        return _row(job, job.kinds[ci], float("nan"), adv, nui, err)
+    return _row(job, job.kinds[ci], acc, adv, nui)
+
+
+def _run_fold(dataset: Dataset, group: list[_FoldJob]
+              ) -> list[tuple[list[FoldResult], TrainLog | None]]:
+    """Each job's fold results and training log, in group order.
+
+    A failed extractor stage fails every row of its fold, a failed classifier its own
+    row; any Exception but a ConfigError counts (KeyboardInterrupt and SystemExit are
+    not Exceptions, so they end the run). Folds whose codes share (rows, width, class
+    count) and whose jobs share kinds fit each kind as one stack, in one
+    classifiers.fit call. If that call raises, the stack's folds refit one by one, so
+    each row records its solo outcome.
+    """
+    nan = float("nan")
+    rows: list[list] = []
+    folds, logs, stacks = [], [], {}
+    for i, job in enumerate(group):
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                clf = classifiers.fit(kind, z_train, train.y, seed=clf_seed)
-                acc = classifiers.accuracy(clf, z_test, test.y)
-            results.append(row(kind, acc, adv, nui))
+            codes, log = _encode_fold(dataset, job)
         except ConfigError:
             raise
-        except _FOLD_ERRORS as err:
-            results.append(row(kind, nan, adv, nui, err))
-    return results, log
+        except Exception as err:  # any other failure fails this fold alone
+            codes, log = None, None
+            rows.append([_row(job, kind, nan, nan, nan, err) for kind in job.kinds])
+        else:
+            rows.append([None] * len(job.kinds))
+            key = (*codes[0].shape, np.unique(codes[1]).size, job.kinds)
+            stacks.setdefault(key, []).append(i)
+        folds.append(codes)
+        logs.append(log)
+    for members in stacks.values():
+        z = np.stack([folds[i][0] for i in members])
+        y = np.stack([folds[i][1] for i in members])
+        for ci, kind in enumerate(group[members[0]].kinds):
+            fitted = [None] * len(members)
+            if len(members) > 1:  # a lone fold fits alone, in _classify
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        fitted = classifiers.fit(kind, z, y,
+                                                 [group[i].clf_seeds[ci] for i in members])
+                except ConfigError:
+                    raise
+                except Exception:  # the folds refit one by one, in _classify
+                    pass
+            for i, clf in zip(members, fitted):
+                rows[i][ci] = _classify(group[i], ci, folds[i], clf)
+    return list(zip(rows, logs))
+
+
+# fold jobs whose MLP classifiers fit as one stack, at most
+_GROUP = 8
+
+
+def _groups(jobs: list[_FoldJob], n_workers: int) -> list[list[_FoldJob]]:
+    """The jobs cut into runs of consecutive jobs, their sizes differing by at most one.
+
+    With an mlp among the kinds, G = min(N, w * ceil(N / (8 w))) groups for N jobs on w
+    workers: groups of at most 8, and a multiple of w of them while that allows. With
+    none every job is its own group, since only the MLP stacks, and single jobs keep
+    the pool's dynamic balance.
+    """
+    n = len(jobs)
+    g = min(n, n_workers * math.ceil(n / (_GROUP * n_workers))) \
+        if any("mlp" in job.kinds for job in jobs) else n
+    size, extra = divmod(n, g)
+    cuts = [i * size + min(i, extra) for i in range(g + 1)]
+    return [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _execute(dataset: Dataset, jobs: list[_FoldJob],
              n_workers: int) -> list[tuple[list[FoldResult], TrainLog | None]]:
-    """Every job's fold results in job order, inline or on a pool of at most one worker per job.
+    """Every job's fold results in job order, run in _groups of consecutive jobs, inline
+    or on a pool of at most one worker per group.
 
-    Prints `fold i/N` on stderr as each job's results arrive, in job order.
+    Prints `fold i/N` on stderr for each job as its group's results arrive, in job order.
     """
-    n_workers = min(n_workers, len(jobs))
+    groups = _groups(jobs, n_workers)
+    n_workers = min(n_workers, len(groups))
     with ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
-        outs = (pool.map if pool else map)(_run_fold, repeat(dataset), jobs)
+        outs = (pool.map if pool else map)(_run_fold, repeat(dataset), groups)
         done = []
-        for i, out in enumerate(outs, 1):
-            done.append(out)
-            print(f"fold {i}/{len(jobs)}", file=sys.stderr, flush=True)
+        for out in outs:
+            for result in out:
+                done.append(result)
+                print(f"fold {len(done)}/{len(jobs)}", file=sys.stderr, flush=True)
         return done
 
 

@@ -502,6 +502,54 @@ def test_mlp_matches_reference_sgd_replay():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_classes", [2, 4, 8, 20])
+@pytest.mark.parametrize("n_rows", [1, 2, 31, 32, 33, 660])
+def test_mlp_stack_replicas_equal_solo_fits_bitwise(monkeypatch, n_rows, n_classes):
+    # eight replicas, each with its own rows, seed and label values (one class count);
+    # stacks of 1, 2, 3 and 8 of them, in mixed order, must give each replica its solo
+    # fit's weights and biases by tobytes, and its predictions
+    rng = make_rng(n_rows * 100 + n_classes, 98)
+    z = rng.standard_normal((8, n_rows, 15)) + 3.0 * rng.standard_normal((8, 1, 15))
+    y = np.stack([rng.permutation(np.arange(n_rows) % n_classes) * (r + 1) + r
+                  for r in range(8)])
+    seeds = [int(s) for s in rng.integers(0, 2**63 - 1, 8)]
+    query = rng.standard_normal((17, 15))
+    solo = [fit("mlp", z[r], y[r], seed=seeds[r]) for r in range(8)]
+    real_step, stacks = classifiers.ce_step, []
+    monkeypatch.setattr(classifiers, "ce_step", lambda net, x, *args: stacks.append(
+        x.shape[:-2]) or real_step(net, x, *args))
+    for picks in ([5], [6, 1], [7, 0, 4], list(range(8))):
+        stacks.clear()
+        got = fit("mlp", z[picks], y[picks], [seeds[r] for r in picks])
+        assert set(stacks) == {(len(picks),) if len(picks) > 1 else ()}  # one stack per step
+        assert len(got) == len(picks)
+        for clf, r in zip(got, picks):
+            assert clf.net.weights[0].ndim == 2
+            assert np.array_equal(clf.classes, solo[r].classes)
+            for a, b in zip(_fitted_arrays(clf), _fitted_arrays(solo[r]), strict=True):
+                assert a.tobytes() == b.tobytes()
+            assert np.array_equal(clf.predict(query), solo[r].predict(query))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_fits_a_stack_as_its_solo_fits(kind):
+    # the second replica holds three classes, the others two, so no kind can stack
+    # them: each replica fits alone and equals fit(kind, z[r], y[r], seed[r])
+    rng = make_rng(31, 98)
+    z = rng.standard_normal((3, 30, 4))
+    y = np.stack([np.arange(30) % 2, np.arange(30) % 3, 5 * (np.arange(30) % 2)])
+    got = fit(kind, z, y, [4, 5, 6])
+    for r, clf in enumerate(got):
+        want = fit(kind, z[r], y[r], seed=4 + r)
+        for a, b in zip(_fitted_arrays(clf), _fitted_arrays(want), strict=True):
+            assert a.tobytes() == b.tobytes()
+    for labels, seeds in ((y[:, :29], [4, 5, 6]), (y[:2], [4, 5, 6]), (y, [4, 5]), (y, 4)):
+        with pytest.raises(ValueError, match="^a stack of features"):
+            fit(kind, z, labels, seeds)
+    with pytest.raises(ConfigError, match="empty feature list"):
+        fit(kind, z[:, :0], y[:, :0], [4, 5, 6])
+
+
 # -- shared behavior ------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)

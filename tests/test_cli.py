@@ -223,6 +223,43 @@ def test_classifier_failure_fails_only_its_row(tmp_path, monkeypatch, capsys):
     assert (summary["AE", "svm"]["folds"], summary["AE", "svm"]["failed"]) == ("2", "1")
 
 
+@pytest.mark.parametrize("kinds", [["lda", "tree"], ["tree", "mlp"]],
+                         ids=["one-job-groups", "stacked-group"])
+def test_memory_error_in_one_tree_fit_fails_only_its_row(tmp_path, monkeypatch, capfd, kinds):
+    # the MemoryError hits the tree fit on the second fold's training codes, wherever
+    # that fit runs: alone, or in the stacked call of a group and then its refit
+    real_train, seen = classifiers.TreeClassifier.train, []
+
+    def record(cls, z, y, **kw):
+        seen.append(z.tobytes())
+        return real_train(z, y, **kw)
+
+    def poisoned(cls, z, y, **kw):
+        if z.tobytes() == seen[1]:
+            raise MemoryError("tree fit out of memory")
+        return real_train(z, y, **kw)
+
+    trees = {}
+    for name, train in (("healthy", record), ("poisoned", poisoned)):
+        monkeypatch.setattr(classifiers.TreeClassifier, "train", classmethod(train))
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, classifiers=kinds)
+        assert main(["loso", "--config", str(cfg), "--jobs", "1"]) == (0 if name == "healthy"
+                                                                        else 2)
+        assert "Traceback" not in capfd.readouterr().err
+        root = tmp_path / name / "out" / "loso"
+        trees[name] = {p.relative_to(root): p.read_bytes() for p in root.rglob("*.csv")
+                       if p.name != "summary.csv"}
+    assert trees["healthy"].keys() == trees["poisoned"].keys()
+    for rel, healthy in trees["healthy"].items():
+        if rel.as_posix() != "AE/tree/folds.csv":
+            assert trees["poisoned"][rel] == healthy, rel
+    want = _csv_rows(tmp_path / "healthy" / "out" / "loso" / "AE" / "tree" / "folds.csv")
+    got = _csv_rows(tmp_path / "poisoned" / "out" / "loso" / "AE" / "tree" / "folds.csv")
+    want[1].update(status="failed", test_acc="nan", error="MemoryError: tree fit out of memory")
+    assert got == want
+
+
 def test_missing_dataset_exit_code(tmp_path):
     cfg = write_config(tmp_path, dataset=str(tmp_path / "absent.csv"))
     assert main(["loso", "--config", str(cfg)]) == 1

@@ -25,7 +25,9 @@ from dacae import (
     run_table3,
     summarize,
 )
-from dacae.experiments import TABLE3_ROWS, _parse_folds_csv
+from dacae.data import SplitPlan
+from dacae.experiments import TABLE3_ROWS, _FoldJob, _groups, _parse_folds_csv
+from dacae.nn import make_rng
 
 
 # four trials per cell, so a fraction of 0.5 leaves every cell two trials
@@ -168,10 +170,69 @@ def test_pool_has_at_most_one_worker_per_job(tmp_path, monkeypatch):
     assert sizes == [3]
     run_loso(tiny_config(tmp_path / "two", variants=("AE",), jobs=2))
     assert sizes == [3, 2]
-    monkeypatch.setattr(experiments, "_run_fold", lambda dataset, job: (job, None))
-    assert experiments._execute(None, ["only"], 4) == [("only", None)]  # one job runs inline
-    assert experiments._execute(None, ["a", "b"], 1) == [("a", None), ("b", None)]
-    assert sizes == [3, 2]
+    # with an mlp the 6 jobs run in min(jobs, groups) workers: 5 groups on 5 workers,
+    # 2 on 2, and one group, inline, on 1
+    for jobs in (5, 2, 1):
+        run_loso(tiny_config(tmp_path / f"mlp{jobs}", classifiers=("mlp",), jobs=jobs))
+    assert sizes == [3, 2, 5, 2]
+    monkeypatch.setattr(experiments, "_run_fold",
+                        lambda dataset, group: [(job.subdir, None) for job in group])
+    only, a, b = (_FoldJob(name, None, None, ("mlp",), ()) for name in ("only", "a", "b"))
+    assert experiments._execute(None, [only], 4) == [("only", None)]  # one job runs inline
+    assert experiments._execute(None, [a, b], 1) == [("a", None), ("b", None)]
+    assert sizes == [3, 2, 5, 2]
+
+
+@pytest.mark.parametrize("n_jobs, n_workers, sizes", [
+    (4, 1, [4]), (30, 1, [8, 8, 7, 7]), (30, 2, [8, 8, 7, 7]), (20, 2, [5, 5, 5, 5]),
+    (3, 5, [1, 1, 1]), (6, 4, [2, 2, 1, 1])])
+def test_fold_jobs_run_in_groups_of_at_most_eight(n_jobs, n_workers, sizes):
+    jobs = [_FoldJob(str(i), None, None, ("lda", "mlp"), ()) for i in range(n_jobs)]
+    groups = _groups(jobs, n_workers)
+    assert [len(g) for g in groups] == sizes
+    assert [job for g in groups for job in g] == jobs  # consecutive, in job order
+    # only the MLP stacks: with no mlp among any job's kinds, every job is its own group
+    jobs = [_FoldJob(str(i), None, None, ("lda", "tree"), ()) for i in range(n_jobs)]
+    assert [g for g in _groups(jobs, n_workers)] == [[job] for job in jobs]
+
+
+def test_overflowing_mlp_fit_in_a_stack_fails_only_its_fold(monkeypatch):
+    # fold 1's training codes overflow its MLP fit; the group's stacked fit raises
+    # (overflow in matmul), its folds refit one by one, and every row equals the row
+    # the fold records alone, fold 1's error text included (its 2-D fit's np.dot)
+    import dacae.experiments as experiments
+    rng = make_rng(7, 12)
+    codes = {}
+    for subject in range(4):
+        z = rng.standard_normal((40, 3)) * (1e100 if subject == 1 else 1.0)
+        codes[subject] = (z, np.arange(40) % 2, rng.standard_normal((10, 3)),
+                          np.arange(10) % 2, 0.5, 0.25)
+    monkeypatch.setattr(experiments, "_encode_fold",
+                        lambda dataset, job: (codes[job.plan.test_subject], None))
+    empty = np.arange(0)
+    jobs = [_FoldJob("DA-cAE", ExperimentConfig().hyper("DA-cAE", 0),
+                     SplitPlan(subject, empty, empty, empty), ("mlp", "lda"), (11 + subject, 0))
+            for subject in range(4)]
+    real_fit, stacked = experiments.classifiers.fit, []
+
+    def fit(kind, z, *args, **kwargs):
+        try:
+            return real_fit(kind, z, *args, **kwargs)
+        except FloatingPointError as err:
+            stacked.append((z.ndim, str(err)))
+            raise
+
+    monkeypatch.setattr(experiments.classifiers, "fit", fit)
+    group = experiments._run_fold(None, jobs)
+    alone = [out for job in jobs for out in experiments._run_fold(None, [job])]
+    assert [str(results) for results, _ in group] == [str(results) for results, _ in alone]
+    assert stacked == [(3, "overflow encountered in matmul"), (2, "overflow encountered in dot"),
+                       (2, "overflow encountered in dot")]  # the stack, its refit, the solo fit
+    (mlp, lda) = group[1][0]
+    assert (mlp.status, mlp.error) == ("failed", "FloatingPointError: overflow encountered in dot")
+    assert lda.status == "done"
+    assert all(r.status == "done" for i, (results, _) in enumerate(group) if i != 1
+               for r in results)
 
 
 def test_run_loso_rerun_byte_identical(tmp_path):

@@ -9,7 +9,8 @@ none asks for more workers, epochs or rows than the valid input.
 Each library case hands one entry point a valid input with one id array (labels,
 subjects, trials, rows or targets) given an edge value or an edge shape; see
 "library entry points" below. The classifiers' predict, decision_scores and
-accuracy also take features with edge values; see "edge feature values".
+accuracy also take features with edge values; see "edge feature values". The split
+helpers take edge datasets, fractions and seeds; see "split helpers".
 """
 
 import contextlib
@@ -24,7 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dacae import (KINDS, Dataset, RawTrial, SyntheticSpec, accuracy, fit, generate_synthetic,
-                   ingest, load_csv, normalize, save_csv, softmax_cross_entropy)
+                   holdout_split, ingest, load_csv, loso_splits, normalize, save_csv,
+                   softmax_cross_entropy, subsample_trials)
 from dacae.cli import main
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -269,12 +271,14 @@ def edge_ids(draw, base, shapes=True):
 
 
 def _call(fn, *args):
-    """fn(*args), or None when it raises ValueError; any other exception propagates."""
+    """fn(*args), or None when it raises ValueError with a message; any other exception
+    propagates."""
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             return fn(*args)
-        except ValueError:
+        except ValueError as err:
+            assert str(err), f"{fn.__name__} raised {type(err).__name__} with no message"
             return None
 
 
@@ -395,6 +399,102 @@ def test_accuracy_scores_exactly_the_labels_given(kind, labels):
     if acc is not None:
         predicted = FITTED[kind].predict(Z).tolist()
         assert acc == np.mean([p == y for p, y in zip(predicted, np.asarray(labels).tolist())])
+
+
+# -- split helpers --------------------------------------------------------------------------
+#
+# loso_splits, holdout_split and subsample_trials take a dataset of whole trials, with one
+# subject or several, one trial per cell or more, and trial ids near either end of int64,
+# and a fraction at or past the edges of its range. Each call returns plans whose parts are
+# disjoint, cover what they split, keep every trial on one side and leave no side empty
+# that a fold reads, or raises ValueError (ConfigError and IngestionError are ValueErrors)
+# with a message.
+
+EDGE_FRACTIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 0.5, 0.9, 1.0 - 2**-53, 1.0, 1.5, -0.1,
+                     float("nan"), float("inf"), float("-inf"), 1, np.float32(0.3)]),
+    st.floats(0.0, 1.0),
+)
+EDGE_SEEDS = st.one_of(st.integers(0, 5), st.sampled_from([2**63 - 1, 2**64 - 1, -1]))
+
+
+@st.composite
+def split_datasets(draw):
+    """Rows of whole trials: 1-4 subjects (some ids possibly absent), 1-2 classes each,
+    1-3 trials per cell and 1-2 rows per trial, trial ids from near 0, 2**63 or -2**63."""
+    n_subjects = draw(st.integers(1, 4))
+    present = draw(st.lists(st.sampled_from(range(n_subjects)), min_size=1, unique=True))
+    base = draw(st.sampled_from([0, 2**63 - 64, -2**63]))
+    cells = [(s, c, draw(st.integers(1, 3)))
+             for s in sorted(present) for c in range(draw(st.integers(1, 2)))]
+    trial_ids = draw(st.permutations(range(sum(k for *_, k in cells))))
+    rows, t = [], 0
+    for s, c, k in cells:
+        for _ in range(k):
+            rows += [(s, c, base + trial_ids[t])] * draw(st.integers(1, 2))
+            t += 1
+    s, y, trial = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    x = np.arange(2.0 * len(rows)).reshape(-1, 2)
+    return Dataset(x, y, s, trial, np.zeros(len(rows)), n_subjects)
+
+
+def _whole_trials(ds, *parts) -> bool:
+    """No trial has rows in more than one of the parts."""
+    owners = [set(ds.trial[p].tolist()) for p in parts]
+    return sum(map(len, owners)) == len(set().union(*owners))
+
+
+def _disjoint_cover(n, *parts) -> bool:
+    ids = np.concatenate(parts)
+    return sorted(ids.tolist()) == list(range(n)) and all(
+        np.all(np.diff(p) > 0) for p in parts)
+
+
+ONE_TRIAL_EACH = Dataset(np.zeros((2, 2)), [0, 0], [0, 1], [0, 1], [0.0, 0.0], 2)
+
+
+@LIB_SETTINGS
+@given(split_datasets(), EDGE_FRACTIONS, EDGE_SEEDS)
+@example(ONE_TRIAL_EACH, 0.1, 0)  # each plan had an empty validation split
+def test_loso_splits_are_disjoint_and_cover_or_rejected(ds, fraction, seed):
+    plans = _call(loso_splits, ds, fraction, seed)
+    if plans is None:
+        return
+    assert [p.test_subject for p in plans] == np.unique(ds.s).tolist()
+    for plan in plans:
+        assert np.array_equal(plan.test_ids, np.flatnonzero(ds.s == plan.test_subject))
+        assert _disjoint_cover(len(ds), plan.train_ids, plan.val_ids, plan.test_ids)
+        assert _whole_trials(ds, plan.train_ids, plan.val_ids)
+        assert plan.train_ids.size and plan.val_ids.size and plan.test_ids.size
+
+
+@LIB_SETTINGS
+@given(split_datasets(), EDGE_FRACTIONS, EDGE_SEEDS)
+def test_holdout_split_is_disjoint_and_covers_or_rejected(ds, fraction, seed):
+    split = _call(holdout_split, ds, fraction, seed)
+    if split is not None:
+        train, val = split
+        assert _disjoint_cover(len(ds), train, val) and _whole_trials(ds, train, val)
+        assert train.size and val.size
+
+
+@LIB_SETTINGS
+@given(split_datasets().flatmap(lambda ds: st.tuples(
+    st.just(ds), st.lists(st.integers(0, len(ds) - 1), unique=True))), EDGE_FRACTIONS,
+    EDGE_SEEDS)
+def test_subsample_trials_keeps_whole_trials_and_cells_or_rejected(case, fraction, seed):
+    ds, ids = case
+    ids = np.array(ids, dtype=np.intp)
+    kept = _call(subsample_trials, ds, ids, fraction, seed)
+    if kept is None:
+        return
+    assert kept.tolist() == [i for i in ids.tolist() if i in set(kept.tolist())]  # ids' order
+    dropped = np.setdiff1d(ids, kept)
+    assert _whole_trials(ds, kept, dropped)
+    cells = {(a, b) for a, b in zip(ds.s[ids].tolist(), ds.y[ids].tolist())}
+    assert cells == {(a, b) for a, b in zip(ds.s[kept].tolist(), ds.y[kept].tolist())}
+    if fraction == 1.0:
+        assert kept is ids
 
 
 # -- edge feature values ------------------------------------------------------------------
