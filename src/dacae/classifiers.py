@@ -11,10 +11,9 @@ infinity passed to fit, predict or decision_scores, and so do features large
 enough to overflow a classifier's scores. Classifiers train on whatever label
 subset is present; scores are reported over the sorted unique training labels.
 
-fit also takes a stack: R feature sets of one shape, (R, n, d), with (R, n)
-labels and R seeds, and returns R classifiers, each equal to its solo fit bit
-for bit. MLP replicas with equal class counts train as one network stack;
-every other kind fits replica by replica.
+For the MLP, fit also takes a stack: R feature sets of one shape, (R, n, d),
+with (R, n) labels of one class count and R seeds. It returns R classifiers,
+each equal to its solo fit bit for bit, trained as one network stack.
 """
 
 from __future__ import annotations
@@ -409,23 +408,27 @@ def fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int | Sequence[int] = 0
         ) -> _Fitted | list[_Fitted]:
     """Train one classifier kind on features z (n, d) and integer labels y (n,).
 
-    Given a stack, features z (R, n, d), labels y (R, n) and a sequence of R seeds,
-    it returns a list of R classifiers, replica r equal to fit(kind, z[r], y[r],
-    seed[r]) bit for bit. An mlp stack whose replicas hold the same number of classes
-    trains as one network stack (MlpClassifier.train); other stacks fit replica by
-    replica.
+    An mlp also takes a stack: features z (R, n, d), labels y (R, n) whose replicas
+    hold the same number of classes, and a sequence of R seeds. It returns a list of R
+    classifiers, replica r equal to fit("mlp", z[r], y[r], seed[r]) bit for bit,
+    trained as one network stack (MlpClassifier.train).
     """
     z = _finite(z)
     if z.ndim != 3:
         return _fit(kind, z, y, seed)
-    y, seeds = _ids(y, "labels"), list(seed) if np.iterable(seed) else [seed]
-    if y.shape != z.shape[:2] or len(seeds) != len(z):
+    if canonical_kind(kind) != "mlp":
+        raise ValueError(f"only mlp fits a stack of features, not {kind}")
+    y, seeds = _ids(y, "labels"), list(seed) if np.iterable(seed) else None
+    if y.shape != z.shape[:2] or seeds is None or len(seeds) != len(z):
         raise ValueError(f"a stack of features {z.shape} takes labels of shape {z.shape[:2]} "
-                         f"and {len(z)} seeds, got {y.shape} and {len(seeds)}")
-    if canonical_kind(kind) == "mlp" and len(z) > 1 and z.shape[1] and \
-            len({np.unique(labels).size for labels in y}) == 1:
-        return MlpClassifier.train(z, y, seeds)
-    return [_fit(kind, *replica) for replica in zip(z, y, seeds)]
+                         f"and {len(z)} seeds, got {y.shape} and "
+                         f"{'a scalar seed' if seeds is None else len(seeds)}")
+    if z.shape[1] == 0:
+        raise ConfigError("empty feature list")
+    if len({np.unique(labels).size for labels in y}) != 1:
+        raise ValueError("the replicas of an mlp stack must hold one number of classes, got "
+                         f"{[np.unique(labels).size for labels in y]}")
+    return MlpClassifier.train(z, y, seeds)
 
 
 def _fit(kind: str, z: np.ndarray, y: np.ndarray, seed: int) -> _Fitted:

@@ -3,16 +3,16 @@
 The loso, table3 and datasize runners hand `_run_grid` their rows and get each
 row's fold results back. Each (row, split plan) pair is a fold job. Fold jobs
 run in groups of consecutive jobs (`_groups`), inline or on a process pool of
-at most one worker per group; within a group, each classifier kind fits the
-folds that share a code shape as one stack, so the MLP classifiers of up to 8
-folds train as one stack of networks. Job seeds derive from the master seed,
-the row index and the held-out subject, every replica of a stack equals its
-solo fit, and outputs are written in job order, so the tree is byte-identical
-for any worker count. A fold whose extractor or classifier fails (any
-exception but a ConfigError, an overflow in a classifier included) is recorded
-as failed and the run continues; the caller decides the exit status from the
-failure count. The sweep runs no fold jobs: each of its two stages trains as
-one stack of networks in this process.
+at most one worker per group; within a group, the MLP classifiers of the folds
+that share a code shape train as one stack of networks, and every other kind
+fits fold by fold. Job seeds derive from the master seed, the row index and the
+held-out subject, every replica of a stack equals its solo fit, and outputs are
+written in job order, so the tree is byte-identical for any worker count. A
+fold whose extractor or classifier fails (any exception but a ConfigError, an
+overflow in a classifier included) is recorded as failed and the run continues;
+the caller decides the exit status from the failure count. The sweep runs no
+fold jobs: each of its two stages trains as one stack of networks in this
+process.
 """
 
 from __future__ import annotations
@@ -261,14 +261,13 @@ def _run_fold(dataset: Dataset, group: list[_FoldJob]
 
     A failed extractor stage fails every row of its fold, a failed classifier its own
     row; any Exception but a ConfigError counts (KeyboardInterrupt and SystemExit are
-    not Exceptions, so they end the run). Folds whose codes share (rows, width, class
-    count) and whose jobs share kinds fit each kind as one stack, in one
-    classifiers.fit call. If that call raises, the stack's folds refit one by one, so
-    each row records its solo outcome.
+    not Exceptions, so they end the run). The MLP classifiers of folds whose codes
+    share (rows, width, class count) fit as one stack, in one classifiers.fit call; if
+    that call raises, its folds refit one by one, so each row records its solo
+    outcome. Every other kind fits fold by fold.
     """
     nan = float("nan")
-    rows: list[list] = []
-    folds, logs, stacks = [], [], {}
+    rows, folds, logs, stacks = [], [], [], {}
     for i, job in enumerate(group):
         try:
             codes, log = _encode_fold(dataset, job)
@@ -278,27 +277,28 @@ def _run_fold(dataset: Dataset, group: list[_FoldJob]
             codes, log = None, None
             rows.append([_row(job, kind, nan, nan, nan, err) for kind in job.kinds])
         else:
-            rows.append([None] * len(job.kinds))
-            key = (*codes[0].shape, np.unique(codes[1]).size, job.kinds)
-            stacks.setdefault(key, []).append(i)
+            rows.append(None)
+            if "mlp" in job.kinds:
+                stacks.setdefault((*codes[0].shape, np.unique(codes[1]).size), []).append(i)
         folds.append(codes)
         logs.append(log)
+    mlps = {}
     for members in stacks.values():
-        z = np.stack([folds[i][0] for i in members])
-        y = np.stack([folds[i][1] for i in members])
-        for ci, kind in enumerate(group[members[0]].kinds):
-            fitted = [None] * len(members)
-            if len(members) > 1:  # a lone fold fits alone, in _classify
-                try:
-                    with np.errstate(over="raise", invalid="raise"):
-                        fitted = classifiers.fit(kind, z, y,
-                                                 [group[i].clf_seeds[ci] for i in members])
-                except ConfigError:
-                    raise
-                except Exception:  # the folds refit one by one, in _classify
-                    pass
-            for i, clf in zip(members, fitted):
-                rows[i][ci] = _classify(group[i], ci, folds[i], clf)
+        if len(members) > 1:  # a lone fold fits alone, in _classify
+            seeds = [group[i].clf_seeds[group[i].kinds.index("mlp")] for i in members]
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    mlps.update(zip(members, classifiers.fit(
+                        "mlp", np.stack([folds[i][0] for i in members]),
+                        np.stack([folds[i][1] for i in members]), seeds)))
+            except ConfigError:
+                raise
+            except Exception:  # the folds refit one by one, in _classify
+                pass
+    for i, job in enumerate(group):
+        if rows[i] is None:
+            rows[i] = [_classify(job, ci, folds[i], mlps.get(i) if kind == "mlp" else None)
+                       for ci, kind in enumerate(job.kinds)]
     return list(zip(rows, logs))
 
 

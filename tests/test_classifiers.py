@@ -532,22 +532,25 @@ def test_mlp_stack_replicas_equal_solo_fits_bitwise(monkeypatch, n_rows, n_class
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_every_kind_fits_a_stack_as_its_solo_fits(kind):
-    # the second replica holds three classes, the others two, so no kind can stack
-    # them: each replica fits alone and equals fit(kind, z[r], y[r], seed[r])
+def test_fit_takes_only_well_formed_mlp_stacks(kind):
+    # only the MLP stacks; its stack takes (R, n) labels of one class count and R seeds,
+    # a one-replica stack included
     rng = make_rng(31, 98)
     z = rng.standard_normal((3, 30, 4))
-    y = np.stack([np.arange(30) % 2, np.arange(30) % 3, 5 * (np.arange(30) % 2)])
-    got = fit(kind, z, y, [4, 5, 6])
-    for r, clf in enumerate(got):
-        want = fit(kind, z[r], y[r], seed=4 + r)
-        for a, b in zip(_fitted_arrays(clf), _fitted_arrays(want), strict=True):
-            assert a.tobytes() == b.tobytes()
+    y = np.stack([np.arange(30) % 2, 3 + np.arange(30) % 2, 5 * (np.arange(30) % 2)])
+    if kind != "mlp":
+        with pytest.raises(ValueError, match=f"^only mlp fits a stack of features, not {kind}"):
+            fit(kind, z, y, [4, 5, 6])
+        return
     for labels, seeds in ((y[:, :29], [4, 5, 6]), (y[:2], [4, 5, 6]), (y, [4, 5]), (y, 4)):
         with pytest.raises(ValueError, match="^a stack of features"):
             fit(kind, z, labels, seeds)
+    with pytest.raises(ValueError, match="and 1 seeds, got .* and a scalar seed$"):
+        fit(kind, z[:1], y[:1], 4)
     with pytest.raises(ConfigError, match="empty feature list"):
         fit(kind, z[:, :0], y[:, :0], [4, 5, 6])
+    with pytest.raises(ValueError, match=r"one number of classes, got \[2, 3, 2\]$"):
+        fit(kind, z, np.stack([y[0], np.arange(30) % 3, y[2]]), [4, 5, 6])
 
 
 # -- shared behavior ------------------------------------------------------------------

@@ -226,8 +226,8 @@ def test_classifier_failure_fails_only_its_row(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("kinds", [["lda", "tree"], ["tree", "mlp"]],
                          ids=["one-job-groups", "stacked-group"])
 def test_memory_error_in_one_tree_fit_fails_only_its_row(tmp_path, monkeypatch, capfd, kinds):
-    # the MemoryError hits the tree fit on the second fold's training codes, wherever
-    # that fit runs: alone, or in the stacked call of a group and then its refit
+    # the MemoryError hits the tree fit on the second fold's training codes, in a run of
+    # one-job groups and in one group of six whose MLP classifiers fit as one stack
     real_train, seen = classifiers.TreeClassifier.train, []
 
     def record(cls, z, y, **kw):

@@ -235,6 +235,33 @@ def test_overflowing_mlp_fit_in_a_stack_fails_only_its_fold(monkeypatch):
                for r in results)
 
 
+def test_healthy_group_fits_its_mlps_in_one_stacked_call(monkeypatch):
+    # four healthy folds share one code shape and a fifth has one more row: the four
+    # MLPs fit in one call on a (4, n, d) stack with no 2-D refit, the fifth fits alone,
+    # lda fits fold by fold, and every row equals the row its fold records alone
+    import dacae.experiments as experiments
+    rng = make_rng(8, 12)
+    rows = [40, 40, 40, 40, 41]
+    codes = {subject: (rng.standard_normal((n, 3)), np.arange(n) % 2,
+                       rng.standard_normal((10, 3)), np.arange(10) % 2, 0.5, 0.25)
+             for subject, n in enumerate(rows)}
+    monkeypatch.setattr(experiments, "_encode_fold",
+                        lambda dataset, job: (codes[job.plan.test_subject], None))
+    empty = np.arange(0)
+    jobs = [_FoldJob("AE", ExperimentConfig().hyper("AE", 0),
+                     SplitPlan(subject, empty, empty, empty), ("lda", "mlp"), (0, 11 + subject))
+            for subject in range(5)]
+    real_fit, calls = experiments.classifiers.fit, []
+    monkeypatch.setattr(experiments.classifiers, "fit", lambda kind, z, *args, **kwargs: (
+        calls.append((kind, z.shape)) or real_fit(kind, z, *args, **kwargs)))
+    group = experiments._run_fold(None, jobs)
+    assert calls == [("mlp", (4, 40, 3))] + [("lda", (40, 3))] * 4 + [("lda", (41, 3)),
+                                                                      ("mlp", (41, 3))]
+    alone = [out for job in jobs for out in experiments._run_fold(None, [job])]
+    assert [str(results) for results, _ in group] == [str(results) for results, _ in alone]
+    assert all(r.status == "done" for results, _ in group for r in results)
+
+
 def test_run_loso_rerun_byte_identical(tmp_path):
     cfg1 = tiny_config(tmp_path / "a", seed=3)
     cfg2 = tiny_config(tmp_path / "b", seed=3)
