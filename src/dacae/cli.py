@@ -26,24 +26,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, help="worker processes (default 1)")
     parser.add_argument("--out", help="output directory (default ./out)")
     parser.add_argument("--dataset", help="interchange CSV path (default: synthetic data)")
-    parser.add_argument("--variant", action="append", metavar="NAME",
+    parser.add_argument("--variant", action="append", dest="variants", metavar="NAME",
                         help=f"model variant, repeatable; one of {', '.join(VARIANTS)}")
-    parser.add_argument("--classifier", action="append", metavar="KIND",
+    parser.add_argument("--classifier", action="append", dest="classifiers", metavar="KIND",
                         help="task classifier kind, repeatable")
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for flag, key in (("seed", "seed"), ("jobs", "jobs"), ("out", "out"),
-                      ("dataset", "dataset")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "variant", None):
-        overrides["variants"] = tuple(args.variant)
-    if getattr(args, "classifier", None):
-        overrides["classifiers"] = tuple(args.classifier)
+    names = ("seed", "jobs", "out", "dataset", "variants", "classifiers")
+    overrides = {name: value for name in names if (value := getattr(args, name)) is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 

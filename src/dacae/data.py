@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import ConfigError, _ids, make_rng
+from .nn import ConfigError, _check_fields, _ids, make_rng
 
 RELAX_LABEL = 0
 CSV_HEADER = ["subject", "trial", "label", "t"]
@@ -204,16 +204,20 @@ def normalize(dataset: Dataset, train_ids: np.ndarray) -> Dataset:
     """Z-score every sample with per-channel statistics of the training rows only.
 
     Channels that are constant on the training rows are centered but not
-    scaled (std is kept at 1) to avoid dividing by zero.
+    scaled (std is kept at 1) to avoid dividing by zero. A statistic or a z-score
+    that overflows raises ValueError, with no numpy warning.
     """
     train_ids = _row_ids(train_ids, len(dataset))
     if train_ids.size == 0:
         raise ConfigError("empty training set for normalization")
-    mean = dataset.x[train_ids].mean(axis=0)
-    std = dataset.x[train_ids].std(axis=0)
-    std = np.where(std > 1e-12, std, 1.0)
-    return Dataset((dataset.x - mean) / std, dataset.y, dataset.s, dataset.trial,
-                   dataset.t, dataset.n_subjects, normalization=(mean, std))
+    rows = dataset.x[train_ids]
+    with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects non-finite z-scores
+        mean, std = rows.mean(axis=0), rows.std(axis=0)
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("non-finite channel values")
+        std = np.where(std > 1e-12, std, 1.0)
+        return Dataset((dataset.x - mean) / std, dataset.y, dataset.s, dataset.trial,
+                       dataset.t, dataset.n_subjects, normalization=(mean, std))
 
 
 # -- splits --------------------------------------------------------------------
@@ -319,6 +323,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self, "synthetic")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("signal strengths must be >= 0")
         if self.sigma < 0:

@@ -26,8 +26,6 @@ from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from . import classifiers
 from .data import (Dataset, SplitPlan, SyntheticSpec, generate_synthetic, holdout_split,
                    load_csv, loso_splits, normalize, subsample_trials, write_csv)
 from .model import VARIANTS, HyperConfig, encode
-from .nn import ConfigError, SgdConfig, job_seed
+from .nn import ConfigError, SgdConfig, _check_fields, _type_hints, job_seed
 from .training import (LAMBDA_A_GRID, LAMBDA_N_GRID, SweepResult, TrainLog,
                        fit_feature_extractor, probe_accuracies, two_stage_sweep)
 
@@ -60,34 +58,17 @@ TABLE3_ROWS: tuple[tuple[str, float, float], ...] = (
 )
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation; a nested dataclass checks its own object."""
-    if isinstance(hint, UnionType):
-        return any(_has_type(value, arm) for arm in get_args(hint))
-    if get_origin(hint) is tuple:  # tuple[X, ...] arrives as a JSON array
-        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
-    if is_dataclass(hint):
-        return True
-    if hint is float:  # finite only: JSON's NaN and Infinity literals and 1e999 parse too
-        return isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and abs(value) <= sys.float_info.max
-    return isinstance(value, hint) and not isinstance(value, bool)  # no field is a bool
-
-
 def _from_object(cls, raw, what: str):
-    """Build the dataclass cls from a JSON object, rejecting keys that are not its fields
-    and values that do not fit their field types."""
+    """Build the config dataclass cls, which checks every value, from a JSON object; reject
+    keys that are not its fields, and build a field's config dataclass from its object."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    hints = _type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise ConfigError(f"unknown {what} keys {unknown}")
-    for name, hint in get_type_hints(cls).items():
-        if name in raw and not _has_type(raw[name], hint):
-            expected = (hint.__name__ if type(hint) is type else str(hint)).replace(
-                "float", "finite float")
-            raise ConfigError(f"{what} field {name!r} must be {expected}, got {raw[name]!r}")
-    return cls(**raw)
+    return cls(**{name: _from_object(hints[name], value, name) if is_dataclass(hints[name])
+                  else value for name, value in raw.items()})
 
 
 @dataclass
@@ -115,8 +96,11 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.synthetic, SyntheticSpec):
-            self.synthetic = _from_object(SyntheticSpec, self.synthetic, "synthetic")
+        _check_fields(self, "config")
+        if self.dataset == "":
+            raise ConfigError("dataset must not be empty; leave it out for synthetic data")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"validation fraction must be in (0, 1), got {self.val_fraction}")
         self.variants = tuple(self.variants)
         self.classifiers = tuple(classifiers.canonical_kind(k) for k in self.classifiers)
         self.sweep_classifier = classifiers.canonical_kind(self.sweep_classifier)
@@ -152,7 +136,7 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except FileNotFoundError as err:
             raise ConfigError(f"config file {path} does not exist") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON, bad UTF-8, or an int too long to parse
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
         return cls.from_dict(raw)
 
@@ -166,7 +150,7 @@ class ExperimentConfig:
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
-    if config.dataset:
+    if config.dataset is not None:
         path = Path(config.dataset)
         if not path.exists():
             raise ConfigError(f"dataset path {path} does not exist")
@@ -190,7 +174,7 @@ class FoldResult:
 
 
 FOLD_HEADER = tuple(f.name for f in fields(FoldResult))
-_FOLD_TYPES = get_type_hints(FoldResult)  # every field is int, float or str
+_FOLD_TYPES = _type_hints(FoldResult)  # every field is int, float or str
 
 
 @dataclass

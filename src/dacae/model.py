@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _check_numbers, _ids, _one_hot,
+from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _check_fields, _ids, _one_hot,
                  build_mlp, make_rng, mse_loss, softmax_cross_entropy)
 
 VARIANTS = ("AE", "cAE", "A-cAE", "D-cAE", "DA-cAE")
@@ -38,8 +38,8 @@ class HyperConfig:
     (AE additionally drops decoder conditioning), A-cAE zeroes the nuisance
     weight, D-cAE zeroes the adversary weight. r_n=None takes the variant's
     default nuisance ratio: 1/3 for D-cAE and DA-cAE, 0 for the others.
-    latent_dim must be an int and the loss weights and r_n numbers (a bool is
-    neither); any other value raises ConfigError, as SgdConfig's fields do.
+    Every field must fit its type hint (nn._check_fields); any other value raises
+    ConfigError, as SgdConfig's fields do.
     """
 
     lambda_a: float = 0.0
@@ -50,17 +50,15 @@ class HyperConfig:
     sgd: SgdConfig = field(default_factory=SgdConfig)
 
     def __post_init__(self) -> None:
+        _check_fields(self, "hyper")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.r_n is None:
             # the split each variant was evaluated with (no split for the
             # unregularized and adversary-only models)
             self.r_n = 1.0 / 3.0 if self.variant in ("D-cAE", "DA-cAE") else 0.0
-        _check_numbers(self, ints=("latent_dim",), floats=("lambda_a", "lambda_n", "r_n"))
-        if not isinstance(self.sgd, SgdConfig):
-            raise ConfigError(f"sgd must be an SgdConfig, got {self.sgd!r}")
-        if not (0 <= self.lambda_a < math.inf and 0 <= self.lambda_n < math.inf):
-            raise ConfigError("lambda_a and lambda_n must be finite and >= 0")
+        if self.lambda_a < 0 or self.lambda_n < 0:
+            raise ConfigError("lambda_a and lambda_n must be >= 0")
         if not 0.0 <= self.r_n < 1.0:
             raise ConfigError(f"r_n must be in [0, 1), got {self.r_n}")
         if self.latent_dim < 1:

@@ -39,9 +39,12 @@ a column chain would not, and at 20 classes the chain is slower.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
+from functools import cache
 from operator import is_
-from typing import Callable, Iterator, Sequence
+from types import UnionType
+from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,6 +55,33 @@ class TrainingDiverged(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid configuration (bad hyperparameters, degenerate datasets, ...)."""
+
+
+_type_hints = cache(get_type_hints)  # uncached, it evaluates every annotation string anew
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value fits a config field's type hint: an int (numbers.Integral), a finite
+    real, a str, X | None, tuple[X, ...] as a list or a tuple, or a config dataclass."""
+    if isinstance(hint, UnionType):
+        return any(_fits(value, arm) for arm in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):  # no field is a bool
+        return False
+    if hint is float:  # finite only: JSON's NaN and Infinity literals and 1e999 parse too
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Integral if hint is int else hint)
+
+
+def _check_fields(config, what: str) -> None:
+    """Raise ConfigError naming the first field of a config dataclass whose value does not
+    fit its type hint; what names the config in the message."""
+    for name, hint in _type_hints(type(config)).items():
+        if not _fits(value := getattr(config, name), hint):
+            expected = (hint.__name__ if type(hint) is type else str(hint)).replace(
+                "float", "finite float")
+            raise ConfigError(f"{what} field {name!r} must be {expected}, got {value!r}")
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -66,17 +96,6 @@ def job_seed(master_seed: int, *job_index: int) -> int:
     return int(state[0]) & (2**63 - 1)
 
 
-def _check_numbers(config, ints: Sequence[str], floats: Sequence[str]) -> None:
-    """Raise ConfigError unless each field named in ints holds an int and each in floats
-    a real number; a bool is neither, and an int is a real number."""
-    for names, kind, what in ((ints, numbers.Integral, "an int"),
-                              (floats, numbers.Real, "a number")):
-        for name in names:
-            value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass
 class SgdConfig:
     learning_rate: float = 0.01
@@ -85,9 +104,9 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_numbers(self, ints=("batch_size", "epochs", "seed"), floats=("learning_rate",))
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        _check_fields(self, "sgd")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:

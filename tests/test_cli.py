@@ -127,6 +127,17 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [b'{"epochs": 1' + b"0" * 5000 + b"}", b'{"out": "\xff"}'],
+                         ids=["huge-int", "not-utf8"])
+def test_unparsable_config_file_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["loso", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config file {path} is not valid JSON: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     ("loso", {"variants": ["AE", "AE"]}, "duplicate variants in ('AE', 'AE')"),
     ("loso", {"classifiers": ["lda", "linear-discriminant"]},
@@ -151,18 +162,28 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     ("loso", {"lambda_n": float("inf")}, "config field 'lambda_n' must be finite float, got inf"),
     ("loso", {"synthetic": {"sigma": float("nan")}},
      "synthetic field 'sigma' must be finite float, got nan"),
+    ("loso", {"dataset": ""}, "dataset must not be empty"),
 ], ids=["repeated-variant", "repeated-classifier-alias", "repeated-fraction",
         "unknown-synthetic-key", "synthetic-not-object", "string-epochs",
         "string-synthetic-int", "bool-epochs", "repeated-sweep-lambda-n",
         "repeated-sweep-lambda-a", "empty-variants", "empty-classifiers",
         "empty-sweep-lambda-n", "empty-sweep-lambda-a", "sweep-zero-latent-dim",
-        "train-two-variants", "nan-lambda-a", "infinite-lambda-n", "nan-synthetic-sigma"])
+        "train-two-variants", "nan-lambda-a", "infinite-lambda-n", "nan-synthetic-sigma",
+        "empty-dataset"])
 def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "configuration error:" in err and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_dataset_flag_exit_code(tmp_path, capsys):
+    # an empty path is an error, not a request for synthetic data
+    cfg = write_config(tmp_path)
+    assert main(["loso", "--config", str(cfg), "--dataset", ""]) == 1
+    assert "configuration error: dataset must not be empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

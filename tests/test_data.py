@@ -256,6 +256,18 @@ def test_normalize_constant_channel_centered_not_scaled():
     assert np.allclose(out.x, 0.0)
 
 
+@pytest.mark.filterwarnings("error")  # and no numpy RuntimeWarning on the way
+@pytest.mark.parametrize("column, train", [
+    ([1.7e308, -1.7e308, 1.0, 2.0], [0, 1, 2, 3]),  # finite mean, overflowing std
+    ([1.7e308, 1.7e308, 1.0, 2.0], [0, 1, 2, 3]),  # overflowing mean
+    ([0.0, 1e-11, 1.0, 1e308], [0, 1]),  # finite statistics, overflowing z-score
+], ids=["std", "mean", "z-score"])
+def test_normalize_overflow_raises(column, train):
+    ds = Dataset(np.array(column)[:, None], [0] * 4, [0] * 4, [0, 1, 2, 3], [0.0] * 4, 1)
+    with pytest.raises(ValueError, match="^non-finite channel values$"):
+        normalize(ds, np.array(train))
+
+
 def test_normalize_empty_train_raises():
     with pytest.raises(ConfigError):
         normalize(_toy_dataset(), np.array([], dtype=np.intp))

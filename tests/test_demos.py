@@ -1,12 +1,16 @@
 """Imports: demo scripts and README examples import only names that the package
-defines, and each package module references every name it imports."""
+defines, and each package module references every name it imports. The README's
+JSON config example is a valid config."""
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from dacae import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,13 +22,20 @@ def test_demos_found():
     assert DEMOS
 
 
-def _readme_blocks():
+def _readme_blocks(language="python"):
     text = README.read_text(encoding="utf-8")
-    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    return re.findall(rf"^```{language}\n(.*?)^```", text, flags=re.M | re.S)
 
 
 def test_readme_python_blocks_found():
     assert _readme_blocks()
+
+
+def test_readme_json_config_is_valid():
+    blocks = _readme_blocks("json")
+    assert blocks
+    for block in blocks:
+        ExperimentConfig.from_dict(json.loads(block))
 
 
 def _sources():

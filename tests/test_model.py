@@ -15,6 +15,7 @@ from dacae import (
     DacaeParams,
     HyperConfig,
     SgdConfig,
+    SyntheticSpec,
     VARIANTS,
     ExperimentConfig,
     build_mlp,
@@ -81,22 +82,36 @@ def test_config_validation():
         HyperConfig(latent_dim=0)
 
 
+# the name that each config's type errors give it
+LABELS = {SgdConfig: "sgd", HyperConfig: "hyper", SyntheticSpec: "synthetic",
+          ExperimentConfig: "config"}
+
+
 @pytest.mark.parametrize("cls, field", [
     (SgdConfig, "batch_size"), (SgdConfig, "epochs"), (SgdConfig, "seed"),
-    (HyperConfig, "latent_dim")])
+    (HyperConfig, "latent_dim"),
+    *((SyntheticSpec, f) for f in ("n_subjects", "n_classes", "n_channels", "samples_per_cell",
+                                   "trials_per_cell", "seed")),
+    *((ExperimentConfig, f) for f in ("latent_dim", "batch_size", "epochs", "seed", "jobs"))])
 @pytest.mark.parametrize("bad", [True, "4", None, 2.5, np.float64(4.0)],
                          ids=["bool", "str", "none", "fraction", "np-float"])
 def test_int_config_fields_reject_other_types(cls, field, bad):
-    with pytest.raises(ConfigError, match=f"^{field} must be an int, got "):
+    with pytest.raises(ConfigError, match=f"^{LABELS[cls]} field '{field}' must be int, got "):
         cls(**{field: bad})
 
 
 @pytest.mark.parametrize("cls, field", [
     (SgdConfig, "learning_rate"), (HyperConfig, "lambda_a"), (HyperConfig, "lambda_n"),
-    (HyperConfig, "r_n")])
-@pytest.mark.parametrize("bad", [True, "0.1", [0.1]], ids=["bool", "str", "list"])
+    (HyperConfig, "r_n"),
+    *((SyntheticSpec, f) for f in ("alpha", "beta", "sigma")),
+    *((ExperimentConfig, f) for f in ("lambda_a", "lambda_n", "r_n", "learning_rate",
+                                      "val_fraction"))])
+@pytest.mark.parametrize("bad", [True, "0.1", [0.1], float("nan"), float("inf"), -float("inf"),
+                                 10**400],
+                         ids=["bool", "str", "list", "nan", "inf", "-inf", "huge-int"])
 def test_float_config_fields_reject_other_types(cls, field, bad):
-    with pytest.raises(ConfigError, match=f"^{field} must be a number, got "):
+    message = rf"^{LABELS[cls]} field '{field}' must be finite float( \| None)?, got "
+    with pytest.raises(ConfigError, match=message):
         cls(**{field: bad})
 
 
@@ -106,7 +121,7 @@ def test_config_numeric_fields_take_ints_and_numpy_scalars():
     config = HyperConfig(lambda_a=1, lambda_n=np.float64(0.5), r_n=0, latent_dim=np.int64(6),
                          sgd=sgd)
     assert (config.lambda_a, config.lambda_n, config.r_n, config.latent_dim) == (1, 0.5, 0, 6)
-    with pytest.raises(ConfigError, match="^sgd must be an SgdConfig, got "):
+    with pytest.raises(ConfigError, match="^hyper field 'sgd' must be SgdConfig, got "):
         HyperConfig(sgd={"epochs": 2})
 
 

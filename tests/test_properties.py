@@ -4,7 +4,9 @@ and the library's entry points take any id array without a crash or a silent cas
 Each CLI case runs `dacae loso` in-process on a mutated copy of a small valid input
 and checks for exit code 1, a `configuration error:` line on stderr, no
 traceback and no output tree. Every mutation makes the input invalid, and
-none asks for more workers, epochs or rows than the valid input.
+none asks for more workers, epochs or rows than the valid input. The config
+mutations but an unknown key also go to the Python constructors, where each
+raises ConfigError.
 
 Each library case hands one entry point a valid input with one id array (labels,
 subjects, trials, rows or targets) given an edge value or an edge shape; see
@@ -21,12 +23,13 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dacae import (KINDS, Dataset, RawTrial, SyntheticSpec, accuracy, fit, generate_synthetic,
-                   holdout_split, ingest, load_csv, loso_splits, normalize, save_csv,
-                   softmax_cross_entropy, subsample_trials)
+from dacae import (KINDS, ConfigError, Dataset, ExperimentConfig, RawTrial, SyntheticSpec,
+                   accuracy, fit, generate_synthetic, holdout_split, ingest, load_csv,
+                   loso_splits, normalize, save_csv, softmax_cross_entropy, subsample_trials)
 from dacae.cli import main
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -121,15 +124,18 @@ WRONG_TYPE = {
 }
 
 
+MUTATIONS = ("type", "non-finite", "unknown-key", "list", "range")
+
+
 @st.composite
-def bad_configs(draw):
+def bad_configs(draw, mutations=MUTATIONS):
     config = json.loads(json.dumps(CONFIG))
     nested = draw(st.booleans())
     target, table = (config["synthetic"], SYNTH) if nested else (config, TOP)
     name = draw(st.sampled_from(sorted(table)))
     kind, out_of_range = table[name]
     lists = [k for k in TOP if TOP[k][0] == "list"]
-    mutation = draw(st.sampled_from(["type", "non-finite", "unknown-key", "list", "range"]))
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "unknown-key":
         key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in table))
         target[key] = draw(st.integers(0, 3))
@@ -159,6 +165,21 @@ def bad_configs(draw):
 @example(_dump({**CONFIG, "fractions": [0.5, BIG]}))
 def test_mutated_config_exits_1(config_text):
     _run(config_text)
+
+
+@SETTINGS
+@given(bad_configs(mutations=[m for m in MUTATIONS if m != "unknown-key"]))
+@example(_dump({**CONFIG, "sweep_lambda_a": [0.0, -0.5]}))
+@example(_dump({**CONFIG, "synthetic": {**SYNTHETIC, "seed": -1}}))
+@example(_dump({**CONFIG, "fractions": [0.5, BIG]}))
+def test_mutated_config_fails_its_constructor(config_text):
+    # the same mutations handed to the Python constructors, a synthetic object as a
+    # SyntheticSpec; an unknown keyword is Python's own TypeError, so that one is left out
+    raw = json.loads(config_text)
+    with pytest.raises(ConfigError):
+        if isinstance(raw["synthetic"], dict):
+            raw["synthetic"] = SyntheticSpec(**raw["synthetic"])
+        ExperimentConfig(**raw)
 
 
 # -- interchange CSVs -------------------------------------------------------------------
