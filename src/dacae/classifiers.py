@@ -92,8 +92,8 @@ class MlpClassifier(_Fitted):
     shuffles, from its own stream, make_rng(seed, 400), and gathers its own rows and
     one-hot targets, so it equals its solo fit bit for bit. R > 1 replicas train as
     one network stack, with (R, out, in) weights and one ce_step per batch for all of
-    them, and come back as 2-D networks over views of the stack; a lone fit trains its
-    2-D network.
+    them, and come back as 2-D networks with copies of their rows of the stack; a lone
+    fit trains its 2-D network.
     """
 
     kind = "mlp"

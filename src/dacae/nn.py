@@ -1,22 +1,23 @@
 """Minimal dense-network engine: ReLU networks, losses, SGD, grad checking.
 
-Everything is float64 numpy on (n, features) batches. A network is its weight and
-bias arrays, with ReLU after every layer but the last. The arithmetic is written
-once, as kernels on the bare arrays: _forward, _ce_in_place and _backward, which
-reads each hidden ReLU's mask off the next layer's input, and _input_grad, its
-chain to the input alone. Mlp.forward, Mlp.backward and softmax_cross_entropy
-check their input and call one kernel; ce_step, the update of the heads and the
-MLP classifier, chains three, and skips the loss if given no targets. A central
-finite-difference checker is the independent oracle for the gradients.
+Everything is float64 numpy on (n, features) batches. A network is one flat
+parameter buffer, whose views are its weight and bias arrays, with ReLU after every
+layer but the last. The arithmetic is written once, as kernels on the bare arrays:
+_forward, _ce_in_place and _backward, which reads each hidden ReLU's mask off the
+next layer's input, and _input_grad, its chain to the input alone. Mlp.forward,
+Mlp.backward and softmax_cross_entropy check their input and call one kernel;
+ce_step, the update of the heads and the MLP classifier, chains three, and skips
+the loss if given no targets. A central finite-difference checker is the
+independent oracle for the gradients.
 
 ce_step runs at batch 32-64, where per-call allocations and reshapes cost more
-than the arithmetic. So every Mlp keeps a private step cache (_step_cache): the
-views _forward reads, one flat gradient buffer with each layer's gradients as
-views of it, and the update's (parameter, step) pairs, rebuilt whenever
-net.weights + net.biases stop holding the same array objects. _ce_in_place
-subtracts the targets' one-hot rows, which its callers build once per pass or
-batch: x - 0.0 is x for every float, so the bits are those of subtracting 1.0 at
-each target alone.
+than the arithmetic. So every Mlp holds its parameters in one flat buffer, params,
+with each layer's weight and bias as views of it, and builds its step state once:
+the views _forward reads, a flat gradient buffer of params' layout with each layer's
+gradients as views of it, and a mask buffer for the finite check. An update scales
+the whole gradient buffer and subtracts it from params. _ce_in_place subtracts the
+targets' one-hot rows, which its callers build once per pass or batch: x - 0.0 is x
+for every float, so the bits are those of subtracting 1.0 at each target alone.
 
 A network's arrays may carry a leading replica axis: R networks of one shape,
 with (R, out, in) weights and (R, out) biases, run as one stack. Every primitive
@@ -42,7 +43,6 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache
-from operator import is_
 from types import UnionType
 from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -81,7 +81,17 @@ def _check_fields(config, what: str) -> None:
         if not _fits(value := getattr(config, name), hint):
             expected = (hint.__name__ if type(hint) is type else str(hint)).replace(
                 "float", "finite float")
-            raise ConfigError(f"{what} field {name!r} must be {expected}, got {value!r}")
+            raise ConfigError(f"{what} field {name!r} must be {expected}, got {_show(value)}")
+
+
+def _show(value, form: Callable[[object], str] = repr) -> str:
+    """form(value) for an error message; past Python's 4300-digit limit on int to str,
+    an int by its bit length, and anything that holds one as too long to print."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits" if isinstance(value, int) \
+            else "<too long to print>"
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -127,7 +137,11 @@ class Mlp:
     """Dense layers a @ weights[k].T + biases[k], with ReLU after every layer but the last.
 
     Weights are (out, in) and biases (out,), or (R, out, in) and (R, out) for a
-    stack of R replicas (see the module docstring).
+    stack of R replicas (see the module docstring). The network copies them into
+    params, one flat buffer per replica in _grad_buffer's layout; weights and biases
+    are read-only tuples of views into it, fixed for the network's life, so a caller
+    writes into a layer but never replaces one. A copy or a pickle of a network has
+    a buffer of its own.
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
@@ -144,22 +158,25 @@ class Mlp:
             if k and weights[k - 1].shape[-2] != w.shape[-1]:
                 raise ValueError(
                     f"layer dims mismatch: {weights[k - 1].shape[-2]} -> {w.shape[-1]}")
-        self.weights = weights
-        self.biases = biases
+        self.params, w_views, b_views = _grad_buffer(weights)
+        for view, array in zip(w_views + b_views, weights + biases):
+            view[...] = array
+        self._weights, self._biases = tuple(w_views), tuple(b_views)
         self._cache: list[np.ndarray] | None = None  # each layer's input
-        self._steps: _StepCache | None = None  # see _step_cache
+        # the step state: what _forward reads (each weight transposed, (in, out), and each
+        # bias as a row), the gradient buffer with its layer views, the finite mask
+        self._w_t = [w.swapaxes(-1, -2) for w in w_views]
+        self._b_rows = [b[..., None, :] for b in b_views]
+        self._grads, self._w_grads, self._b_grads = _grad_buffer(weights)
+        self._finite = np.empty(self.params.shape, dtype=bool)
 
-    def __getstate__(self) -> dict:
-        # a copy's views would no longer view its own arrays: the copy builds its own
-        return {**self.__dict__, "_steps": None}
+    def __reduce__(self):
+        return Mlp, (self.weights, self.biases)
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[-1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[-2]
+    weights = property(lambda self: self._weights, doc="Each layer's weight, a view of params.")
+    biases = property(lambda self: self._biases, doc="Each layer's bias, a view of params.")
+    in_dim = property(lambda self: self._weights[0].shape[-1])
+    out_dim = property(lambda self: self._weights[-1].shape[-2])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network on a batch x of shape (n, in), or (R, n, in) for a stack;
@@ -167,7 +184,7 @@ class Mlp:
         a = np.asarray(x, dtype=np.float64)
         if not 2 <= a.ndim <= self.weights[0].ndim or a.shape[-1] != self.in_dim:
             raise ValueError(f"input shape {a.shape} is not (n, {self.in_dim})")
-        self._cache, out = _forward(*_views(self.weights, self.biases), a)
+        self._cache, out = _forward(self._w_t, self._b_rows, a)
         return out
 
     def backward(self, upstream_grad: np.ndarray) -> MlpGrads:
@@ -184,23 +201,25 @@ class Mlp:
         g = _backward(self.weights, self._cache, g, w_grads, b_grads)
         return MlpGrads(w_grads, b_grads, g @ self.weights[0])
 
+    def _update(self, lr: float) -> None:
+        """params -= lr * the gradient in the network's gradient buffer; raises
+        TrainingDiverged, before any parameter changes, if a gradient is not finite."""
+        if np.count_nonzero(np.isfinite(self._grads, out=self._finite)) != self._grads.size:
+            raise TrainingDiverged("non-finite gradient in sgd_step")
+        np.multiply(self._grads, lr, out=self._grads)
+        np.subtract(self.params, self._grads, out=self.params)
 
-def _matmul(weights: list[np.ndarray]):
+
+def _matmul(weights: Sequence[np.ndarray]):
     """np.matmul for a stack; np.dot, which runs the same BLAS product on 2-D arrays
     with less per-call overhead, for a 2-D network, whose every operand is 2-D."""
     return np.dot if weights[0].ndim == 2 else np.matmul
 
 
-def _views(weights: list[np.ndarray], biases: list[np.ndarray]
-           ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """What _forward reads: each weight transposed, (in, out), and each bias as a row."""
-    return [w.swapaxes(-1, -2) for w in weights], [b[..., None, :] for b in biases]
-
-
 def _forward(w_t: list[np.ndarray], b_rows: list[np.ndarray], x: np.ndarray
              ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input and the network's output on x, given _views of its arrays;
-    x is left unchanged."""
+    """Each layer's input and the network's output on x, given its weights transposed,
+    (in, out), and its biases as rows; x is left unchanged."""
     last = len(w_t) - 1
     mm = _matmul(w_t)
     a, inputs = x, [x]
@@ -213,10 +232,11 @@ def _forward(w_t: list[np.ndarray], b_rows: list[np.ndarray], x: np.ndarray
     return inputs, a
 
 
-def _grad_buffer(weights: list[np.ndarray]
+def _grad_buffer(weights: Sequence[np.ndarray]
                  ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """One flat gradient vector per replica, last layer first, each layer's weight
-    gradient then its bias gradient, and those gradients as views of it."""
+    """One new flat vector per replica for the parameters, or the gradients, of a network
+    with these weights: last layer first, each layer's weight then its bias; and those
+    layers as views of it."""
     size = sum(w.shape[-2] * (w.shape[-1] + 1) for w in weights)
     flat = np.empty(weights[0].shape[:-2] + (size,))
     w_grads, b_grads = [None] * len(weights), [None] * len(weights)
@@ -231,7 +251,7 @@ def _grad_buffer(weights: list[np.ndarray]
     return flat, w_grads, b_grads
 
 
-def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray,
+def _backward(weights: Sequence[np.ndarray], inputs: list[np.ndarray], g: np.ndarray,
               w_grads: list[np.ndarray], b_grads: list[np.ndarray]) -> np.ndarray:
     """Given each layer's input and g, the loss's gradient at the output (left unchanged),
     writes each layer's weight and bias gradients into w_grads and b_grads (arrays of
@@ -247,42 +267,7 @@ def _backward(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
     return g
 
 
-class _StepCache:
-    """A network's arrays for its SGD steps, for net.weights + net.biases as they were
-    when it was built (params): the _views of them, a flat gradient buffer (one per
-    stack) from _grad_buffer with its layer views, a mask buffer of its shape, and
-    the (parameter, step) pairs of the update."""
-
-    def __init__(self, net: Mlp):
-        self.params = net.weights + net.biases
-        self.w_t, self.b_rows = _views(net.weights, net.biases)
-        self.flat, self.w_grads, self.b_grads = _grad_buffer(net.weights)
-        self.finite = np.empty(self.flat.shape, dtype=bool)
-        self.pairs = list(zip(self.params, self.w_grads + self.b_grads))
-
-    def update(self, lr: float) -> None:
-        """param -= lr * grad for every parameter, with the gradients in flat; raises
-        TrainingDiverged, before any parameter changes, if one is not finite."""
-        if np.count_nonzero(np.isfinite(self.flat, out=self.finite)) != self.flat.size:
-            raise TrainingDiverged("non-finite gradient in sgd_step")
-        np.multiply(self.flat, lr, out=self.flat)
-        for param, step in self.pairs:
-            np.subtract(param, step, out=param)
-
-
-def _step_cache(net: Mlp) -> _StepCache:
-    """net's step cache, rebuilt when net.weights + net.biases no longer holds the array
-    objects it was built for (by identity and count: an array replaced by another, or
-    a list replaced, even with equal values)."""
-    cache = net._steps
-    params = net.weights + net.biases
-    if cache is None or len(cache.params) != len(params) or not all(
-            map(is_, cache.params, params)):
-        cache = net._steps = _StepCache(net)
-    return cache
-
-
-def _input_grad(weights: list[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
+def _input_grad(weights: Sequence[np.ndarray], inputs: list[np.ndarray], g: np.ndarray
                 ) -> np.ndarray:
     """The loss's gradient at the network's input, given each layer's input and g, its
     gradient at the output: _backward's chain, with no weight or bias gradient."""
@@ -384,7 +369,7 @@ def _ids(values, name: str) -> np.ndarray:
                                       or a.max(initial=0) <= np.iinfo(np.intp).max)
     if not ok:
         raise ValueError(f"{name} must be whole numbers in the int64 range (floats below "
-                         f"2**53), got {a.dtype} values {a.ravel()[:4]}")
+                         f"2**53), got {a.dtype} values {_show(a.ravel()[:4], str)}")
     return a.astype(np.intp)
 
 
@@ -466,18 +451,15 @@ def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float | np.ndarray, np.n
 def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
     """In-place SGD update: param -= learning_rate * grad. Returns net.
 
-    Every gradient is checked before any parameter, of any replica, changes.
+    The gradients are copied into net's gradient buffer, and every one, of every
+    replica, is checked before any parameter changes.
     """
-    layers = list(zip(net.weights, net.biases, grads.weights, grads.biases))
-    for w, b, dw, db in layers:
-        if not (_all(np.isfinite(dw)) and _all(np.isfinite(db))):
-            raise TrainingDiverged("non-finite gradient in sgd_step")
-        if dw.shape != w.shape or db.shape != b.shape:
+    for buffer, grad in zip(net._w_grads + net._b_grads, grads.weights + grads.biases,
+                            strict=True):
+        if grad.shape != buffer.shape:
             raise ValueError("gradient shapes do not match network parameters")
-    lr = config.learning_rate
-    for w, b, dw, db in layers:
-        w -= lr * dw
-        b -= lr * db
+        buffer[...] = grad
+    net._update(config.learning_rate)
     return net
 
 
@@ -494,18 +476,17 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray | None, sgd: SgdConfig,
     pass or per batch and passes it. With targets None (onehot then required) the
     step has the same bits, but computes no loss and returns None.
 
-    The step runs on net's step cache (see _step_cache): its gradients go into the
-    cache's flat buffer, which is checked once, scaled and subtracted, so nothing
+    The step runs on net's own buffers: its gradients go into net's gradient
+    buffer, which is checked once, scaled and subtracted from net.params, so nothing
     of the network's size is allocated per step.
     """
     net._cache = None
-    cache = _step_cache(net)
-    inputs, logits = _forward(cache.w_t, cache.b_rows, x)
+    inputs, logits = _forward(net._w_t, net._b_rows, x)
     if onehot is None:
         onehot = _one_hot(targets, logits.shape[-1])
     loss = _ce_in_place(logits, targets, onehot)
-    _backward(net.weights, inputs, logits, cache.w_grads, cache.b_grads)
-    cache.update(sgd.learning_rate)
+    _backward(net.weights, inputs, logits, net._w_grads, net._b_grads)
+    net._update(sgd.learning_rate)
     return None if loss is None else _per_replica(loss)
 
 
@@ -543,6 +524,9 @@ def grad_check(net: Mlp, loss_fn: Callable[[Mlp], float], analytic: MlpGrads,
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
+    if net.weights[0].ndim != 2:  # a stack's layers are not contiguous: reshape would copy
+        raise ValueError(f"grad_check takes a 2-D network, not a stack with replica axis "
+                         f"{net.weights[0].shape[:-2]}")
     worst = 0.0
     worst_name = ""
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):

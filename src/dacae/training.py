@@ -10,9 +10,9 @@ same that train the MLP classifier; the head term runs them on the bare arrays
 (_forward, _ce_in_place, _input_grad), since it needs neither a forward cache nor
 the heads' weight gradients. The subject one-hot is built once per batch and
 serves the decoder's condition, both heads' steps and both head terms. The
-encoder's backward writes into its step cache's gradient buffer (see
-dacae.nn._step_cache), with no input gradient; the decoder keeps Mlp.backward
-and sgd_step, since its input gradient is the encoder's upstream gradient.
+encoder's backward writes into its own gradient buffer (see dacae.nn.Mlp), with
+no input gradient; the decoder keeps Mlp.backward and sgd_step, since its input
+gradient is the encoder's upstream gradient.
 
 Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
 and each epoch encodes the training set once for its probes and its LDA readout. A fit
@@ -41,8 +41,7 @@ from .data import Dataset, write_csv
 from .model import DacaeParams, HyperConfig, LossParts, _decoder_input, dacae_loss, encode, \
     init_params
 from .nn import ConfigError, Mlp, TrainingDiverged, _all, _backward, _ce_in_place, _forward, \
-    _input_grad, _one_hot, _step_cache, _targets, ce_step, make_rng, minibatches, mse_loss, \
-    sgd_step
+    _input_grad, _one_hot, _targets, ce_step, make_rng, minibatches, mse_loss, sgd_step
 
 LOSS_CEILING = 1e6
 
@@ -97,10 +96,9 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     dz = dec_grads.wrt_input[..., : params.latent_dim].copy()
     _head_term(dz[..., : params.d_a], np.subtract, lambda_a, params.adversary, z_a, s, onehot)
     _head_term(dz[..., params.d_a:], np.add, lambda_n, params.nuisance, z_n, s, onehot)
-    encoder = _step_cache(params.encoder)
-    _backward(params.encoder.weights, params.encoder._cache, dz, encoder.w_grads,
-              encoder.b_grads)
-    encoder.update(sgd.learning_rate)
+    encoder = params.encoder
+    _backward(encoder.weights, encoder._cache, dz, encoder._w_grads, encoder._b_grads)
+    encoder._update(sgd.learning_rate)
     sgd_step(params.decoder, dec_grads, sgd)
 
     total = recon + lambda_n * nui_ce - lambda_a * adv_ce
@@ -124,8 +122,7 @@ def _head_term(dz: np.ndarray, combine, weight: np.ndarray, head: Mlp, code: np.
     on = np.count_nonzero(weight)
     if not on:
         return
-    cache = _step_cache(head)
-    inputs, grad = _forward(cache.w_t, cache.b_rows, code)
+    inputs, grad = _forward(head._w_t, head._b_rows, code)
     _ce_in_place(grad, s, onehot)
     term = _input_grad(head.weights, inputs, grad)
     term *= weight[..., None, None]
@@ -171,7 +168,7 @@ def _stack(params: DacaeParams, replicas: int) -> DacaeParams:
 
 
 def _replica(stack: DacaeParams, r: int) -> DacaeParams:
-    """Replica r of a stack, as fresh networks over 2-D views of the stack's arrays."""
+    """Replica r of a stack, as fresh 2-D networks with copies of its parameters."""
     return DacaeParams(*(Mlp([w[r] for w in net.weights], [b[r] for b in net.biases])
                          for net in stack.groups().values()))
 

@@ -47,6 +47,8 @@ def test_fit_rejects_labels_that_are_not_whole_numbers():
     with pytest.raises(ValueError, match="^labels must be whole numbers"):
         fit("lda", z, y + 0.9)
     with pytest.raises(ValueError, match="^labels must be whole numbers"):
+        fit("lda", z[:2], [0, 10**5000])  # past Python's 4300-digit limit on int to str
+    with pytest.raises(ValueError, match="^labels must be whole numbers"):
         KnnClassifier(z, y + 0.9)
 
 

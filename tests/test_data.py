@@ -173,9 +173,10 @@ def test_dataset_rejects_labels_that_are_not_whole_numbers():
 @pytest.mark.parametrize("name", ["s", "trial"])
 def test_dataset_turns_an_overflowing_id_into_a_value_error(name):
     ids = {"y": [0, 1], "s": [0, 0], "trial": [0, 1]}
-    ids[name] = [0, 2**63]
-    with pytest.raises(ValueError, match=f"^{name} must be whole numbers"):
-        Dataset(np.zeros((2, 1)), ids["y"], ids["s"], ids["trial"], [0.0, 0.0], 1)
+    for big in (2**63, 10**5000):  # 10**5000 is past Python's 4300-digit limit on int to str
+        ids[name] = [0, big]
+        with pytest.raises(ValueError, match=f"^{name} must be whole numbers"):
+            Dataset(np.zeros((2, 1)), ids["y"], ids["s"], ids["trial"], [0.0, 0.0], 1)
 
 
 @pytest.mark.parametrize("t", [[0.0], np.zeros((4, 1))], ids=["one-value", "column"])

@@ -1,6 +1,7 @@
 """Dense-network engine: layers, losses, SGD, RNG, gradient checking."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dacae import (
     ConfigError,
     HyperConfig,
     Mlp,
+    MlpGrads,
     SgdConfig,
     TrainingDiverged,
     build_mlp,
@@ -24,7 +26,7 @@ from dacae import (
     softmax_cross_entropy,
     train_step,
 )
-from dacae.nn import _ce_in_place, _ids, _row_max, _row_sum, _step_cache, ce_step, minibatches
+from dacae.nn import _ce_in_place, _ids, _row_max, _row_sum, ce_step, minibatches
 from helpers import copy_mlp, copy_params
 
 
@@ -157,6 +159,22 @@ def test_sgd_step_zero_gradients_noop():
         assert np.array_equal(b, w)
 
 
+def test_sgd_step_takes_one_gradient_per_parameter():
+    # the update subtracts the whole gradient buffer: a missing layer's gradient would
+    # leave an earlier step's values there
+    net = build_mlp([3, 4, 2], make_rng(2))
+    before = copy_mlp(net)
+    net.forward(np.ones((1, 3)))
+    grads = net.backward(np.ones((1, 2)))
+    for short in (MlpGrads(grads.weights[:1], grads.biases[:1], grads.wrt_input),
+                  MlpGrads(grads.weights, grads.biases[:1], grads.wrt_input)):
+        with pytest.raises(ValueError):
+            sgd_step(net, short, SgdConfig(learning_rate=0.5))
+    with pytest.raises(ValueError, match="^gradient shapes do not match network parameters$"):
+        sgd_step(net, MlpGrads(grads.biases, grads.weights, grads.wrt_input), SgdConfig())
+    _assert_same_arrays(net, before)
+
+
 def _fd_param_grad(net, loss_fn, arr, idx, step=1e-6):
     orig = arr[idx]
     arr[idx] = orig + step
@@ -227,6 +245,17 @@ def test_grad_check_zero_net_zero_error():
     report = grad_check(net, loss_fn, net.backward(grad), tolerance=1e-4)
     assert report.passed
     assert report.max_rel_error == 0.0
+
+
+def test_grad_check_rejects_a_stack():
+    # a stack's layers are strided views of its buffer: perturbing a reshaped copy of
+    # one would leave the loss unchanged
+    stack = _stack([build_mlp([3, 2], make_rng(5, r)) for r in range(2)])
+    x = make_rng(5, 2).standard_normal((4, 3))
+    _, grad = mse_loss(stack.forward(x), np.zeros((2, 4, 2)))
+    with pytest.raises(ValueError, match=r"^grad_check takes a 2-D network, not a stack with "
+                                         r"replica axis \(2,\)$"):
+        grad_check(stack, lambda n: 0.0, stack.backward(grad))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -323,7 +352,8 @@ def test_ids_pass_an_intp_array_through_and_convert_only_whole_numbers():
     for bad in ([0.5], [np.nan], [np.inf], [-np.inf], [True, False], [2**63],
                 np.array([2**63], dtype=np.uint64), [2**64], [-1, 2**63], [2.0**63],
                 [0.0, 2**53 + 1],  # the list's float64 array rounds the int to 2**53
-                ["1"], [None], [1j]):
+                ["1"], [None], [1j],
+                [10**5000]):  # past Python's 4300-digit limit on int to str
         with pytest.raises(ValueError, match="^ids"):
             _ids(bad, "ids")
 
@@ -477,62 +507,59 @@ def test_ce_step_drops_the_forward_cache():
         net.backward(np.zeros((8, 3)))
 
 
-# -- the step cache ------------------------------------------------------------
-# ce_step keeps its views and gradient buffers on the network (nn._step_cache);
-# they must follow the arrays the network holds and belong to that network alone.
+# -- the parameter buffer ------------------------------------------------------
+# a network holds its parameters in one flat buffer, with its layers as fixed views
+# of it, and steps on gradient and mask buffers of its own.
 
 def _assert_same_params(net, ref):
     for a, b in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_step_cache_follows_replaced_arrays():
+def test_network_layers_are_fixed_views_of_its_own_buffer():
     rng = make_rng(81)
     x = rng.standard_normal((32, 5)) * 2.0
     t = rng.integers(0, 3, size=32)
-    net = build_mlp([5, 7, 3], make_rng(82))
+    weights = [rng.standard_normal((7, 5)), rng.standard_normal((3, 7))]
+    biases = [rng.standard_normal(7), rng.standard_normal(3)]
+    kept = [a.copy() for a in weights + biases]
+    net = Mlp(weights, biases)
     ref = copy_mlp(net)
     sgd = SgdConfig(learning_rate=0.1)
-
-    def step():
+    for name in ("weights", "biases"):
+        with pytest.raises(AttributeError):
+            setattr(net, name, [np.zeros_like(a) for a in getattr(net, name)])
+        with pytest.raises(TypeError):
+            getattr(net, name)[0] = np.zeros_like(getattr(net, name)[0])
+    for layer in net.weights + net.biases:
+        assert np.shares_memory(layer, net.params)
+    for _ in range(2):
         assert ce_step(net, x, t, sgd) == reference_ce_step(ref, x, t, 0.1)
         _assert_same_params(net, ref)
-
-    step()
-    first = net._steps
-    step()
-    assert net._steps is first  # the same array objects: the cache is kept
-    # one weight replaced by an equal copy: the step must move the copy, not the old array
-    old = net.weights[1]
-    kept = old.copy()
-    net.weights[1] = old.copy()
-    step()
-    assert net._steps is not first and old.tobytes() == kept.tobytes()
-    # a bias replaced in place of the list's item, then both whole lists
-    net.biases[0] = net.biases[0].copy()
-    step()
-    net.weights, net.biases = [w.copy() for w in net.weights], list(net.biases)
-    step()
-    # fewer layers: the count differs, so the cache is rebuilt for the new shapes
-    small = build_mlp([5, 3], make_rng(83))
-    net.weights, net.biases = small.weights, small.biases
-    ref = copy_mlp(small)
-    step()
-    # a deep copy steps its own arrays: its views are not left pointing at the copied ones
-    twin, twin_ref = copy.deepcopy(net), copy_mlp(net)
-    before = copy_mlp(net)
-    for _ in range(2):
-        assert ce_step(twin, x, t, sgd) == reference_ce_step(twin_ref, x, t, 0.1)
-        _assert_same_params(twin, twin_ref)
-    _assert_same_params(net, before)
+    # the network copied the arrays it was built from: its steps leave them alone
+    for a, b in zip(weights + biases, kept, strict=True):
+        assert a.tobytes() == b.tobytes()
+    # a deep copy and a pickle round trip, of a 2-D network and of a stack, each
+    # step a buffer of their own and leave the original's bits alone
+    stack = _stack([net, build_mlp([5, 7, 3], make_rng(83))])
+    for original, batch in ((net, x), (stack, np.stack([x, x[::-1]]))):
+        for twin in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            before, want = copy_mlp(original), copy_mlp(original)
+            assert not np.shares_memory(twin.params, original.params)
+            for _ in range(2):
+                got = ce_step(twin, batch, t, sgd)
+                assert np.array_equal(got, ce_step(want, batch, t, sgd))
+                _assert_same_params(twin, want)
+            _assert_same_params(original, before)
 
 
 def test_step_caches_never_share_a_buffer():
     rng = make_rng(84)
     nets = [build_mlp([5, 6, 3], make_rng(85, r)) for r in range(3)]
     stack = _stack([copy_mlp(net) for net in nets])
-    # replicas as the training loop's _replica makes them: 2-D views of the stack's arrays
-    views = [Mlp([w[r] for w in stack.weights], [b[r] for b in stack.biases]) for r in range(3)]
+    # replicas as the training loop's _replica makes them: 2-D copies of the stack's rows
+    replicas = [Mlp([w[r] for w in stack.weights], [b[r] for b in stack.biases])
+                for r in range(3)]
     x = rng.standard_normal((3, 16, 5))
     t = rng.integers(0, 3, size=16)
     sgd = SgdConfig(learning_rate=0.1)
@@ -541,8 +568,8 @@ def test_step_caches_never_share_a_buffer():
         ce_step(net, x_r, t, sgd)
     for r in range(3):
         _assert_replica(stack, r, nets[r])
-    caches = [_step_cache(net) for net in [stack, *nets, *views]]
-    buffers = [b for cache in caches for b in (cache.flat, cache.finite)]
+    buffers = [b for net in [stack, *nets, *replicas]
+               for b in (net.params, net._grads, net._finite)]
     for i, a in enumerate(buffers):
         for b in buffers[i + 1:]:
             assert not np.shares_memory(a, b)
