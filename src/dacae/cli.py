@@ -1,6 +1,6 @@
 """Command-line entry points for the experiment pipeline.
 
-Exit codes: 0 success, 1 configuration error, 2 one or more failed folds
+Exit codes: 0 success, 1 configuration error or bad command line, 2 one or more failed folds
 (or a diverged training run), 3 I/O or report error.
 """
 
@@ -133,8 +133,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any configuration error (argparse's 2 means failed
+    folds here); its subparsers are of this class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dacae",
         description="Subject-invariant feature extraction experiments: train "
                     "disentangled adversarial conditional autoencoders and evaluate "

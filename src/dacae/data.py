@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import ConfigError, _check_fields, _ids, make_rng
+from .nn import ConfigError, _check_fields, _from_object, _ids, make_rng
 
 RELAX_LABEL = 0
 CSV_HEADER = ["subject", "trial", "label", "t"]
@@ -312,28 +312,20 @@ class SyntheticSpec:
     trials_per_cell trials so trial-granular subsampling has room to move.
     """
 
-    n_subjects: int = 6
-    n_classes: int = 4
-    n_channels: int = 7
-    samples_per_cell: int = 200
-    trials_per_cell: int = 1
-    alpha: float = 1.0
-    beta: float = 1.0
-    sigma: float = 0.3
-    seed: int = 0
+    n_subjects: int = field(default=6, metadata={">=": 1})
+    n_classes: int = field(default=4, metadata={">=": 1})
+    n_channels: int = field(default=7, metadata={">=": 1})
+    samples_per_cell: int = field(default=200, metadata={">=": 1})
+    trials_per_cell: int = field(default=1, metadata={">=": 1})
+    alpha: float = field(default=1.0, metadata={">=": 0})
+    beta: float = field(default=1.0, metadata={">=": 0})
+    sigma: float = field(default=0.3, metadata={">=": 0})
+    seed: int = field(default=0, metadata={">=": 0})
 
     def __post_init__(self) -> None:
         _check_fields(self, "synthetic")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("signal strengths must be >= 0")
-        if self.sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
-        if min(self.n_subjects, self.n_classes, self.n_channels, self.samples_per_cell) < 1:
-            raise ConfigError("all cardinalities must be >= 1")
-        if not 1 <= self.trials_per_cell <= self.samples_per_cell:
+        if self.trials_per_cell > self.samples_per_cell:
             raise ConfigError("trials_per_cell must be in [1, samples_per_cell]")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -458,5 +450,5 @@ def save_synthetic(csv_path: str | Path, dataset: Dataset, spec: SyntheticSpec,
 
 def load_synthetic_sidecar(csv_path: str | Path) -> tuple[SyntheticSpec, np.ndarray, np.ndarray]:
     payload = json.loads(Path(str(csv_path) + ".factors.json").read_text(encoding="utf-8"))
-    spec = SyntheticSpec(**payload["spec"])
+    spec = _from_object(SyntheticSpec, payload["spec"], "synthetic")
     return spec, np.asarray(payload["task_templates"]), np.asarray(payload["subject_offsets"])

@@ -23,7 +23,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from . import classifiers
 from .data import (Dataset, SplitPlan, SyntheticSpec, generate_synthetic, holdout_split,
                    load_csv, loso_splits, normalize, subsample_trials, write_csv)
 from .model import VARIANTS, HyperConfig, encode
-from .nn import ConfigError, SgdConfig, _check_fields, _type_hints, job_seed
+from .nn import ConfigError, SgdConfig, _check_fields, _from_object, _type_hints, job_seed
 from .training import (LAMBDA_A_GRID, LAMBDA_N_GRID, SweepResult, TrainLog,
                        fit_feature_extractor, probe_accuracies, two_stage_sweep)
 
@@ -58,19 +58,6 @@ TABLE3_ROWS: tuple[tuple[str, float, float], ...] = (
 )
 
 
-def _from_object(cls, raw, what: str):
-    """Build the config dataclass cls, which checks every value, from a JSON object; reject
-    keys that are not its fields, and build a field's config dataclass from its object."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    hints = _type_hints(cls)
-    unknown = sorted(set(raw) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown {what} keys {unknown}")
-    return cls(**{name: _from_object(hints[name], value, name) if is_dataclass(hints[name])
-                  else value for name, value in raw.items()})
-
-
 @dataclass
 class ExperimentConfig:
     """Everything one experiment needs: data source, model grid, optimizer, I/O."""
@@ -86,27 +73,23 @@ class ExperimentConfig:
     learning_rate: float = 0.01
     batch_size: int = 64
     epochs: int = 50
-    val_fraction: float = 0.1
-    fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
+    val_fraction: float = field(default=0.1, metadata={">": 0, "<": 1})
+    fractions: tuple[float, ...] = field(default=(0.25, 0.5, 0.75, 1.0), metadata={">": 0, "<=": 1})
     sweep_classifier: str = "mlp"
-    sweep_lambda_n: tuple[float, ...] = LAMBDA_N_GRID
-    sweep_lambda_a: tuple[float, ...] = LAMBDA_A_GRID
+    sweep_lambda_n: tuple[float, ...] = field(default=LAMBDA_N_GRID, metadata={">=": 0})
+    sweep_lambda_a: tuple[float, ...] = field(default=LAMBDA_A_GRID, metadata={">=": 0})
     seed: int = 0
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={">=": 1})
     out: str = "out"
 
     def __post_init__(self) -> None:
         _check_fields(self, "config")
         if self.dataset == "":
             raise ConfigError("dataset must not be empty; leave it out for synthetic data")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"validation fraction must be in (0, 1), got {self.val_fraction}")
         self.variants = tuple(self.variants)
         self.classifiers = tuple(classifiers.canonical_kind(k) for k in self.classifiers)
         self.sweep_classifier = classifiers.canonical_kind(self.sweep_classifier)
         self.fractions = tuple(float(f) for f in self.fractions)
-        if not self.fractions or any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ConfigError(f"fractions must be in (0, 1], got {self.fractions}")
         self.sweep_lambda_n = tuple(float(v) for v in self.sweep_lambda_n)
         self.sweep_lambda_a = tuple(float(v) for v in self.sweep_lambda_a)
         # each entry names an output directory or a sweep point, so a repeat would
@@ -114,14 +97,10 @@ class ExperimentConfig:
         # list would run nothing
         for name in ("variants", "classifiers", "fractions", "sweep_lambda_n", "sweep_lambda_a"):
             values = getattr(self, name)
-            if not values and name != "fractions":
+            if not values:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"duplicate {name} in {values}")
-        if min(self.sweep_lambda_n + self.sweep_lambda_a) < 0:
-            raise ConfigError("sweep_lambda_n and sweep_lambda_a must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         for v in self.variants:  # validates every extractor field eagerly, seed included
             self.hyper(v, self.seed)
 
@@ -136,7 +115,7 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except FileNotFoundError as err:
             raise ConfigError(f"config file {path} does not exist") from err
-        except ValueError as err:  # bad JSON, bad UTF-8, or an int too long to parse
+        except (ValueError, RecursionError) as err:  # bad JSON or UTF-8, huge int, deep nesting
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
         return cls.from_dict(raw)
 
@@ -509,7 +488,7 @@ def _parse_folds_csv(path: Path) -> list[FoldResult]:
                 raise ReportError(f"corrupt results file {path}: missing columns {sorted(missing)}")
             return [FoldResult(**{name: cast(row[name]) for name, cast in _FOLD_TYPES.items()})
                     for row in reader]
-    except (ValueError, TypeError, KeyError, OSError) as err:
+    except (ValueError, TypeError, KeyError, OSError, csv.Error) as err:
         raise ReportError(f"corrupt results file {path}: {err}") from err
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _check_fields, _ids, _one_hot,
-                 build_mlp, make_rng, mse_loss, softmax_cross_entropy)
+from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, _check_fields, _from_object,
+                 _ids, _one_hot, build_mlp, make_rng, mse_loss, softmax_cross_entropy)
 
 VARIANTS = ("AE", "cAE", "A-cAE", "D-cAE", "DA-cAE")
 
@@ -38,14 +38,14 @@ class HyperConfig:
     (AE additionally drops decoder conditioning), A-cAE zeroes the nuisance
     weight, D-cAE zeroes the adversary weight. r_n=None takes the variant's
     default nuisance ratio: 1/3 for D-cAE and DA-cAE, 0 for the others.
-    Every field must fit its type hint (nn._check_fields); any other value raises
-    ConfigError, as SgdConfig's fields do.
+    Every field must fit its type hint and the bounds in its metadata (nn._check_fields);
+    any other value raises ConfigError, as SgdConfig's fields do.
     """
 
-    lambda_a: float = 0.0
-    lambda_n: float = 0.0
-    r_n: float | None = None
-    latent_dim: int = 15
+    lambda_a: float = field(default=0.0, metadata={">=": 0})
+    lambda_n: float = field(default=0.0, metadata={">=": 0})
+    r_n: float | None = field(default=None, metadata={">=": 0, "<": 1})
+    latent_dim: int = field(default=15, metadata={">=": 1})
     variant: str = "DA-cAE"
     sgd: SgdConfig = field(default_factory=SgdConfig)
 
@@ -57,12 +57,6 @@ class HyperConfig:
             # the split each variant was evaluated with (no split for the
             # unregularized and adversary-only models)
             self.r_n = 1.0 / 3.0 if self.variant in ("D-cAE", "DA-cAE") else 0.0
-        if self.lambda_a < 0 or self.lambda_n < 0:
-            raise ConfigError("lambda_a and lambda_n must be >= 0")
-        if not 0.0 <= self.r_n < 1.0:
-            raise ConfigError(f"r_n must be in [0, 1), got {self.r_n}")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
         if self.variant in ("AE", "cAE"):
             self.lambda_a = 0.0
             self.lambda_n = 0.0
@@ -256,8 +250,7 @@ def _read_checkpoint(data):
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint")
-    cfg = meta["config"]
-    config = HyperConfig(**{**cfg, "sgd": SgdConfig(**cfg["sgd"])})
+    config = _from_object(HyperConfig, meta["config"], "hyper")
     nets = {}
     for name, layer_meta in meta["layers"].items():
         n = len(layer_meta)

@@ -40,8 +40,9 @@ a column chain would not, and at 20 classes the chain is slower.
 from __future__ import annotations
 
 import numbers
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from types import UnionType
 from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
@@ -74,14 +75,37 @@ def _fits(value, hint) -> bool:
     return isinstance(value, numbers.Integral if hint is int else hint)
 
 
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
 def _check_fields(config, what: str) -> None:
-    """Raise ConfigError naming the first field of a config dataclass whose value does not
-    fit its type hint; what names the config in the message."""
-    for name, hint in _type_hints(type(config)).items():
-        if not _fits(value := getattr(config, name), hint):
+    """Raise ConfigError naming the first field of a config dataclass that does not fit its
+    type hint, or whose value, or any entry of it if a tuple, breaks a bound of its metadata,
+    as in field(metadata={">=": 1}), with the keys >, >=, < and <=; what names the config."""
+    hints = _type_hints(type(config))
+    for f in fields(config):
+        if not _fits(value := getattr(config, f.name), hint := hints[f.name]):
             expected = (hint.__name__ if type(hint) is type else str(hint)).replace(
                 "float", "finite float")
-            raise ConfigError(f"{what} field {name!r} must be {expected}, got {_show(value)}")
+            raise ConfigError(f"{what} field {f.name!r} must be {expected}, got {_show(value)}")
+        for entry in value if isinstance(value, (list, tuple)) else [value]:
+            for op, bound in f.metadata.items():
+                if entry is not None and not _BOUNDS[op](entry, bound):  # None: unset
+                    raise ConfigError(f"{what} field {f.name!r} must be {op} {bound}, "
+                                      f"got {_show(entry)}")
+
+
+def _from_object(cls, raw, what: str):
+    """Build the config dataclass cls, which checks every value, from a JSON object; reject
+    keys that are not its fields, and build a field's config dataclass from its object."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    hints = _type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}")
+    return cls(**{name: _from_object(hints[name], value, name) if is_dataclass(hints[name])
+                  else value for name, value in raw.items()})
 
 
 def _show(value, form: Callable[[object], str] = repr) -> str:
@@ -108,21 +132,13 @@ def job_seed(master_seed: int, *job_index: int) -> int:
 
 @dataclass
 class SgdConfig:
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    epochs: int = 50
-    seed: int = 0
+    learning_rate: float = field(default=0.01, metadata={">": 0})
+    batch_size: int = field(default=64, metadata={">=": 1})
+    epochs: int = field(default=50, metadata={">=": 1})
+    seed: int = field(default=0, metadata={">=": 0})
 
     def __post_init__(self) -> None:
         _check_fields(self, "sgd")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -127,8 +127,8 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [b'{"epochs": 1' + b"0" * 5000 + b"}", b'{"out": "\xff"}'],
-                         ids=["huge-int", "not-utf8"])
+@pytest.mark.parametrize("text", [b'{"epochs": 1' + b"0" * 5000 + b"}", b'{"out": "\xff"}',
+                                  b"[" * 100_000], ids=["huge-int", "not-utf8", "too-deep"])
 def test_unparsable_config_file_exit_code(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     path.write_bytes(text)
@@ -156,7 +156,7 @@ def test_unparsable_config_file_exit_code(tmp_path, capsys, text):
     ("loso", {"classifiers": []}, "classifiers must not be empty"),
     ("sweep", {"sweep_lambda_n": []}, "sweep_lambda_n must not be empty"),
     ("sweep", {"sweep_lambda_a": []}, "sweep_lambda_a must not be empty"),
-    ("sweep", {"latent_dim": 0}, "latent_dim must be >= 1"),
+    ("sweep", {"latent_dim": 0}, "hyper field 'latent_dim' must be >= 1, got 0"),
     ("train", {}, "train fits exactly one variant, got ['AE', 'DA-cAE']; pass --variant NAME"),
     ("loso", {"lambda_a": float("nan")}, "config field 'lambda_a' must be finite float, got nan"),
     ("loso", {"lambda_n": float("inf")}, "config field 'lambda_n' must be finite float, got inf"),
@@ -177,6 +177,19 @@ def test_bad_config_exit_code(tmp_path, capsys, command, overrides, message):
     assert "configuration error:" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (["loso", "--seed", "abc"], "dacae loso", "argument --seed: invalid int value: 'abc'"),
+    ([], "dacae", "the following arguments are required: command"),
+], ids=["bad-flag-value", "missing-command"])
+def test_usage_error_exit_code(capsys, argv, usage, message):
+    # a usage error is a configuration error (exit 1), not a failed fold (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {usage} ") and f"{usage}: error: {message}\n" in err
 
 
 def test_empty_dataset_flag_exit_code(tmp_path, capsys):

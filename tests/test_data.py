@@ -1,5 +1,6 @@
 """Data pipeline: resampling, ingestion, normalization, splits, synthetic data."""
 
+import json
 import warnings
 
 import numpy as np
@@ -515,3 +516,16 @@ def test_synthetic_sidecar_roundtrip(tmp_path):
     spec2, T2, U2 = load_synthetic_sidecar(path)
     assert spec2 == spec
     assert np.allclose(T, T2) and np.allclose(U, U2)
+
+
+def test_synthetic_sidecar_rejects_unknown_spec_keys(tmp_path):
+    spec = SyntheticSpec(n_subjects=3, samples_per_cell=2)
+    path = tmp_path / "synth.csv"
+    ds, T, U = generate_synthetic(spec)
+    save_synthetic(path, ds, spec, T, U)
+    sidecar = tmp_path / "synth.csv.factors.json"
+    payload = json.loads(sidecar.read_text(encoding="utf-8"))
+    payload["spec"]["n_subject"] = 3
+    sidecar.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^unknown synthetic keys \['n_subject'\]$"):
+        load_synthetic_sidecar(path)

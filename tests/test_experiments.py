@@ -65,7 +65,7 @@ def test_config_rejects_bad_values(tmp_path):
         tiny_config(tmp_path, jobs=0)
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, learning_rate=-1.0)
-    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+    with pytest.raises(ConfigError, match="^sgd field 'seed' must be >= 0, got -1$"):
         tiny_config(tmp_path, seed=-1)
 
 
@@ -479,7 +479,8 @@ def test_report_corrupt_file_named(tmp_path):
 @pytest.mark.parametrize("cell, message", [
     ("abc", "could not convert string to float: 'abc'"),
     (None, "float\\(\\) argument must be a string or a real number, not 'NoneType'"),
-], ids=["bad-cell", "short-row"])
+    ("x" * 200_000, r"field larger than field limit \(131072\)"),
+], ids=["bad-cell", "short-row", "oversized-cell"])
 def test_report_bad_row_names_file(tmp_path, cell, message):
     out = tmp_path / "out"
     run_loso(tiny_config(out, variants=("AE",)))

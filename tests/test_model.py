@@ -103,53 +103,63 @@ def test_float_config_fields_reject_other_types(cls, field, bad):
         cls(**{field: bad})
 
 
-def _rule(cls, message, **fields):
-    return pytest.param(cls, fields, message, id=LABELS[cls] + "-" + "-".join(
-        f"{name}={value!r}" for name, value in fields.items()))
+def _rule(cls, message, id=None, **fields):
+    return pytest.param(cls, fields, message, id=LABELS[cls] + "-" + (id or "-".join(
+        f"{name}={value!r}" for name, value in fields.items())))
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**5000  # past Python's 4300-digit limit on int to str
 
 
-# every range rule that a config's __post_init__ writes by hand, with its message; the
-# NaN and inf cases are caught by the type check first
+# every range rule of a config, with its message: the bounds that _check_fields reads off
+# the field metadata, and the rules that a __post_init__ writes by hand; the NaN and inf
+# cases are caught by the type check first
 @pytest.mark.parametrize("cls, fields, message", [
-    _rule(SgdConfig, "learning_rate must be > 0, got 0.0", learning_rate=0.0),
-    _rule(SgdConfig, "learning_rate must be > 0, got -1.0", learning_rate=-1.0),
-    _rule(SgdConfig, "batch_size must be >= 1, got 0", batch_size=0),
-    _rule(SgdConfig, "epochs must be >= 1, got 0", epochs=0),
-    _rule(SgdConfig, "epochs must be >= 1, got -1", epochs=-1),
-    _rule(SgdConfig, "seed must be >= 0, got -1", seed=-1),
+    _rule(SgdConfig, "sgd field 'learning_rate' must be > 0, got 0.0", learning_rate=0.0),
+    _rule(SgdConfig, "sgd field 'learning_rate' must be > 0, got -1.0", learning_rate=-1.0),
+    _rule(SgdConfig, "sgd field 'batch_size' must be >= 1, got 0", batch_size=0),
+    _rule(SgdConfig, "sgd field 'epochs' must be >= 1, got 0", epochs=0),
+    _rule(SgdConfig, "sgd field 'epochs' must be >= 1, got -1", epochs=-1),
+    _rule(SgdConfig, "sgd field 'seed' must be >= 0, got -1", seed=-1),
+    *(_rule(SgdConfig, f"sgd field '{name}' must be >= {bound}, got an int of 16610 bits",
+            id=f"{name}=-10**5000", **{name: -HUGE})
+      for name, bound in (("seed", 0), ("epochs", 1), ("batch_size", 1))),
     _rule(HyperConfig, f"unknown variant 'VAE', expected one of {VARIANTS}", variant="VAE"),
-    _rule(HyperConfig, "lambda_a and lambda_n must be >= 0", lambda_a=-0.1),
-    _rule(HyperConfig, "lambda_a and lambda_n must be >= 0", lambda_n=-0.1),
+    _rule(HyperConfig, "hyper field 'lambda_a' must be >= 0, got -0.1", lambda_a=-0.1),
+    _rule(HyperConfig, "hyper field 'lambda_n' must be >= 0, got -0.1", lambda_n=-0.1),
     _rule(HyperConfig, "hyper field 'lambda_a' must be finite float, got nan", lambda_a=NAN),
     _rule(HyperConfig, "hyper field 'lambda_a' must be finite float, got inf", lambda_a=INF),
     _rule(HyperConfig, "hyper field 'lambda_n' must be finite float, got nan", lambda_n=NAN),
     _rule(HyperConfig, "hyper field 'lambda_n' must be finite float, got inf", lambda_n=INF),
-    _rule(HyperConfig, "r_n must be in [0, 1), got 1.0", r_n=1.0),
-    _rule(HyperConfig, "r_n must be in [0, 1), got -0.1", r_n=-0.1),
-    _rule(HyperConfig, "latent_dim must be >= 1", latent_dim=0),
-    _rule(SyntheticSpec, "signal strengths must be >= 0", alpha=-1.0),
-    _rule(SyntheticSpec, "signal strengths must be >= 0", beta=-1.0),
-    _rule(SyntheticSpec, "noise sigma must be >= 0", sigma=-1.0),
-    *(_rule(SyntheticSpec, "all cardinalities must be >= 1", **{name: 0})
+    _rule(HyperConfig, "hyper field 'r_n' must be < 1, got 1.0", r_n=1.0),
+    _rule(HyperConfig, "hyper field 'r_n' must be >= 0, got -0.1", r_n=-0.1),
+    _rule(HyperConfig, "hyper field 'latent_dim' must be >= 1, got 0", latent_dim=0),
+    _rule(SyntheticSpec, "synthetic field 'alpha' must be >= 0, got -1.0", alpha=-1.0),
+    _rule(SyntheticSpec, "synthetic field 'beta' must be >= 0, got -1.0", beta=-1.0),
+    _rule(SyntheticSpec, "synthetic field 'sigma' must be >= 0, got -1.0", sigma=-1.0),
+    *(_rule(SyntheticSpec, f"synthetic field '{name}' must be >= 1, got 0", **{name: 0})
       for name in ("n_subjects", "n_classes", "n_channels", "samples_per_cell")),
-    _rule(SyntheticSpec, "trials_per_cell must be in [1, samples_per_cell]", trials_per_cell=0),
+    _rule(SyntheticSpec, "synthetic field 'trials_per_cell' must be >= 1, got 0",
+          trials_per_cell=0),
     _rule(SyntheticSpec, "trials_per_cell must be in [1, samples_per_cell]",
           samples_per_cell=4, trials_per_cell=5),
-    _rule(SyntheticSpec, "seed must be >= 0, got -1", seed=-1),
+    _rule(SyntheticSpec, "synthetic field 'seed' must be >= 0, got -1", seed=-1),
+    _rule(SyntheticSpec, "synthetic field 'seed' must be >= 0, got an int of 16610 bits",
+          id="seed=-10**5000", seed=-HUGE),
     _rule(ExperimentConfig, "dataset must not be empty; leave it out for synthetic data",
           dataset=""),
-    _rule(ExperimentConfig, "validation fraction must be in (0, 1), got 0.0", val_fraction=0.0),
-    _rule(ExperimentConfig, "validation fraction must be in (0, 1), got 1.0", val_fraction=1.0),
+    _rule(ExperimentConfig, "config field 'val_fraction' must be > 0, got 0.0",
+          val_fraction=0.0),
+    _rule(ExperimentConfig, "config field 'val_fraction' must be < 1, got 1.0",
+          val_fraction=1.0),
     _rule(ExperimentConfig, f"unknown classifier kind 'forest'; expected one of {KINDS}",
           classifiers=("forest",)),
     _rule(ExperimentConfig, f"unknown classifier kind 'forest'; expected one of {KINDS}",
           sweep_classifier="forest"),
-    _rule(ExperimentConfig, "fractions must be in (0, 1], got (0.0,)", fractions=(0.0,)),
-    _rule(ExperimentConfig, "fractions must be in (0, 1], got (1.5,)", fractions=(1.5,)),
-    _rule(ExperimentConfig, "fractions must be in (0, 1], got ()", fractions=()),
+    _rule(ExperimentConfig, "config field 'fractions' must be > 0, got 0.0", fractions=(0.0,)),
+    _rule(ExperimentConfig, "config field 'fractions' must be <= 1, got 1.5", fractions=(1.5,)),
+    _rule(ExperimentConfig, "fractions must not be empty", fractions=()),
     *(_rule(ExperimentConfig, f"{name} must not be empty", **{name: ()})
       for name in ("variants", "classifiers", "sweep_lambda_n", "sweep_lambda_a")),
     _rule(ExperimentConfig, "duplicate variants in ('AE', 'AE')", variants=("AE", "AE")),
@@ -159,21 +169,24 @@ NAN, INF = float("nan"), float("inf")
     _rule(ExperimentConfig, "duplicate sweep_lambda_n in (0.0, 0.0)", sweep_lambda_n=(0, 0.0)),
     _rule(ExperimentConfig, "duplicate sweep_lambda_a in (0.1, 0.1)",
           sweep_lambda_a=(0.1, 0.1)),
-    _rule(ExperimentConfig, "sweep_lambda_n and sweep_lambda_a must be >= 0",
+    _rule(ExperimentConfig, "config field 'sweep_lambda_n' must be >= 0, got -1.0",
           sweep_lambda_n=(-1.0,)),
-    _rule(ExperimentConfig, "sweep_lambda_n and sweep_lambda_a must be >= 0",
+    _rule(ExperimentConfig, "config field 'sweep_lambda_a' must be >= 0, got -1.0",
           sweep_lambda_a=(0.1, -1.0)),
-    _rule(ExperimentConfig, "jobs must be >= 1, got 0", jobs=0),
+    _rule(ExperimentConfig, "config field 'jobs' must be >= 1, got 0", jobs=0),
+    _rule(ExperimentConfig, "config field 'jobs' must be >= 1, got an int of 16610 bits",
+          id="jobs=-10**5000", jobs=-HUGE),
     # the extractor fields, checked through hyper()
     _rule(ExperimentConfig, f"unknown variant 'VAE', expected one of {VARIANTS}",
           variants=("VAE",)),
-    _rule(ExperimentConfig, "lambda_a and lambda_n must be >= 0", lambda_n=-0.1),
-    _rule(ExperimentConfig, "r_n must be in [0, 1), got 1.0", r_n=1.0),
-    _rule(ExperimentConfig, "latent_dim must be >= 1", latent_dim=0),
-    _rule(ExperimentConfig, "learning_rate must be > 0, got 0.0", learning_rate=0.0),
-    _rule(ExperimentConfig, "batch_size must be >= 1, got 0", batch_size=0),
-    _rule(ExperimentConfig, "epochs must be >= 1, got 0", epochs=0),
-    _rule(ExperimentConfig, "seed must be >= 0, got -1", seed=-1),
+    _rule(ExperimentConfig, "hyper field 'lambda_n' must be >= 0, got -0.1", lambda_n=-0.1),
+    _rule(ExperimentConfig, "hyper field 'r_n' must be < 1, got 1.0", r_n=1.0),
+    _rule(ExperimentConfig, "hyper field 'latent_dim' must be >= 1, got 0", latent_dim=0),
+    _rule(ExperimentConfig, "sgd field 'learning_rate' must be > 0, got 0.0",
+          learning_rate=0.0),
+    _rule(ExperimentConfig, "sgd field 'batch_size' must be >= 1, got 0", batch_size=0),
+    _rule(ExperimentConfig, "sgd field 'epochs' must be >= 1, got 0", epochs=0),
+    _rule(ExperimentConfig, "sgd field 'seed' must be >= 0, got -1", seed=-1),
 ])
 def test_config_range_rules(cls, fields, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

@@ -59,7 +59,7 @@ def test_sgd_config_rejects_bad_values():
 
 def test_sgd_config_rejects_a_negative_seed():
     # SeedSequence takes no negative entropy; the config names the field instead
-    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+    with pytest.raises(ConfigError, match="^sgd field 'seed' must be >= 0, got -1$"):
         SgdConfig(seed=-1)
     assert SgdConfig(seed=0).seed == 0
 
