@@ -316,24 +316,22 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=0) of a C-ordered copy of an (n >= 1, k) array, bit for bit, in any layout.
 
     From two columns up, numpy sums axis 0 of a C-ordered array row after row from
-    +0.0. An accumulate along axis 0 takes the same sequential sums in any layout
-    (a.sum(axis=0) of a class-major array would sum each column pairwise); it starts
-    from the first row instead, which differs only in giving -0.0 for a column of
-    -0.0, and adding +0.0 turns that into numpy's +0.0. One column is contiguous
-    along axis 0 even when C-ordered, so numpy sums it pairwise in every layout.
+    +0.0, as einsum's "ic->c" does on one, which a row-major buffer gives uncopied;
+    test_col_sum_matches_row_major_sum_bitwise pins that order. One column is
+    contiguous along axis 0 even when C-ordered, so numpy sums it pairwise in any layout.
     """
     if a.shape[1] == 1:
         return a.sum(axis=0)
-    return np.add(np.add.accumulate(a, axis=0)[-1], 0.0)
+    return np.einsum("ic->c", np.ascontiguousarray(a))
 
 
 def _train_svm(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-vs-rest hinge loss, L2 weight 1/n, 200 full-batch steps at rate 0.5 / (1 + 0.02 t).
 
-    Class-major: the margins, then the active set, fill one C-ordered (classes, n)
-    buffer in place, one ufunc call per step operation. e @ z has the operands of the
-    row-major active.T @ z, so z stays C-ordered. The affine part is np.matmul, whose
-    overflow error names matmul, as w @ zt's did (np.dot's names dot).
+    The margins run class-major, in place in one C-ordered (classes, n) buffer; the
+    active set goes to the transposed view of a row-major (n, classes) one, so that
+    active.T @ z is the reference's product and _col_sum reads active uncopied. The
+    affine part is np.matmul, whose overflow error names matmul (np.dot's names dot).
     """
     z = np.ascontiguousarray(z)
     zt = np.ascontiguousarray(z.T)
@@ -343,16 +341,16 @@ def _train_svm(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam = 1.0 / n
     w = np.zeros((classes.size, d))
     b = np.zeros(classes.size)
-    e = np.empty((classes.size, n))
+    e, active = np.empty((classes.size, n)), np.empty((n, classes.size))
     for t in range(200):
         lr = 0.5 / (1.0 + 0.02 * t)
         np.matmul(w, zt, out=e)
         e += b[:, None]
         e *= signs  # the margins
         np.less(e, 1.0, out=e)
-        e *= signs  # the active set
-        w -= lr * (lam * w - e @ z / n)
-        b -= lr * (-(_col_sum(e.T) / n))  # active.mean(axis=0)
+        np.multiply(e, signs, out=active.T)
+        w -= lr * (lam * w - active.T @ z / n)
+        b -= lr * (-(_col_sum(active) / n))  # active.mean(axis=0)
     return w, b
 
 
@@ -360,9 +358,9 @@ def _train_logreg(z: np.ndarray, y: np.ndarray, epochs: int = 500) -> tuple[np.n
     """Multinomial logistic regression, L2 weight 1e-4, up to `epochs` full-batch unit steps.
 
     A fit stops early once the gradient norm falls below 1e-6; fits at the default
-    fold size do not get there and run all 500 steps. Class-major, as _train_svm: the
-    logits, their softmax and its error fill one C-ordered (classes, n) buffer in
-    place, and e @ z has the operands of the row-major err.T @ z.
+    fold size do not get there and run all 500 steps. Laid out as _train_svm: the
+    logits and their softmax fill the class-major buffer in place, and the error
+    the transposed view of the row-major one, which err.T @ z and _col_sum read.
     """
     z = np.ascontiguousarray(z)
     zt = np.ascontiguousarray(z.T)
@@ -371,15 +369,15 @@ def _train_logreg(z: np.ndarray, y: np.ndarray, epochs: int = 500) -> tuple[np.n
     w = np.zeros((classes.size, d))
     b = np.zeros(classes.size)
     onehot = np.ascontiguousarray(_one_hot(targets, classes.size).T)
-    e = np.empty((classes.size, n))
+    e, err = np.empty((classes.size, n)), np.empty((n, classes.size))
     for _ in range(epochs):
         np.matmul(w, zt, out=e)
         e += b[:, None]
         _softmax_in_place(e)
         e -= onehot
-        e /= n
-        gw = e @ z + 1e-4 * w
-        gb = _col_sum(e.T)
+        np.divide(e, n, out=err.T)
+        gw = err.T @ z + 1e-4 * w
+        gb = _col_sum(err)
         if np.sqrt((gw * gw).sum() + (gb * gb).sum()) < 1e-6:
             break
         w -= gw

@@ -11,10 +11,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import IngestionError, generate_synthetic, normalize, save_synthetic
-from .experiments import (ExperimentConfig, ReportError, failed_count, holdout_split,
-                          load_dataset, report, run_datasize, run_loso, run_sweep,
-                          run_table3)
+from .data import IngestionError, generate_synthetic, save_synthetic
+from .experiments import (ExperimentConfig, ReportError, failed_count, load_holdout, report,
+                          run_datasize, run_loso, run_sweep, run_table3)
 from .model import VARIANTS, save_checkpoint
 from .nn import ConfigError, TrainingDiverged
 from .training import fit_feature_extractor
@@ -58,9 +57,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(f"train fits exactly one variant, got {list(cfg.variants)}; "
                           "pass --variant NAME")
     (variant,) = cfg.variants
-    dataset = load_dataset(cfg)
-    train_ids, val_ids = holdout_split(dataset, cfg.val_fraction, cfg.seed)
-    normed = normalize(dataset, train_ids)
+    normed, train_ids, val_ids = load_holdout(cfg)
     hyper = cfg.hyper(variant, cfg.seed)
     params, log = fit_feature_extractor(normed.subset(train_ids), hyper,
                                         val=normed.subset(val_ids))

@@ -449,6 +449,19 @@ def save_synthetic(csv_path: str | Path, dataset: Dataset, spec: SyntheticSpec,
 
 
 def load_synthetic_sidecar(csv_path: str | Path) -> tuple[SyntheticSpec, np.ndarray, np.ndarray]:
-    payload = json.loads(Path(str(csv_path) + ".factors.json").read_text(encoding="utf-8"))
-    spec = _from_object(SyntheticSpec, payload["spec"], "synthetic")
-    return spec, np.asarray(payload["task_templates"]), np.asarray(payload["subject_offsets"])
+    """The spec, task templates and subject offsets save_synthetic wrote beside csv_path.
+
+    A sidecar that is not one (not UTF-8 JSON, nested too deep to parse, without one
+    of the three keys, or with ragged factors) raises ValueError naming its path; a
+    file that cannot be opened raises OSError, and a spec that SyntheticSpec rejects
+    raises ConfigError.
+    """
+    path = Path(str(csv_path) + ".factors.json")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        spec = payload["spec"]
+        factors = np.asarray(payload["task_templates"]), np.asarray(payload["subject_offsets"])
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
+        reason = err if isinstance(err, ValueError) else f"{type(err).__name__}: {err}"
+        raise ValueError(f"bad synthetic sidecar {path}: {reason}") from err
+    return _from_object(SyntheticSpec, spec, "synthetic"), *factors

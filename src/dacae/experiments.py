@@ -137,6 +137,19 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     return generate_synthetic(config.synthetic)[0]
 
 
+def load_holdout(config: ExperimentConfig) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """The config's dataset normalized on the training rows of its holdout split, with
+    the split's training and validation row ids. Outside a fold, a channel statistic
+    that is not finite is bad input, and raises ConfigError."""
+    dataset = load_dataset(config)
+    train_ids, val_ids = holdout_split(dataset, config.val_fraction, config.seed)
+    try:
+        return normalize(dataset, train_ids), train_ids, val_ids
+    except ValueError as err:
+        raise ConfigError(f"cannot normalize {config.dataset or 'the synthetic data'}: "
+                          f"{err}") from err
+
+
 @dataclass
 class FoldResult:
     subject: int
@@ -467,9 +480,7 @@ def run_datasize(config: ExperimentConfig) -> tuple[list[CurveRow], dict[float, 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Two-stage hyperparameter sweep on a 90/10 split; writes sweep.csv."""
-    dataset = load_dataset(config)
-    train_ids, val_ids = holdout_split(dataset, config.val_fraction, config.seed)
-    normed = normalize(dataset, train_ids)
+    normed, train_ids, val_ids = load_holdout(config)
     result = two_stage_sweep(normed.subset(train_ids), normed.subset(val_ids),
                              config.hyper("DA-cAE", config.seed),
                              classifier=config.sweep_classifier,

@@ -231,8 +231,9 @@ def load_checkpoint(path: str | Path):
 
     normalization is None when the checkpoint was saved without it. A file that
     is not a whole checkpoint (empty or truncated, missing an array or a meta
-    key, or holding a config that HyperConfig rejects) raises ValueError naming
-    the path, with the file closed; a file that cannot be opened raises OSError.
+    key, with meta nested too deep to parse, or holding a config that HyperConfig
+    rejects) raises ValueError naming the path, with the file closed; a file that
+    cannot be opened raises OSError.
     """
     try:
         with open(path, "rb") as fh:
@@ -241,7 +242,8 @@ def load_checkpoint(path: str | Path):
                 raise ValueError("not an .npz archive")
             with data:
                 return _read_checkpoint(data)
-    except (EOFError, zipfile.BadZipFile, KeyError, TypeError, AttributeError, ValueError) as err:
+    except (EOFError, zipfile.BadZipFile, KeyError, TypeError, AttributeError, ValueError,
+            RecursionError) as err:
         reason = err if isinstance(err, ValueError) else f"{type(err).__name__}: {err}"
         raise ValueError(f"bad model checkpoint {path}: {reason}") from err
 

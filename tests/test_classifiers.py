@@ -431,7 +431,7 @@ def test_linear_fits_match_broadcast_reference_bitwise_on_few_rows(n_rows):
         _assert_linear_fits_match_reference(n_rows, n_classes)
 
 
-@pytest.mark.parametrize("width", range(1, 11))
+@pytest.mark.parametrize("width", [*range(1, 11), 16, 20])
 def test_col_sum_matches_row_major_sum_bitwise(width):
     # magnitudes far apart, so that a pairwise and a sequential sum round apart
     rng = make_rng(63, width)

@@ -233,6 +233,22 @@ def test_non_finite_fold_fails_alone(tmp_path, capsys):
         assert mlp[2]["error"] == ""
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_non_finite_statistic_outside_folds_exit_code(tmp_path, capsys, command):
+    # the std of subject 2's channel 0 at 1e200 overflows; train and sweep normalize
+    # once, before any fold, so the bad input is a configuration error there
+    ds, _, _ = generate_synthetic(SyntheticSpec(n_subjects=3, n_classes=2, n_channels=4,
+                                                samples_per_cell=12, trials_per_cell=2))
+    ds.x[ds.s == 2, 0] = 1e200
+    path = tmp_path / "wide.csv"
+    save_csv(path, ds)
+    cfg = write_config(tmp_path, dataset=str(path), variants=["AE"], sweep_classifier="lda")
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: cannot normalize {path}: non-finite channel values\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_classifier_failure_fails_only_its_row(tmp_path, monkeypatch, capsys):
     real_fit, calls = classifiers.fit, []
 

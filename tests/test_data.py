@@ -1,6 +1,7 @@
 """Data pipeline: resampling, ingestion, normalization, splits, synthetic data."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -529,3 +530,27 @@ def test_synthetic_sidecar_rejects_unknown_spec_keys(tmp_path):
     sidecar.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"^unknown synthetic keys \['n_subject'\]$"):
         load_synthetic_sidecar(path)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 100_000, "RecursionError: maximum recursion depth exceeded"),
+    ("{not json", "Expecting property name enclosed in double quotes"),
+    ("{}", "KeyError: 'spec'"),
+    ('{"spec": {}, "task_templates": []}', "KeyError: 'subject_offsets'"),
+    ("[]", "TypeError: list indices must be integers or slices, not str"),
+    ('{"spec": {}, "task_templates": [[1.0], [1.0, 2.0]], "subject_offsets": []}',
+     "setting an array element with a sequence"),
+], ids=["too-deep", "not-json", "empty-object", "missing-offsets", "not-an-object",
+        "ragged-templates"])
+def test_bad_synthetic_sidecar_raises_value_error_naming_the_path(tmp_path, text, reason):
+    sidecar = tmp_path / "synth.csv.factors.json"
+    sidecar.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^bad synthetic sidecar {re.escape(str(sidecar))}: "
+                                         f"{re.escape(reason)}") as caught:
+        load_synthetic_sidecar(tmp_path / "synth.csv")
+    assert type(caught.value) is ValueError
+
+
+def test_missing_synthetic_sidecar_raises_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_synthetic_sidecar(tmp_path / "synth.csv")

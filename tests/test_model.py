@@ -491,20 +491,28 @@ def _lone_array(tmp_path):
     return path
 
 
+def _too_deep(tmp_path):
+    path = tmp_path / "model.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(b"[" * 100_000, np.uint8))
+    return path
+
+
 def _edited(edit=lambda meta: None, drop=()):
     return lambda tmp_path: _checkpoint_with_meta(tmp_path, edit, drop)
 
 
 @pytest.mark.parametrize("make", [
-    _empty, _truncated, _lone_array,
+    _empty, _truncated, _lone_array, _too_deep,
     _edited(drop=("encoder_w0",)),
     _edited(drop=("meta",)),
     _edited(lambda meta: meta.pop("layers")),
     _edited(lambda meta: meta["config"].update(latent_dimension=15)),
     _edited(lambda meta: meta["config"].update(latent_dim="15")),
     _edited(lambda meta: meta["config"]["sgd"].update(epochs=1.5)),
-], ids=["empty", "truncated", "lone-npy-array", "missing-array", "missing-meta",
-        "missing-layers-key", "unknown-config-field", "string-latent-dim", "fractional-epochs"])
+], ids=["empty", "truncated", "lone-npy-array", "too-deep-meta", "missing-array",
+        "missing-meta", "missing-layers-key", "unknown-config-field", "string-latent-dim",
+        "fractional-epochs"])
 def test_unreadable_checkpoint_raises_value_error_naming_the_path(tmp_path, make):
     path = make(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
