@@ -91,9 +91,9 @@ class MlpClassifier(_Fitted):
     train fits R classifiers at once. Each replica draws its weights, then its
     shuffles, from its own stream, make_rng(seed, 400), and gathers its own rows and
     one-hot targets, so it equals its solo fit bit for bit. R > 1 replicas train as
-    one network stack, with (R, out, in) weights and one ce_step per batch for all of
-    them, and come back as 2-D networks with copies of their rows of the stack; a lone
-    fit trains its 2-D network.
+    one network stack, Mlp.stack of their nets, with one ce_step per batch for all of
+    them, and come back as the stack's replicas(), 2-D copies; a lone fit trains its
+    2-D network, which is its own replica.
     """
 
     kind = "mlp"
@@ -112,9 +112,7 @@ class MlpClassifier(_Fitted):
         rngs = [make_rng(seed, 400) for seed in seeds]
         nets = [build_mlp([z.shape[-1], 15, k], rng) for rng in rngs]
         stacked = len(nets) > 1
-        net = Mlp([np.stack(layer) for layer in zip(*(m.weights for m in nets))],
-                  [np.stack(layer) for layer in zip(*(m.biases for m in nets))]) \
-            if stacked else nets[0]
+        net = Mlp.stack(nets) if stacked else nets[0]
         z = np.ascontiguousarray(z)
         onehot = np.stack([_one_hot(targets, k) for _, targets in fits])
         replica, n, size = np.arange(len(rngs))[:, None], z.shape[1], _MLP_SGD.batch_size
@@ -126,10 +124,7 @@ class MlpClassifier(_Fitted):
             for start in range(0, n, size):
                 ce_step(net, zs[..., start: start + size, :], None, _MLP_SGD,
                         hot[..., start: start + size, :])
-        if stacked:
-            nets = [Mlp([w[r] for w in net.weights], [b[r] for b in net.biases])
-                    for r in range(len(nets))]
-        return [cls(m, classes) for m, (classes, _) in zip(nets, fits)]
+        return [cls(m, classes) for m, (classes, _) in zip(net.replicas(), fits)]
 
     def _scores(self, z: np.ndarray) -> np.ndarray:
         return self.net.forward(z)  # rejects all but (n, net.in_dim) input

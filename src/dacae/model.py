@@ -16,6 +16,7 @@ import math
 import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -107,6 +108,10 @@ class DacaeParams:
     def groups(self) -> dict[str, Mlp]:
         return {"encoder": self.encoder, "decoder": self.decoder,
                 "adversary": self.adversary, "nuisance": self.nuisance}
+
+    def replicas(self) -> Iterator[DacaeParams]:
+        """Mlp.replicas, group by group; 2-D parameters yield their own networks once."""
+        return map(DacaeParams, *(net.replicas() for net in self.groups().values()))
 
 
 def init_params(n_channels: int, n_subjects: int, config: HyperConfig, seed: int) -> DacaeParams:
@@ -202,8 +207,13 @@ def save_checkpoint(path: str | Path, params: DacaeParams, config: HyperConfig,
     """Write an extractor's parameters, config and normalization stats to one .npz.
 
     Arrays are stored as raw float64, so a load returns bit-identical values.
-    The config is stored resolved, so its r_n is a number, never None.
+    The config is stored resolved, so its r_n is a number, never None. A checkpoint
+    holds one extractor: a stack raises ValueError, and each of its replicas() is
+    saved on its own, with its own config.
     """
+    if any(net.params.ndim != 1 for net in params.groups().values()):
+        raise ValueError("a checkpoint holds one extractor, not a stack of replicas: "
+                         "save each of params.replicas() with its own config")
     meta = {
         "format": _CHECKPOINT_FORMAT,
         "config": asdict(config),
@@ -230,10 +240,10 @@ def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint. Returns (params, config, normalization).
 
     normalization is None when the checkpoint was saved without it. A file that
-    is not a whole checkpoint (empty or truncated, missing an array or a meta
-    key, with meta nested too deep to parse, or holding a config that HyperConfig
-    rejects) raises ValueError naming the path, with the file closed; a file that
-    cannot be opened raises OSError.
+    is not a whole checkpoint of one extractor (empty or truncated, missing an
+    array or a meta key, with meta nested too deep to parse, holding a config that
+    HyperConfig rejects, or arrays with a replica axis) raises ValueError naming
+    the path, with the file closed; a file that cannot be opened raises OSError.
     """
     try:
         with open(path, "rb") as fh:
@@ -260,6 +270,9 @@ def _read_checkpoint(data):
             raise ValueError(f"checkpoint group {name!r}: not ReLU on all but the last layer")
         nets[name] = Mlp([data[f"{name}_w{k}"] for k in range(n)],
                          [data[f"{name}_b{k}"] for k in range(n)])
+        if nets[name].params.ndim != 1:
+            raise ValueError(f"checkpoint group {name!r}: arrays with a replica axis "
+                             f"{nets[name].params.shape[:-1]}, not one network")
     params = DacaeParams(**nets)
     if any(getattr(params, k) != v for k, v in meta["dims"].items()):
         raise ValueError(f"checkpoint dims {meta['dims']} do not match its networks")

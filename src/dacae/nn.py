@@ -19,13 +19,13 @@ the whole gradient buffer and subtracts it from params. _ce_in_place subtracts t
 targets' one-hot rows, which its callers build once per pass or batch: x - 0.0 is x
 for every float, so the bits are those of subtracting 1.0 at each target alone.
 
-A network's arrays may carry a leading replica axis: R networks of one shape,
-with (R, out, in) weights and (R, out) biases, run as one stack. Every primitive
-broadcasts over that axis. An input is either shared, (n, in), or one per
-replica, (R, n, in); losses come back one per replica as an (R,) array, and a
-step checks every replica's gradient before it updates any. Each replica's
-arithmetic is that of its own 2-D network, bit for bit, and a 2-D network runs
-the same lines with no replica axis.
+A network's arrays may carry a leading replica axis: R networks of one shape, with
+(R, out, in) weights and (R, out) biases, run as one stack; Mlp.stack builds one
+from R 2-D networks, and Mlp.replicas splits it into 2-D copies. Every primitive
+broadcasts over that axis. An input is either shared, (n, in), or one per replica,
+(R, n, in); losses come back one per replica as an (R,) array, and a step checks
+every replica's gradient before it updates any. Each replica's arithmetic is that
+of its own 2-D network, bit for bit; a 2-D network runs the same lines without that axis.
 
 The kernels call the ufuncs' reduce directly (np.add.reduce for .sum(),
 np.maximum.reduce for .max(), _all for .all()): the same arithmetic, without the
@@ -188,6 +188,21 @@ class Mlp:
 
     def __reduce__(self):
         return Mlp, (self.weights, self.biases)
+
+    @classmethod
+    def stack(cls, nets: Sequence[Mlp]) -> Mlp:
+        """R 2-D networks of one shape as one stack, whose replica r is a copy of nets[r]."""
+        if len(shapes := {tuple(w.shape for w in net.weights) for net in nets}) != 1:
+            raise ValueError(f"cannot stack networks of weight shapes {sorted(shapes)}")
+        return cls([np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+                   [np.stack(bs) for bs in zip(*(net.biases for net in nets))])
+
+    def replicas(self) -> Iterator[Mlp]:
+        """A stack's replicas in order, each a fresh 2-D network with a copy of its
+        parameters, made when it is reached; a 2-D network yields itself."""
+        if self.params.ndim == 1:
+            return iter([self])
+        return (Mlp(ws, bs) for ws, bs in zip(zip(*self.weights), zip(*self.biases)))
 
     weights = property(lambda self: self._weights, doc="Each layer's weight, a view of params.")
     biases = property(lambda self: self._biases, doc="Each layer's bias, a view of params.")

@@ -19,12 +19,14 @@ and each epoch encodes the training set once for its probes and its LDA readout.
 whose logs nobody reads (log=False; the sweep's) skips that evaluation and checks the
 training loss once, after the last epoch.
 
-Runs that differ only in their loss weights train as one stack: their
-parameters carry a leading replica axis (see dacae.nn), every step updates all
-of them with one call per primitive, and each replica's weights, losses and
-log equal its solo run's bit for bit. A single run trains 2-D networks, the
-one-replica case of the same lines. The two-stage sweep trains each stage's
-grid as one stack.
+Runs that differ only in their loss weights train as one stack, Mlp.stack of
+one init_params draw per group: their parameters carry a leading replica axis
+(see dacae.nn), every step updates all of them with one call per primitive, and
+each replica's weights, losses and log equal its solo run's bit for bit. A
+single run trains 2-D networks, the one-replica case of the same lines. The
+epoch evaluation, the log=False loss check and the sweep's readout read one
+replica at a time from DacaeParams.replicas(), which yields a single run's own
+networks. The two-stage sweep trains each stage's grid as one stack.
 """
 
 from __future__ import annotations
@@ -160,19 +162,6 @@ def probe_accuracies(params: DacaeParams, z: np.ndarray, s: np.ndarray) -> tuple
     return adv, nui
 
 
-def _stack(params: DacaeParams, replicas: int) -> DacaeParams:
-    """replicas copies of params, stacked along a new leading axis."""
-    return DacaeParams(*(Mlp([np.stack([w] * replicas) for w in net.weights],
-                             [np.stack([b] * replicas) for b in net.biases])
-                         for net in params.groups().values()))
-
-
-def _replica(stack: DacaeParams, r: int) -> DacaeParams:
-    """Replica r of a stack, as fresh 2-D networks with copies of its parameters."""
-    return DacaeParams(*(Mlp([w[r] for w in net.weights], [b[r] for b in net.biases])
-                         for net in stack.groups().values()))
-
-
 def _epoch_row(params: DacaeParams, dataset: Dataset, config: HyperConfig,
                val: Dataset | None, epoch: int) -> TrainLogRow:
     total, parts = dacae_loss(params, dataset.x, dataset.s, config)
@@ -200,7 +189,7 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[Hyper
     in lambda_a and lambda_n trains them as one stack and returns (stack, one
     TrainLog per config): the runs share one init_params draw, one shuffle
     stream and one gather per batch, and each epoch is evaluated replica by
-    replica. Replica r of the stack, and its log, equal a solo fit of
+    replica. Replica r of stack.replicas(), and its log, equal a solo fit of
     config[r] bit for bit; a divergence in any replica stops the whole stack.
     A single config trains its 2-D networks, the one-replica case of the same
     lines.
@@ -226,7 +215,7 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[Hyper
         raise ConfigError("feature extractor needs at least two subjects")
     params = init_params(dataset.x.shape[1], dataset.n_subjects, first, first.sgd.seed)
     if not single:
-        params = _stack(params, len(configs))
+        params = DacaeParams(*(Mlp.stack([net] * len(configs)) for net in params.groups().values()))
     shuffle_rng = make_rng(first.sgd.seed, 500)
     logs = [TrainLog([]) for _ in configs]
     for epoch in range(first.sgd.epochs):
@@ -242,12 +231,11 @@ def fit_feature_extractor(dataset: Dataset, config: HyperConfig | Sequence[Hyper
         params.encoder._cache = None
         if log:
             # one replica at a time, so evaluation needs no more memory than a solo fit's
-            for r, (c, trainlog) in enumerate(zip(configs, logs)):
-                replica = params if single else _replica(params, r)
+            for c, trainlog, replica in zip(configs, logs, params.replicas()):
                 trainlog.rows.append(_epoch_row(replica, dataset, c, val, epoch))
     if not log:  # the loss the last evaluation would compute, so a last step's divergence shows
-        for r, c in enumerate(configs):
-            dacae_loss(params if single else _replica(params, r), dataset.x, dataset.s, c)
+        for c, replica in zip(configs, params.replicas()):
+            dacae_loss(replica, dataset.x, dataset.s, c)
         return params, None
     return (params, logs[0]) if single else (params, logs)
 
@@ -327,7 +315,7 @@ def two_stage_sweep(train: Dataset, val: Dataset, base: HyperConfig, classifier:
         configs = [replace(base, lambda_a=la, lambda_n=ln) for la, ln in points]
         try:
             stack, _ = fit_feature_extractor(train, configs, log=False)
-            fits = (_replica(stack, r) for r in range(len(configs)))
+            fits = stack.replicas()
         except TrainingDiverged:
             # the stack stops at whichever replica diverges first in time
             fits = (fit_feature_extractor(train, c, log=False)[0] for c in configs)

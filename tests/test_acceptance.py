@@ -47,7 +47,6 @@ from dacae import (
     softmax_cross_entropy,
 )
 from dacae.classifiers import KnnClassifier, best_split
-from dacae.training import _replica
 from helpers import gini_impurity, trial_table
 
 REAL_DATA = os.environ.get("DACAE_REAL_DATA")
@@ -98,8 +97,7 @@ def probe_stack(seed):
     stack, _ = fit_feature_extractor(ds.subset(train_ids), configs, log=False)
     val = ds.subset(val_ids)
     probes = {}
-    for r, point in enumerate(PROBE_POINTS):
-        params = _replica(stack, r)
+    for point, params in zip(PROBE_POINTS, stack.replicas()):
         probes[point] = probe_accuracies(params, encode(params, val.x), val.s)
     return probes, time.perf_counter() - started
 

@@ -15,6 +15,7 @@ from dacae import (
     ConfigError,
     DacaeParams,
     HyperConfig,
+    Mlp,
     SgdConfig,
     SyntheticSpec,
     VARIANTS,
@@ -398,6 +399,41 @@ def test_checkpoint_roundtrip_without_extras(tmp_path):
     assert np.array_equal(params.encoder.forward(x), params2.encoder.forward(x))
 
 
+def _stack_of(solo):
+    return DacaeParams(*(Mlp.stack(nets) for nets in zip(*(p.groups().values() for p in solo))))
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_params_replicas_split_every_group(replicas):
+    solo = [init_params(7, 6, HyperConfig(), seed=r) for r in range(replicas)]
+    stack = _stack_of(solo)
+    before = copy_params(stack)
+    got = list(stack.replicas())
+    assert len(got) == replicas
+    for params, want in zip(got, solo):
+        for name, net in params.groups().items():
+            assert net.params.tobytes() == want.groups()[name].params.tobytes()
+            net.params[...] = 0.0  # a replica is a copy: writing into it leaves the stack
+    for name, net in stack.groups().items():
+        assert net.params.tobytes() == before.groups()[name].params.tobytes()
+    # 2-D parameters yield their own networks, as their single replica
+    (only,) = solo[0].replicas()
+    assert all(a is b for a, b in zip(only.groups().values(), solo[0].groups().values()))
+
+
+def test_save_checkpoint_rejects_a_stack(tmp_path):
+    configs = [HyperConfig(lambda_a=0.1), HyperConfig(lambda_a=0.5)]
+    stack = _stack_of([init_params(7, 6, configs[0], seed=0)] * 2)
+    path = tmp_path / "model.npz"
+    with pytest.raises(ValueError, match=r"^a checkpoint holds one extractor, not a stack of "
+                                         r"replicas: save each of params\.replicas\(\)"):
+        save_checkpoint(path, stack, configs[0])
+    assert not path.exists()
+    for config, params in zip(configs, stack.replicas()):
+        save_checkpoint(path, params, config)
+        assert load_checkpoint(path)[1] == config
+
+
 def test_params_read_dims_off_networks():
     params = init_params(7, 6, HyperConfig(variant="DA-cAE", latent_dim=9), seed=0)
     dims = (params.n_channels, params.latent_dim, params.d_a, params.d_n, params.n_subjects)
@@ -438,6 +474,19 @@ def _checkpoint_with_meta(tmp_path, edit, drop=()):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     return path
+
+
+def test_load_checkpoint_rejects_arrays_with_a_replica_axis(tmp_path):
+    # what saving a stack of two replicas wrote before save_checkpoint refused stacks
+    path = _checkpoint_with_meta(tmp_path, lambda meta: None)
+    with np.load(path) as data:
+        arrays = {k: data[k] if k == "meta" else np.stack([data[k]] * 2) for k in data.files}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match=rf"^bad model checkpoint {re.escape(str(path))}: "
+                                         r"checkpoint group '\w+': arrays with a replica axis "
+                                         r"\(2,\), not one network$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key", ["n_channels", "n_subjects", "latent_dim", "d_n"])

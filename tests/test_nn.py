@@ -250,7 +250,7 @@ def test_grad_check_zero_net_zero_error():
 def test_grad_check_rejects_a_stack():
     # a stack's layers are strided views of its buffer: perturbing a reshaped copy of
     # one would leave the loss unchanged
-    stack = _stack([build_mlp([3, 2], make_rng(5, r)) for r in range(2)])
+    stack = Mlp.stack([build_mlp([3, 2], make_rng(5, r)) for r in range(2)])
     x = make_rng(5, 2).standard_normal((4, 3))
     _, grad = mse_loss(stack.forward(x), np.zeros((2, 4, 2)))
     with pytest.raises(ValueError, match=r"^grad_check takes a 2-D network, not a stack with "
@@ -541,7 +541,7 @@ def test_network_layers_are_fixed_views_of_its_own_buffer():
         assert a.tobytes() == b.tobytes()
     # a deep copy and a pickle round trip, of a 2-D network and of a stack, each
     # step a buffer of their own and leave the original's bits alone
-    stack = _stack([net, build_mlp([5, 7, 3], make_rng(83))])
+    stack = Mlp.stack([net, build_mlp([5, 7, 3], make_rng(83))])
     for original, batch in ((net, x), (stack, np.stack([x, x[::-1]]))):
         for twin in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
             before, want = copy_mlp(original), copy_mlp(original)
@@ -556,10 +556,8 @@ def test_network_layers_are_fixed_views_of_its_own_buffer():
 def test_step_caches_never_share_a_buffer():
     rng = make_rng(84)
     nets = [build_mlp([5, 6, 3], make_rng(85, r)) for r in range(3)]
-    stack = _stack([copy_mlp(net) for net in nets])
-    # replicas as the training loop's _replica makes them: 2-D copies of the stack's rows
-    replicas = [Mlp([w[r] for w in stack.weights], [b[r] for b in stack.biases])
-                for r in range(3)]
+    stack = Mlp.stack([copy_mlp(net) for net in nets])
+    replicas = list(stack.replicas())  # 2-D copies of the stack's rows
     x = rng.standard_normal((3, 16, 5))
     t = rng.integers(0, 3, size=16)
     sgd = SgdConfig(learning_rate=0.1)
@@ -579,7 +577,7 @@ def test_step_caches_never_share_a_buffer():
 def test_ce_step_alternating_full_and_short_batches_matches_reference(replicas):
     nets = [build_mlp([6, 8, 4], make_rng(86, r)) for r in range(replicas or 1)]
     refs = [copy_mlp(net) for net in nets]
-    net = nets[0] if replicas is None else _stack(nets)
+    net = nets[0] if replicas is None else Mlp.stack(nets)
     rng = make_rng(87)
     sgd = SgdConfig(learning_rate=0.05)
     for n in [32, 5, 32, 1, 32, 31] * 4:
@@ -598,7 +596,7 @@ def test_ce_step_alternating_full_and_short_batches_matches_reference(replicas):
 @pytest.mark.parametrize("replicas", [None, 3], ids=["2d", "R3"])
 def test_loss_free_ce_step_matches_the_loss_step_bitwise(replicas, width):
     nets = [build_mlp([6, 8, width], make_rng(88, r)) for r in range(replicas or 1)]
-    net = nets[0] if replicas is None else _stack(nets)
+    net = nets[0] if replicas is None else Mlp.stack(nets)
     ref = copy_mlp(net)
     rng = make_rng(89, width)
     sgd = SgdConfig(learning_rate=0.05)
@@ -628,7 +626,7 @@ def test_ce_in_place_without_targets_leaves_the_same_gradient(width):
 @pytest.mark.parametrize("replicas", [None, 3], ids=["2d", "R3"])
 def test_loss_free_ce_step_checks_the_gradient_before_any_update(replicas):
     nets = [build_mlp([4, 6, 3], make_rng(91, r)) for r in range(replicas or 1)]
-    net = nets[0] if replicas is None else _stack(nets)
+    net = nets[0] if replicas is None else Mlp.stack(nets)
     before = copy_mlp(net)
     x = make_rng(92).standard_normal((replicas or 1, 8, 4))
     x[-1, 1, 0] = np.nan  # only the last replica's batch
@@ -877,11 +875,6 @@ def test_softmax_is_batch_only(shape):
 # A stack's arrays carry a leading replica axis; replica r must compute exactly
 # what its own 2-D network computes.
 
-def _stack(nets):
-    return Mlp([np.stack(ws) for ws in zip(*(net.weights for net in nets))],
-               [np.stack(bs) for bs in zip(*(net.biases for net in nets))])
-
-
 def _assert_replica(stack, r, net):
     for a, b in zip(stack.weights + stack.biases, net.weights + net.biases, strict=True):
         _assert_same_bits(a[r], b)
@@ -893,7 +886,7 @@ def _assert_replica(stack, r, net):
 def test_stacked_primitives_match_each_replica_bitwise(dims, n, shared):
     replicas = 3
     nets = [build_mlp(dims, make_rng(61, r)) for r in range(replicas)]
-    stack = _stack([copy_mlp(net) for net in nets])
+    stack = Mlp.stack([copy_mlp(net) for net in nets])
     rng = make_rng(62, n)
     x = rng.standard_normal((n, dims[0]) if shared else (replicas, n, dims[0]))
     xs = [x if shared else x[r] for r in range(replicas)]
@@ -931,7 +924,7 @@ def test_stacked_primitives_match_each_replica_bitwise(dims, n, shared):
 
 def test_stacked_steps_check_every_replica_before_any_update():
     nets = [build_mlp([4, 6, 3], make_rng(63, r)) for r in range(3)]
-    stack = _stack(nets)
+    stack = Mlp.stack(nets)
     before = copy_mlp(stack)
     x = make_rng(64).standard_normal((3, 8, 4))
     x[2, 1, 0] = np.inf  # only the last replica's batch
@@ -950,18 +943,40 @@ def test_stacked_steps_check_every_replica_before_any_update():
     _assert_same_arrays(stack, before)
 
 
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_stack_splits_back_into_fresh_copies_of_its_networks(replicas):
+    nets = [build_mlp([5, 7, 3], make_rng(93, r)) for r in range(replicas)]
+    stack = Mlp.stack(nets)
+    before = copy_mlp(stack)
+    # one flat run per replica, in a 2-D network's layout
+    assert [row.tobytes() for row in stack.params] == [net.params.tobytes() for net in nets]
+    got = list(stack.replicas())
+    assert [net.params.tobytes() for net in got] == [net.params.tobytes() for net in nets]
+    for net in got + nets:  # the stack and its replicas are copies: writes stay put
+        assert net.params.shape == nets[0].params.shape
+        net.params[...] = 0.0
+    _assert_same_params(stack, before)
+    # a 2-D network is its own single replica
+    assert [net is nets[0] for net in nets[0].replicas()] == [True]
+
+
 def test_stack_layers_share_one_replica_axis():
     with pytest.raises(ValueError, match=r"layer 1: replica axis \(2,\), not layer 0's \(3,\)"):
         Mlp([np.zeros((3, 2, 4)), np.zeros((2, 1, 2))], [np.zeros((3, 2)), np.zeros((2, 1))])
+    with pytest.raises(ValueError, match=r"^cannot stack networks of weight shapes "
+                                         r"\[\(\(2, 4\),\), \(\(3, 4\),\)\]$"):
+        Mlp.stack([build_mlp([4, 2], make_rng(65)), build_mlp([4, 3], make_rng(65))])
+    with pytest.raises(ValueError, match=r"^cannot stack networks of weight shapes \[\]$"):
+        Mlp.stack([])
     with pytest.raises(ValueError, match=r"input shape \(2, 5, 3, 4\)"):
-        _stack([build_mlp([4, 2], make_rng(65))] * 2).forward(np.zeros((2, 5, 3, 4)))
+        Mlp.stack([build_mlp([4, 2], make_rng(65))] * 2).forward(np.zeros((2, 5, 3, 4)))
     with pytest.raises(ValueError, match=r"input shape \(2, 5, 4\)"):
         build_mlp([4, 2], make_rng(65)).forward(np.zeros((2, 5, 4)))
 
 
 def test_stack_backward_shares_a_2d_upstream_grad_across_replicas():
     nets = [build_mlp([4, 6, 3], make_rng(66, r)) for r in range(2)]
-    stack = _stack([copy_mlp(net) for net in nets])
+    stack = Mlp.stack([copy_mlp(net) for net in nets])
     x = make_rng(67).standard_normal((5, 4))
     upstream = make_rng(68).standard_normal((5, 3))
     stack.forward(x)

@@ -308,8 +308,7 @@ def test_head_term_equals_the_mlp_input_gradient_bitwise(dims, weights, combine)
         head, code, dz, want = heads[0], code[0], dz[0], want[0]
         weight = np.array(weights[0])[()]
     else:
-        head = Mlp([np.stack(ws) for ws in zip(*(h.weights for h in heads))],
-                   [np.stack(bs) for bs in zip(*(h.biases for h in heads))])
+        head = Mlp.stack(heads)
         weight = np.array(weights)
     _head_term(dz, combine, weight, head, code, s, np.eye(dims[-1])[s])
     assert dz.tobytes() == want.tobytes()
