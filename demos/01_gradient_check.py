@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from dacae import (HyperConfig, MlpGrads, build_mlp, dacae_loss, decoder_input,
-                   grad_check, init_params, make_rng, mse_loss,
-                   softmax_cross_entropy)
+from dacae import (HyperConfig, build_mlp, dacae_loss, decoder_input, grad_check,
+                   init_params, make_rng, mse_loss, softmax_cross_entropy)
 
 # -- each network on its own loss ------------------------------------------------
 
@@ -18,13 +17,13 @@ head = build_mlp((15, 6), rng)
 labels = rng.integers(0, 6, size=8)
 
 loss, grad = mse_loss(encoder.forward(x), np.zeros((8, 15)))
-report = grad_check(encoder, lambda n: mse_loss(n.forward(x), np.zeros((8, 15)))[0],
-                    encoder.backward(grad))
+encoder.backward(grad)  # fills the encoder's gradient buffer, which grad_check reads
+report = grad_check(encoder, lambda n: mse_loss(n.forward(x), np.zeros((8, 15)))[0])
 print(f"encoder    max rel error {report.max_rel_error:.2e}  passed={report.passed}")
 
 loss, grad = softmax_cross_entropy(head.forward(code), labels)
-report = grad_check(head, lambda n: softmax_cross_entropy(n.forward(code), labels)[0],
-                    head.backward(grad))
+head.backward(grad)
+report = grad_check(head, lambda n: softmax_cross_entropy(n.forward(code), labels)[0])
 print(f"head       max rel error {report.max_rel_error:.2e}  passed={report.passed}")
 
 # -- the joint loss, all four parameter groups at once -----------------------------
@@ -36,26 +35,19 @@ s = rng.integers(0, 6, size=8)
 z = params.encoder.forward(x)
 x_hat = params.decoder.forward(decoder_input(z, s, 6, True))
 _, gx = mse_loss(x_hat, x)
-dec_g = params.decoder.backward(gx)
-dz = dec_g.wrt_input[:, :15].copy()
+dz = params.decoder.backward(gx)[:, :15].copy()
 _, ga = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
-adv_g = params.adversary.backward(ga)
-dz[:, : params.d_a] -= config.lambda_a * adv_g.wrt_input
+dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga)
 _, gn = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
-nui_g = params.nuisance.backward(gn)
-dz[:, params.d_a:] += config.lambda_n * nui_g.wrt_input
+dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn)
 params.encoder.forward(x)
+params.encoder.backward(dz)
 
-scale = lambda g, c: MlpGrads([c * w for w in g.weights],
-                              [c * b for b in g.biases], g.wrt_input)
-analytic = {
-    "encoder": params.encoder.backward(dz),
-    "decoder": dec_g,
-    "adversary": scale(adv_g, -config.lambda_a),
-    "nuisance": scale(nui_g, config.lambda_n),
-}
+# every network's buffer holds its own gradient; a head's enters the loss times its weight
+for head, weight in ((params.adversary, -config.lambda_a), (params.nuisance, config.lambda_n)):
+    for g in head.weight_grads + head.bias_grads:
+        g *= weight
 for name, net in params.groups().items():
-    report = grad_check(net, lambda _n: dacae_loss(params, x, s, config)[0],
-                        analytic[name])
+    report = grad_check(net, lambda _n: dacae_loss(params, x, s, config)[0])
     print(f"joint/{name:<9} max rel error {report.max_rel_error:.2e}  "
           f"passed={report.passed}")

@@ -17,9 +17,8 @@ from .experiments import (ExperimentConfig, FoldResult, ReportError, holdout_spl
 from .model import (VARIANTS, DacaeParams, HyperConfig, dacae_loss, decoder_input, encode,
                     init_params, load_checkpoint, nuisance_dim, one_hot_subjects,
                     save_checkpoint)
-from .nn import (ConfigError, Mlp, MlpGrads, SgdConfig, TrainingDiverged, build_mlp,
-                 grad_check, job_seed, make_rng, mse_loss, sgd_step, softmax,
-                 softmax_cross_entropy)
+from .nn import (ConfigError, Mlp, SgdConfig, TrainingDiverged, build_mlp, grad_check,
+                 job_seed, make_rng, mse_loss, sgd_step, softmax, softmax_cross_entropy)
 from .training import (LAMBDA_A_GRID, LAMBDA_N_GRID, SweepRow, TrainLog, TrainLogRow,
                        fit_feature_extractor, probe_accuracies, train_step, two_stage_sweep)
 

@@ -84,8 +84,8 @@ class DacaeParams:
 
     Every dimension is read off the networks: n_channels and latent_dim from the
     encoder, d_a and d_n from the head inputs, n_subjects from the head outputs.
-    The heads must split the code exactly, predict one subject count, and the
-    decoder must take the code plus a one-hot subject condition.
+    The heads must split the code and predict one subject count, the decoder take
+    the code plus a one-hot subject condition, and all four share one replica axis.
     """
 
     def __init__(self, encoder: Mlp, decoder: Mlp, adversary: Mlp, nuisance: Mlp):
@@ -104,6 +104,9 @@ class DacaeParams:
             raise ValueError("adversary and nuisance heads must predict the same subjects")
         if decoder.in_dim != self.latent_dim + self.n_subjects:
             raise ValueError("decoder input dim must equal latent_dim + n_subjects")
+        axes = {name: net.params.shape[:-1] for name, net in self.groups().items()}
+        if len(set(axes.values())) > 1:
+            raise ValueError(f"the four networks must share one replica axis, got {axes}")
 
     def groups(self) -> dict[str, Mlp]:
         return {"encoder": self.encoder, "decoder": self.decoder,

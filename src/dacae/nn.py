@@ -7,15 +7,15 @@ _forward, _ce_in_place and _backward, which reads each hidden ReLU's mask off th
 next layer's input, and _input_grad, its chain to the input alone. Mlp.forward,
 Mlp.backward and softmax_cross_entropy check their input and call one kernel;
 ce_step, the update of the heads and the MLP classifier, chains three, and skips
-the loss if given no targets. A central finite-difference checker is the
-independent oracle for the gradients.
+the loss if given no targets. Mlp.backward and ce_step write gradients into the
+network's own buffer; sgd_step and grad_check, a finite-difference oracle, read it.
 
 ce_step runs at batch 32-64, where per-call allocations and reshapes cost more
 than the arithmetic. So every Mlp holds its parameters in one flat buffer, params,
 with each layer's weight and bias as views of it, and builds its step state once:
-the views _forward reads, a flat gradient buffer of params' layout with each layer's
-gradients as views of it, and a mask buffer for the finite check. An update scales
-the whole gradient buffer and subtracts it from params. _ce_in_place subtracts the
+the views _forward reads, a zeroed flat gradient buffer of params' layout with each
+layer's gradients as views of it, and a mask buffer for the finite check. An update
+scales the whole gradient buffer and subtracts it from params. _ce_in_place subtracts the
 targets' one-hot rows, which its callers build once per pass or batch: x - 0.0 is x
 for every float, so the bits are those of subtracting 1.0 at each target alone.
 
@@ -141,14 +141,6 @@ class SgdConfig:
         _check_fields(self, "sgd")
 
 
-@dataclass
-class MlpGrads:
-    """Per-layer parameter gradients plus the gradient w.r.t. the network input."""
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    wrt_input: np.ndarray
-
-
 class Mlp:
     """Dense layers a @ weights[k].T + biases[k], with ReLU after every layer but the last.
 
@@ -156,8 +148,8 @@ class Mlp:
     stack of R replicas (see the module docstring). The network copies them into
     params, one flat buffer per replica in _grad_buffer's layout; weights and biases
     are read-only tuples of views into it, fixed for the network's life, so a caller
-    writes into a layer but never replaces one. A copy or a pickle of a network has
-    a buffer of its own.
+    writes into a layer but never replaces one; weight_grads and bias_grads are the
+    same views of its gradient buffer. A copy or a pickle has buffers of its own.
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
@@ -174,15 +166,14 @@ class Mlp:
             if k and weights[k - 1].shape[-2] != w.shape[-1]:
                 raise ValueError(
                     f"layer dims mismatch: {weights[k - 1].shape[-2]} -> {w.shape[-1]}")
-        self.params, w_views, b_views = _grad_buffer(weights)
-        for view, array in zip(w_views + b_views, weights + biases):
+        self.params, self._weights, self._biases = _grad_buffer(weights)
+        for view, array in zip(self._weights + self._biases, weights + biases):
             view[...] = array
-        self._weights, self._biases = tuple(w_views), tuple(b_views)
         self._cache: list[np.ndarray] | None = None  # each layer's input
         # the step state: what _forward reads (each weight transposed, (in, out), and each
         # bias as a row), the gradient buffer with its layer views, the finite mask
-        self._w_t = [w.swapaxes(-1, -2) for w in w_views]
-        self._b_rows = [b[..., None, :] for b in b_views]
+        self._w_t = [w.swapaxes(-1, -2) for w in self._weights]
+        self._b_rows = [b[..., None, :] for b in self._biases]
         self._grads, self._w_grads, self._b_grads = _grad_buffer(weights)
         self._finite = np.empty(self.params.shape, dtype=bool)
 
@@ -206,6 +197,8 @@ class Mlp:
 
     weights = property(lambda self: self._weights, doc="Each layer's weight, a view of params.")
     biases = property(lambda self: self._biases, doc="Each layer's bias, a view of params.")
+    weight_grads = property(lambda self: self._w_grads, doc="Views of the gradient buffer.")
+    bias_grads = property(lambda self: self._b_grads, doc="Views of the gradient buffer.")
     in_dim = property(lambda self: self._weights[0].shape[-1])
     out_dim = property(lambda self: self._weights[-1].shape[-2])
 
@@ -218,9 +211,10 @@ class Mlp:
         self._cache, out = _forward(self._w_t, self._b_rows, a)
         return out
 
-    def backward(self, upstream_grad: np.ndarray) -> MlpGrads:
-        """Gradients of the cached forward pass; upstream_grad is dLoss/dOutput, shaped
-        like the output."""
+    def backward(self, upstream_grad: np.ndarray) -> np.ndarray:
+        """Backpropagate upstream_grad, dLoss/dOutput shaped like the output, through the
+        cached forward pass into the gradient buffer (weight_grads, bias_grads); returns
+        the gradient w.r.t. the input."""
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
         g = np.asarray(upstream_grad, dtype=np.float64)
@@ -228,17 +222,8 @@ class Mlp:
             raise ValueError(f"upstream grad shape {g.shape} is not (n, {self.out_dim})")
         if g.ndim < self.weights[0].ndim:  # one upstream gradient shared by every replica
             g = np.broadcast_to(g, self.weights[0].shape[:-2] + g.shape)
-        _, w_grads, b_grads = _grad_buffer(self.weights)  # a new one: the grads escape
-        g = _backward(self.weights, self._cache, g, w_grads, b_grads)
-        return MlpGrads(w_grads, b_grads, g @ self.weights[0])
-
-    def _update(self, lr: float) -> None:
-        """params -= lr * the gradient in the network's gradient buffer; raises
-        TrainingDiverged, before any parameter changes, if a gradient is not finite."""
-        if np.count_nonzero(np.isfinite(self._grads, out=self._finite)) != self._grads.size:
-            raise TrainingDiverged("non-finite gradient in sgd_step")
-        np.multiply(self._grads, lr, out=self._grads)
-        np.subtract(self.params, self._grads, out=self.params)
+        g = _backward(self.weights, self._cache, g, self._w_grads, self._b_grads)
+        return g @ self.weights[0]
 
 
 def _matmul(weights: Sequence[np.ndarray]):
@@ -264,12 +249,12 @@ def _forward(w_t: list[np.ndarray], b_rows: list[np.ndarray], x: np.ndarray
 
 
 def _grad_buffer(weights: Sequence[np.ndarray]
-                 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """One new flat vector per replica for the parameters, or the gradients, of a network
-    with these weights: last layer first, each layer's weight then its bias; and those
-    layers as views of it."""
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One new zeroed flat vector per replica for the parameters, or the gradients, of a
+    network with these weights: last layer first, each layer's weight then its bias; and
+    those layers as views of it."""
     size = sum(w.shape[-2] * (w.shape[-1] + 1) for w in weights)
-    flat = np.empty(weights[0].shape[:-2] + (size,))
+    flat = np.zeros(weights[0].shape[:-2] + (size,))
     w_grads, b_grads = [None] * len(weights), [None] * len(weights)
     start = 0
     for k in range(len(weights) - 1, -1, -1):
@@ -279,7 +264,7 @@ def _grad_buffer(weights: Sequence[np.ndarray]
         w_grads[k] = flat[..., start:split].reshape(w.shape)
         start = split + w.shape[-2]
         b_grads[k] = flat[..., split:start]
-    return flat, w_grads, b_grads
+    return flat, tuple(w_grads), tuple(b_grads)
 
 
 def _backward(weights: Sequence[np.ndarray], inputs: list[np.ndarray], g: np.ndarray,
@@ -479,18 +464,17 @@ def mse_loss(x_hat: np.ndarray, x: np.ndarray) -> tuple[float | np.ndarray, np.n
     return _per_replica(loss), grad
 
 
-def sgd_step(net: Mlp, grads: MlpGrads, config: SgdConfig) -> Mlp:
-    """In-place SGD update: param -= learning_rate * grad. Returns net.
+def sgd_step(net: Mlp, config: SgdConfig) -> Mlp:
+    """In-place SGD update from net's gradient buffer, as the last backward or ce_step
+    left it (zero in a fresh network): params -= learning_rate * grad. Returns net.
 
-    The gradients are copied into net's gradient buffer, and every one, of every
-    replica, is checked before any parameter changes.
+    Every gradient, of every replica, is checked before any parameter changes; the
+    buffer is left scaled by the learning rate.
     """
-    for buffer, grad in zip(net._w_grads + net._b_grads, grads.weights + grads.biases,
-                            strict=True):
-        if grad.shape != buffer.shape:
-            raise ValueError("gradient shapes do not match network parameters")
-        buffer[...] = grad
-    net._update(config.learning_rate)
+    if np.count_nonzero(np.isfinite(net._grads, out=net._finite)) != net._grads.size:
+        raise TrainingDiverged("non-finite gradient in sgd_step")
+    np.multiply(net._grads, config.learning_rate, out=net._grads)
+    np.subtract(net.params, net._grads, out=net.params)
     return net
 
 
@@ -508,8 +492,8 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray | None, sgd: SgdConfig,
     step has the same bits, but computes no loss and returns None.
 
     The step runs on net's own buffers: its gradients go into net's gradient
-    buffer, which is checked once, scaled and subtracted from net.params, so nothing
-    of the network's size is allocated per step.
+    buffer, and sgd_step checks, scales and subtracts them from net.params, so
+    nothing of the network's size is allocated per step.
     """
     net._cache = None
     inputs, logits = _forward(net._w_t, net._b_rows, x)
@@ -517,7 +501,7 @@ def ce_step(net: Mlp, x: np.ndarray, targets: np.ndarray | None, sgd: SgdConfig,
         onehot = _one_hot(targets, logits.shape[-1])
     loss = _ce_in_place(logits, targets, onehot)
     _backward(net.weights, inputs, logits, net._w_grads, net._b_grads)
-    net._update(sgd.learning_rate)
+    sgd_step(net, sgd)
     return None if loss is None else _per_replica(loss)
 
 
@@ -546,24 +530,26 @@ class GradCheckReport:
     worst_param: str = ""
 
 
-def grad_check(net: Mlp, loss_fn: Callable[[Mlp], float], analytic: MlpGrads,
-               tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic parameter gradients against central finite differences of step 1e-6.
+def grad_check(net: Mlp, loss_fn: Callable[[Mlp], float], tolerance: float = 1e-4
+               ) -> GradCheckReport:
+    """Compare the gradients in net's gradient buffer, copied on entry, against central
+    finite differences of step 1e-6.
 
     loss_fn must evaluate the full loss for the net's current parameters
-    (re-running forward internally); analytic holds the gradients under test.
+    (re-running forward internally).
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     if net.weights[0].ndim != 2:  # a stack's layers are not contiguous: reshape would copy
         raise ValueError(f"grad_check takes a 2-D network, not a stack with replica axis "
                          f"{net.weights[0].shape[:-2]}")
+    w_grads, b_grads = [g.copy() for g in net.weight_grads], [g.copy() for g in net.bias_grads]
     worst = 0.0
     worst_name = ""
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        for name, param, grad in (("w", w, analytic.weights[k]), ("b", b, analytic.biases[k])):
+        for name, param, grad in (("w", w, w_grads[k]), ("b", b, b_grads[k])):
             flat = param.reshape(-1)
-            gflat = np.asarray(grad).reshape(-1)
+            gflat = grad.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + 1e-6

@@ -9,10 +9,9 @@ gradient and the joint step's Mlp primitives run one set of dacae.nn kernels, th
 same that train the MLP classifier; the head term runs them on the bare arrays
 (_forward, _ce_in_place, _input_grad), since it needs neither a forward cache nor
 the heads' weight gradients. The subject one-hot is built once per batch and
-serves the decoder's condition, both heads' steps and both head terms. The
-encoder's backward writes into its own gradient buffer (see dacae.nn.Mlp), with
-no input gradient; the decoder keeps Mlp.backward and sgd_step, since its input
-gradient is the encoder's upstream gradient.
+serves the decoder's condition, both heads' steps and both head terms. The encoder
+and the decoder each run Mlp.backward into their own gradient buffer and sgd_step
+from it; the decoder's input gradient is the encoder's upstream gradient.
 
 Evaluation reads codes: probe_accuracies and classifiers.fit take z = encode(params, x),
 and each epoch encodes the training set once for its probes and its LDA readout. A fit
@@ -42,8 +41,8 @@ from . import classifiers
 from .data import Dataset, write_csv
 from .model import DacaeParams, HyperConfig, LossParts, _decoder_input, dacae_loss, encode, \
     init_params
-from .nn import ConfigError, Mlp, TrainingDiverged, _all, _backward, _ce_in_place, _forward, \
-    _input_grad, _one_hot, _targets, ce_step, make_rng, minibatches, mse_loss, sgd_step
+from .nn import ConfigError, Mlp, TrainingDiverged, _all, _ce_in_place, _forward, _input_grad, \
+    _one_hot, _targets, ce_step, make_rng, minibatches, mse_loss, sgd_step
 
 LOSS_CEILING = 1e6
 
@@ -94,14 +93,12 @@ def train_step(params: DacaeParams, x: np.ndarray, s: np.ndarray,
     condition = onehot if configs[0].conditioned else 0.0
     x_hat = params.decoder.forward(_decoder_input(z, condition, params.n_subjects))
     recon, recon_grad = mse_loss(x_hat, x)
-    dec_grads = params.decoder.backward(recon_grad)
-    dz = dec_grads.wrt_input[..., : params.latent_dim].copy()
+    dz = params.decoder.backward(recon_grad)[..., : params.latent_dim].copy()
     _head_term(dz[..., : params.d_a], np.subtract, lambda_a, params.adversary, z_a, s, onehot)
     _head_term(dz[..., params.d_a:], np.add, lambda_n, params.nuisance, z_n, s, onehot)
-    encoder = params.encoder
-    _backward(encoder.weights, encoder._cache, dz, encoder._w_grads, encoder._b_grads)
-    encoder._update(sgd.learning_rate)
-    sgd_step(params.decoder, dec_grads, sgd)
+    params.encoder.backward(dz)
+    sgd_step(params.encoder, sgd)
+    sgd_step(params.decoder, sgd)
 
     total = recon + lambda_n * nui_ce - lambda_a * adv_ce
     in_bounds = np.abs(total) <= LOSS_CEILING  # False for NaN too
@@ -116,7 +113,7 @@ def _head_term(dz: np.ndarray, combine, weight: np.ndarray, head: Mlp, code: np.
     """dz = combine(dz, weight * d CE(head(code), s) / d code), in place, in each replica
     whose weight (one per replica) is not 0.
 
-    The term has the bits of head.backward(grad).wrt_input after head.forward(code)
+    The term has the bits of head.backward(grad) after head.forward(code)
     and softmax_cross_entropy; s is train_step's checked subject ids and onehot their
     one-hot rows. A replica at 0 is skipped by mask, not multiplied by 0, so its dz
     keeps the bits, signed zeros included, of a run that never consults the head.

@@ -499,7 +499,8 @@ def test_mlp_matches_reference_sgd_replay():
         for start in range(0, z.shape[0], 32):
             idx = order[start: start + 32]
             _, grad = softmax_cross_entropy(net.forward(z[idx]), targets[idx])
-            sgd_step(net, net.backward(grad), sgd)
+            net.backward(grad)
+            sgd_step(net, sgd)
     for got, want in zip(clf.net.weights + clf.net.biases, net.weights + net.biases, strict=True):
         assert np.array_equal(got, want)
 

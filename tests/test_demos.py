@@ -1,11 +1,12 @@
 """Imports: demo scripts and README examples import only names that the package
 defines, and each package module references every name it imports. The README's
-JSON config example is a valid config."""
+JSON config example is a valid config. The gradient-check demo runs and passes."""
 
 import ast
 import importlib
 import json
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,12 @@ def test_demo_imports_resolve(source, name):
             for alias in node.names:
                 if alias.name.split(".")[0] == "dacae":
                     importlib.import_module(alias.name)
+
+
+def test_gradient_check_demo_passes(capsys):
+    runpy.run_path(str(ROOT / "demos" / "01_gradient_check.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.endswith("passed=True") for line in lines), lines
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

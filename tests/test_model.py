@@ -329,14 +329,13 @@ def test_loss_gradient_matches_finite_differences():
     z = params.encoder.forward(x)
     x_hat = params.decoder.forward(decoder_input(z, s, 4, True))
     _, gx = mse_loss(x_hat, x)
-    dec_grads = params.decoder.backward(gx)
-    dz = dec_grads.wrt_input[:, :6].copy()
+    dz = params.decoder.backward(gx)[:, :6].copy()
     _, ga = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
-    dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga).wrt_input
+    dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga)
     _, gn = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
-    dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn).wrt_input
+    dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn)
     params.encoder.forward(x)
-    enc_grads = params.encoder.backward(dz)
+    params.encoder.backward(dz)
 
     for li, w in enumerate(params.encoder.weights):
         for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1)]:
@@ -347,7 +346,7 @@ def test_loss_gradient_matches_finite_differences():
             down = loss()
             w[idx] = orig
             fd = (up - down) / (2 * step)
-            assert enc_grads.weights[li][idx] == pytest.approx(fd, abs=1e-6)
+            assert params.encoder.weight_grads[li][idx] == pytest.approx(fd, abs=1e-6)
 
 
 def test_variant_loss_matches_plain_autoencoder():
@@ -456,6 +455,15 @@ def test_params_reject_inconsistent_networks(group, dims, message):
     nets[group] = build_mlp(dims, make_rng(0))
     with pytest.raises(ValueError, match=message):
         DacaeParams(**nets)
+
+
+def test_params_reject_networks_of_different_replica_axes():
+    # replicas() would stop at the shortest group and yield one replica of two
+    p = init_params(7, 6, HyperConfig(), seed=0)
+    with pytest.raises(ValueError, match=r"^the four networks must share one replica axis, got "
+                                         r"\{'encoder': \(2,\), 'decoder': \(\), "
+                                         r"'adversary': \(\), 'nuisance': \(\)\}$"):
+        DacaeParams(Mlp.stack([p.encoder] * 2), p.decoder, p.adversary, p.nuisance)
 
 
 def _checkpoint_with_meta(tmp_path, edit, drop=()):

@@ -12,7 +12,6 @@ from dacae import (
     ConfigError,
     HyperConfig,
     Mlp,
-    MlpGrads,
     SgdConfig,
     TrainingDiverged,
     build_mlp,
@@ -143,9 +142,9 @@ def test_sgd_step_hand_example():
     net = build_mlp([1, 1], make_rng(0))
     net.weights[0][:] = [[1.0]]
     net.forward(np.array([[1.0]]))
-    grads = net.backward(np.array([[0.5]]))
-    assert grads.weights[0][0, 0] == pytest.approx(0.5)
-    sgd_step(net, grads, SgdConfig(learning_rate=0.1))
+    net.backward(np.array([[0.5]]))
+    assert net.weight_grads[0][0, 0] == pytest.approx(0.5)
+    sgd_step(net, SgdConfig(learning_rate=0.1))
     assert net.weights[0][0, 0] == pytest.approx(0.95, abs=1e-15)
 
 
@@ -153,26 +152,20 @@ def test_sgd_step_zero_gradients_noop():
     net = build_mlp([3, 4, 2], make_rng(2))
     before = [w.copy() for w in net.weights]
     net.forward(np.zeros((1, 3)))
-    grads = net.backward(np.zeros((1, 2)))
-    sgd_step(net, grads, SgdConfig(learning_rate=0.5))
+    net.backward(np.zeros((1, 2)))
+    sgd_step(net, SgdConfig(learning_rate=0.5))
     for b, w in zip(before, net.weights):
         assert np.array_equal(b, w)
 
 
-def test_sgd_step_takes_one_gradient_per_parameter():
-    # the update subtracts the whole gradient buffer: a missing layer's gradient would
-    # leave an earlier step's values there
-    net = build_mlp([3, 4, 2], make_rng(2))
-    before = copy_mlp(net)
-    net.forward(np.ones((1, 3)))
-    grads = net.backward(np.ones((1, 2)))
-    for short in (MlpGrads(grads.weights[:1], grads.biases[:1], grads.wrt_input),
-                  MlpGrads(grads.weights, grads.biases[:1], grads.wrt_input)):
-        with pytest.raises(ValueError):
-            sgd_step(net, short, SgdConfig(learning_rate=0.5))
-    with pytest.raises(ValueError, match="^gradient shapes do not match network parameters$"):
-        sgd_step(net, MlpGrads(grads.biases, grads.weights, grads.wrt_input), SgdConfig())
-    _assert_same_arrays(net, before)
+def test_sgd_step_before_any_backward_leaves_params_bitwise():
+    # a network's gradient buffer starts at zero, so a step with nothing in it is a no-op
+    net = build_mlp([3, 4, 2], make_rng(3))
+    stack = Mlp.stack([net, build_mlp([3, 4, 2], make_rng(4))])
+    for fresh in (net, stack):
+        before = fresh.params.tobytes()
+        sgd_step(fresh, SgdConfig(learning_rate=0.5))
+        assert fresh.params.tobytes() == before
 
 
 def _fd_param_grad(net, loss_fn, arr, idx, step=1e-6):
@@ -195,12 +188,12 @@ def test_backward_matches_finite_differences():
         return mse_loss(n.forward(x), target)[0]
 
     _, grad = mse_loss(net.forward(x), target)
-    grads = net.backward(grad)
+    net.backward(grad)
     for li, (w, b) in enumerate(zip(net.weights, net.biases)):
         fd = _fd_param_grad(net, loss_fn, w, (0, 0))
-        assert grads.weights[li][0, 0] == pytest.approx(fd, abs=1e-6)
+        assert net.weight_grads[li][0, 0] == pytest.approx(fd, abs=1e-6)
         fd = _fd_param_grad(net, loss_fn, b, (b.size - 1,))
-        assert grads.biases[li][-1] == pytest.approx(fd, abs=1e-6)
+        assert net.bias_grads[li][-1] == pytest.approx(fd, abs=1e-6)
 
 
 def test_grad_check_passes_fresh_net():
@@ -212,7 +205,8 @@ def test_grad_check_passes_fresh_net():
         return softmax_cross_entropy(n.forward(x), y)[0]
 
     _, grad = softmax_cross_entropy(net.forward(x), y)
-    report = grad_check(net, loss_fn, net.backward(grad), tolerance=1e-4)
+    net.backward(grad)
+    report = grad_check(net, loss_fn, tolerance=1e-4)
     assert report.passed
     assert report.max_rel_error < 1e-4
 
@@ -226,9 +220,9 @@ def test_grad_check_catches_sign_flip():
         return softmax_cross_entropy(n.forward(x), y)[0]
 
     _, grad = softmax_cross_entropy(net.forward(x), y)
-    grads = net.backward(grad)
-    grads.weights[0] = -grads.weights[0]
-    report = grad_check(net, loss_fn, grads, tolerance=1e-4)
+    net.backward(grad)
+    np.negative(net.weight_grads[0], out=net.weight_grads[0])
+    report = grad_check(net, loss_fn, tolerance=1e-4)
     assert not report.passed
     assert report.worst_param.startswith("layer0.w")
 
@@ -242,7 +236,8 @@ def test_grad_check_zero_net_zero_error():
         return mse_loss(n.forward(x), np.zeros((3, 2)))[0]
 
     _, grad = mse_loss(net.forward(x), np.zeros((3, 2)))
-    report = grad_check(net, loss_fn, net.backward(grad), tolerance=1e-4)
+    net.backward(grad)
+    report = grad_check(net, loss_fn, tolerance=1e-4)
     assert report.passed
     assert report.max_rel_error == 0.0
 
@@ -253,9 +248,10 @@ def test_grad_check_rejects_a_stack():
     stack = Mlp.stack([build_mlp([3, 2], make_rng(5, r)) for r in range(2)])
     x = make_rng(5, 2).standard_normal((4, 3))
     _, grad = mse_loss(stack.forward(x), np.zeros((2, 4, 2)))
+    stack.backward(grad)
     with pytest.raises(ValueError, match=r"^grad_check takes a 2-D network, not a stack with "
                                          r"replica axis \(2,\)$"):
-        grad_check(stack, lambda n: 0.0, stack.backward(grad))
+        grad_check(stack, lambda n: 0.0)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -307,7 +303,8 @@ def test_repeated_steps_decrease_fixed_batch_loss():
     for _ in range(10):
         loss, grad = softmax_cross_entropy(net.forward(x), y)
         losses.append(loss)
-        sgd_step(net, net.backward(grad), config)
+        net.backward(grad)
+        sgd_step(net, config)
     loss, _ = softmax_cross_entropy(net.forward(x), y)
     losses.append(loss)
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -322,7 +319,8 @@ def test_training_bit_identical_across_runs():
         config = SgdConfig(learning_rate=0.01)
         for _ in range(20):
             _, grad = softmax_cross_entropy(net.forward(x), y)
-            sgd_step(net, net.backward(grad), config)
+            net.backward(grad)
+            sgd_step(net, config)
         return [w.copy() for w in net.weights]
 
     for a, b in zip(run(), run()):
@@ -662,21 +660,16 @@ def test_forward_and_backward_leave_their_inputs_unchanged(dims):
     x0, upstream0 = x.copy(), upstream.copy()
     net = build_mlp(dims, make_rng(42))
     out = net.forward(x)
-    first = net.backward(upstream)
-    again = net.backward(upstream)  # the cache survives a backward pass
-    assert np.array_equal(x, x0, equal_nan=True)
-    assert np.array_equal(upstream, upstream0)
     want_out, cache = reference_forward(net, x0)
-    assert np.array_equal(out, want_out, equal_nan=True)
     want = reference_backward(net, cache, upstream0)
-    for grads in (first, again):
-        for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
+    for _ in range(2):  # the cache survives a backward pass
+        wrt_input = net.backward(upstream)
+        assert np.array_equal(x, x0, equal_nan=True)
+        assert np.array_equal(upstream, upstream0)
+        assert np.array_equal(out, want_out, equal_nan=True)
+        for a, b in zip([*net.weight_grads, *net.bias_grads, wrt_input],
                         [*want[0], *want[1], want[2]], strict=True):
             assert np.array_equal(a, b, equal_nan=True)
-    # each call's gradients live in buffers of their own, which a later call leaves alone
-    for a in [*first.weights, *first.biases, first.wrt_input]:
-        for b in [*again.weights, *again.biases, again.wrt_input]:
-            assert not np.shares_memory(a, b)
     # the cross-entropy works on its own copy of the logits, in either layout
     for logits in (out, np.asfortranarray(out)):
         before = logits.copy()
@@ -897,8 +890,9 @@ def test_stacked_primitives_match_each_replica_bitwise(dims, n, shared):
     out = stack.forward(x)
     ce, ce_grad = softmax_cross_entropy(out, t)
     mse, mse_grad = mse_loss(out, target)
-    grads = stack.backward(ce_grad + mse_grad)
-    sgd_step(stack, grads, sgd)
+    wrt_input = stack.backward(ce_grad + mse_grad)
+    grads = [g.copy() for g in [*stack.weight_grads, *stack.bias_grads, wrt_input]]
+    sgd_step(stack, sgd)
     assert ce.shape == mse.shape == (replicas,)
     for r, net in enumerate(nets):
         out_r = net.forward(xs[r])
@@ -908,11 +902,10 @@ def test_stacked_primitives_match_each_replica_bitwise(dims, n, shared):
         assert (ce[r], mse[r]) == (ce_r, mse_r)
         _assert_same_bits(ce_grad[r], ce_grad_r)
         _assert_same_bits(mse_grad[r], mse_grad_r)
-        grads_r = net.backward(ce_grad_r + mse_grad_r)
-        for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
-                        [*grads_r.weights, *grads_r.biases, grads_r.wrt_input], strict=True):
+        wrt_input_r = net.backward(ce_grad_r + mse_grad_r)
+        for a, b in zip(grads, [*net.weight_grads, *net.bias_grads, wrt_input_r], strict=True):
             _assert_same_bits(a[r], b)
-        sgd_step(net, grads_r, sgd)
+        sgd_step(net, sgd)
         _assert_replica(stack, r, net)
 
     for _ in range(3):
@@ -936,10 +929,10 @@ def test_stacked_steps_check_every_replica_before_any_update():
     _assert_same_arrays(stack, before)
     # sgd_step likewise checks every layer of every replica before it updates the first
     _, grad = softmax_cross_entropy(stack.forward(x[:, :1]), t[:1])
-    grads = stack.backward(grad)
-    grads.biases[-1][2, 0] = np.nan
+    stack.backward(grad)
+    stack.bias_grads[-1][2, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
-        sgd_step(stack, grads, sgd)
+        sgd_step(stack, sgd)
     _assert_same_arrays(stack, before)
 
 
@@ -980,11 +973,11 @@ def test_stack_backward_shares_a_2d_upstream_grad_across_replicas():
     x = make_rng(67).standard_normal((5, 4))
     upstream = make_rng(68).standard_normal((5, 3))
     stack.forward(x)
-    grads = stack.backward(upstream)
+    wrt_input = stack.backward(upstream)
     for r, net in enumerate(nets):
         net.forward(x)
-        grads_r = net.backward(upstream)
-        for a, b in zip([*grads.weights, *grads.biases, grads.wrt_input],
-                        [*grads_r.weights, *grads_r.biases, grads_r.wrt_input], strict=True):
+        wrt_input_r = net.backward(upstream)
+        for a, b in zip([*stack.weight_grads, *stack.bias_grads, wrt_input],
+                        [*net.weight_grads, *net.bias_grads, wrt_input_r], strict=True):
             _assert_same_bits(a[r], b)
-    sgd_step(stack, grads, SgdConfig())  # every gradient has its parameter's shape
+    sgd_step(stack, SgdConfig())  # every gradient has its parameter's shape

@@ -1,5 +1,6 @@
 """Alternating training loop, logging, and the two-stage sweep."""
 
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -31,6 +32,7 @@ from dacae import (
     two_stage_sweep,
 )
 import dacae.model
+import dacae.nn
 import dacae.training
 from dacae.nn import Mlp, build_mlp, minibatches
 from dacae.training import LAMBDA_A_GRID, LAMBDA_N_GRID, _head_term, _pick
@@ -56,24 +58,25 @@ def reference_step(params, x, s, config):
     """Manual replay of the three sub-updates, built only from model pieces."""
     z = encode(params, x)
     _, ga = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
-    sgd_step(params.adversary, params.adversary.backward(ga), config.sgd)
+    params.adversary.backward(ga)
+    sgd_step(params.adversary, config.sgd)
     _, gn = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
-    sgd_step(params.nuisance, params.nuisance.backward(gn), config.sgd)
+    params.nuisance.backward(gn)
+    sgd_step(params.nuisance, config.sgd)
 
     z = params.encoder.forward(x)
     x_hat = params.decoder.forward(decoder_input(z, s, params.n_subjects, config.conditioned))
     _, gx = mse_loss(x_hat, x)
-    dec_grads = params.decoder.backward(gx)
-    dz = dec_grads.wrt_input[:, : params.latent_dim].copy()
+    dz = params.decoder.backward(gx)[:, : params.latent_dim].copy()
     if config.lambda_a != 0.0:
         _, ga2 = softmax_cross_entropy(params.adversary.forward(z[:, : params.d_a]), s)
-        dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga2).wrt_input
+        dz[:, : params.d_a] -= config.lambda_a * params.adversary.backward(ga2)
     if config.lambda_n != 0.0:
         _, gn2 = softmax_cross_entropy(params.nuisance.forward(z[:, params.d_a:]), s)
-        dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn2).wrt_input
-    enc_grads = params.encoder.backward(dz)
-    sgd_step(params.encoder, enc_grads, config.sgd)
-    sgd_step(params.decoder, dec_grads, config.sgd)
+        dz[:, params.d_a:] += config.lambda_n * params.nuisance.backward(gn2)
+    params.encoder.backward(dz)
+    sgd_step(params.encoder, config.sgd)
+    sgd_step(params.decoder, config.sgd)
 
 
 def _batch(seed=1, n=12, channels=4, subjects=3):
@@ -106,9 +109,11 @@ def test_train_step_heads_untouched_by_joint_update():
 
     z = encode(ref, x)
     _, ga = softmax_cross_entropy(ref.adversary.forward(z[:, : ref.d_a]), s)
-    sgd_step(ref.adversary, ref.adversary.backward(ga), config.sgd)
+    ref.adversary.backward(ga)
+    sgd_step(ref.adversary, config.sgd)
     _, gn = softmax_cross_entropy(ref.nuisance.forward(z[:, ref.d_a:]), s)
-    sgd_step(ref.nuisance, ref.nuisance.backward(gn), config.sgd)
+    ref.nuisance.backward(gn)
+    sgd_step(ref.nuisance, config.sgd)
     for name in ("adversary", "nuisance"):
         for wa, wb in zip(params.groups()[name].weights, ref.groups()[name].weights):
             assert np.array_equal(wa, wb)
@@ -126,10 +131,9 @@ def test_train_step_zero_lambda_matches_plain_autoencoder_path():
     z = ae.encoder.forward(x)
     x_hat = ae.decoder.forward(decoder_input(z, s, 3, False))
     _, gx = mse_loss(x_hat, x)
-    dec_grads = ae.decoder.backward(gx)
-    enc_grads = ae.encoder.backward(dec_grads.wrt_input[:, :6])
-    sgd_step(ae.encoder, enc_grads, config.sgd)
-    sgd_step(ae.decoder, dec_grads, config.sgd)
+    ae.encoder.backward(ae.decoder.backward(gx)[:, :6])
+    sgd_step(ae.encoder, config.sgd)
+    sgd_step(ae.decoder, config.sgd)
     for name in ("encoder", "decoder"):
         for wa, wb in zip(params.groups()[name].weights, ae.groups()[name].weights):
             assert np.array_equal(wa, wb)
@@ -159,8 +163,10 @@ def test_joint_step_checks_and_updates_the_encoder_then_the_decoder(monkeypatch)
     params, want = init_params(4, 3, config, seed=7), init_params(4, 3, config, seed=7)
     reference_step(want, x, s, config)
 
-    def failing_check(net, grads, sgd):
-        raise TrainingDiverged("non-finite gradient in sgd_step")
+    def failing_check(net, sgd):
+        if net is params.decoder:
+            raise TrainingDiverged("non-finite gradient in sgd_step")
+        return sgd_step(net, sgd)
 
     monkeypatch.setattr(dacae.training, "sgd_step", failing_check)
     with pytest.raises(TrainingDiverged, match="^non-finite gradient in sgd_step$"):
@@ -279,6 +285,29 @@ def test_fit_feature_extractor_loss_decreases_long_run():
     assert losses[49] <= losses[4]
 
 
+def test_steps_allocate_no_network_sized_buffer(monkeypatch):
+    # every flat parameter or gradient buffer comes from Mlp.__init__, two per network
+    # built (its parameters and its gradients); no step allocates one
+    callers, built = [], []
+    grad_buffer, init = dacae.nn._grad_buffer, Mlp.__init__
+
+    def spy_buffer(weights):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return grad_buffer(weights)
+
+    def spy_init(self, weights, biases):
+        built.append(self)
+        init(self, weights, biases)
+
+    monkeypatch.setattr(dacae.nn, "_grad_buffer", spy_buffer)
+    monkeypatch.setattr(Mlp, "__init__", spy_init)
+    ds = small_dataset(3)
+    fit_feature_extractor(ds, small_config())
+    fit_feature_extractor(ds, [small_config(lambda_a=la) for la in (0.0, 0.1, 0.5)], log=False)
+    classifiers.fit("mlp", ds.x, ds.y, seed=0)
+    assert built and callers == ["__init__"] * (2 * len(built))
+
+
 def test_fit_feature_extractor_divergence_names_position():
     ds = small_dataset(2)
     config = small_config(sgd=SgdConfig(learning_rate=1e9, batch_size=16,
@@ -292,7 +321,7 @@ def test_fit_feature_extractor_divergence_names_position():
 @pytest.mark.parametrize("combine", [np.subtract, np.add], ids=["adversary", "nuisance"])
 def test_head_term_equals_the_mlp_input_gradient_bitwise(dims, weights, combine):
     # _head_term runs the bare kernels; each replica's term must be what
-    # head.forward, softmax_cross_entropy and head.backward(...).wrt_input give
+    # head.forward, softmax_cross_entropy and head.backward(...) give
     rng = make_rng(71, len(dims), len(weights))
     heads = [build_mlp(dims, make_rng(72, r)) for r in range(len(weights))]
     code = rng.standard_normal((len(weights), 64, dims[0])) * 3.0
@@ -303,7 +332,7 @@ def test_head_term_equals_the_mlp_input_gradient_bitwise(dims, weights, combine)
     for r, (head, weight) in enumerate(zip(heads, weights)):
         if weight != 0.0:
             _, grad = softmax_cross_entropy(head.forward(code[r]), s)
-            want[r] = combine(dz[r], weight * head.backward(grad).wrt_input)
+            want[r] = combine(dz[r], weight * head.backward(grad))
     if len(weights) == 1:
         head, code, dz, want = heads[0], code[0], dz[0], want[0]
         weight = np.array(weights[0])[()]
